@@ -1,6 +1,8 @@
 """Command-line front end: expand series, verify identities, run benchmarks.
 
-Exit codes: 0 success, 1 when any identity check FAILED, 2 on usage errors.
+Exit codes: 0 success, 1 when any identity check FAILED, 2 on usage errors,
+3 when an identity check raised instead of reporting (the completed reports
+are still printed, one `error:` line per raised check goes to stderr).
 JSON output carries coefficients as decimal strings so arbitrarily large
 integers survive a round trip through 64-bit JSON parsers.
 """
@@ -22,6 +24,7 @@ from .harness import (
     IdentityId,
     IdentityReport,
     IdentityStatus,
+    SuiteError,
     check_identity,
     run_suite,
 )
@@ -118,10 +121,18 @@ def _print_verify_table(reports: Sequence[IdentityReport]) -> None:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.order < 8:
         return _fail_usage(f"--order must be >= 8 for verification, got {args.order}")
+    errors: list[tuple[IdentityId, Exception]] = []
     if args.all:
-        reports = run_suite(args.order)
+        try:
+            reports = run_suite(args.order)
+        except SuiteError as exc:
+            reports, errors = exc.reports, exc.errors
     else:
-        reports = [check_identity(IdentityId(args.identity), args.order)]
+        ident = IdentityId(args.identity)
+        try:
+            reports = [check_identity(ident, args.order)]
+        except Exception as exc:  # noqa: BLE001 - reported like run_suite's errors
+            reports, errors = [], [(ident, exc)]
 
     fmt = OutputFormat(args.format)
     if fmt is OutputFormat.TABLE:
@@ -157,6 +168,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             ),
             rows,
         )
+    for ident, exc in errors:
+        print(f"error: {ident.value}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    if errors:
+        return 3
     failed = any(r.status is IdentityStatus.FAILED for r in reports)
     return 1 if failed else 0
 
@@ -217,13 +232,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--order",
-            type=int,
-            default=DEFAULT_ORDER,
-            help=f"number of coefficients q^0..q^(order-1) (default {DEFAULT_ORDER})",
-        )
+    def add_common(p: argparse.ArgumentParser, order: bool = True) -> None:
+        if order:
+            p.add_argument(
+                "--order",
+                type=int,
+                default=DEFAULT_ORDER,
+                help=f"number of coefficients q^0..q^(order-1) (default {DEFAULT_ORDER})",
+            )
         p.add_argument(
             "--format",
             choices=[f.value for f in OutputFormat],
@@ -254,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated list of orders, e.g. 256,1024,4096",
     )
-    add_common(p_bench)
+    add_common(p_bench, order=False)
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser

@@ -19,11 +19,6 @@ __all__ = [
     "oracle_divisor_lambert",
 ]
 
-ORACLE_IDS = frozenset(
-    {SeriesId.Y_DEF, SeriesId.Z, SeriesId.A, SeriesId.B, SeriesId.B1}
-)
-
-
 def _y_def(order: int) -> list[int]:
     # quadruple sum with exponent m + 2mn + nk + l(2m-1), sign (-1)^(m+k),
     # over m, n >= 1 and k, l >= 0
@@ -149,7 +144,7 @@ def oracle_expand(sid: SeriesId, order: int) -> TruncatedSeries:
     """Expand one of the double-sum series by raw lattice enumeration."""
     if sid not in _EXPANDERS:
         raise UnsupportedSeries(
-            f"oracle supports {sorted(s.value for s in ORACLE_IDS)}, not {sid.value}"
+            f"oracle supports {sorted(s.value for s in _EXPANDERS)}, not {sid.value}"
         )
     return TruncatedSeries(_EXPANDERS[sid](order))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .errors import NotAUnit, OrderTooSmall
 
@@ -26,9 +26,6 @@ __all__ = [
     "compare",
     "parity_of",
 ]
-
-KARATSUBA_CUTOFF = 48
-
 
 class TruncatedSeries:
     """An integer power series known exactly through q^(order-1). Immutable."""
@@ -235,87 +232,33 @@ def linear_combine(c1: int, f: TruncatedSeries, c2: int, g: TruncatedSeries) -> 
     return TruncatedSeries([c1 * fc[i] + c2 * gc[i] for i in range(n)])
 
 
-def mul(f: TruncatedSeries, g: TruncatedSeries, method: str = "schoolbook") -> TruncatedSeries:
-    """Product truncated to min(f.order, g.order).
+def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """Product truncated to min(f.order, g.order), by Kronecker substitution.
 
-    `method` selects the convolution strategy: "schoolbook" (the O(N^2)
-    default; fast in practice because each row is one list comprehension)
-    or "karatsuba" (recursive splitting, useful as a cross-check and at
-    very large orders).
+    Each operand is evaluated at q = 2^slot as one integer and the two are
+    multiplied once in CPython's bigint code. The slot width keeps
+    2^(slot-1) > n*max(max|f|, 1)*max(max|g|, 1), which bounds every product
+    coefficient and every operand coefficient, so adding 2^(slot-1) to each
+    slot makes it nonnegative and no slot borrows from or carries into the
+    next. Operands are packed the same way, biased by 2^(slot-1) per slot,
+    and the bias is subtracted once from the packed integer.
     """
     n = min(f.order, g.order)
-    if method == "schoolbook":
-        out = _schoolbook(f.coefficients, g.coefficients, n)
-    elif method == "karatsuba":
-        full = _karatsuba(list(f.coefficients[:n]), list(g.coefficients[:n]))
-        out = full[:n] + [0] * (n - len(full))
-    else:
-        raise ValueError(f"unknown multiplication method: {method!r}")
-    return TruncatedSeries(out)
+    fc, gc = f.coefficients[:n], g.coefficients[:n]
+    bound = max(max(map(abs, fc)), 1) * max(max(map(abs, gc)), 1) * n
+    width = (bound.bit_length() + 8) // 8  # bytes per slot
+    half = 1 << (8 * width - 1)
+    biases = int.from_bytes(half.to_bytes(width, "little") * n, "little")
 
+    def pack(cs: tuple[int, ...]) -> int:
+        raw = b"".join([(c + half).to_bytes(width, "little") for c in cs])
+        return int.from_bytes(raw, "little") - biases
 
-def _schoolbook(fc: Sequence[int], gc: Sequence[int], n: int) -> list[int]:
-    out = [0] * n
-    for i in range(n):
-        fi = fc[i]
-        if fi == 0:
-            continue
-        lim = n - i
-        if fi == 1:
-            out[i:] = [a + b for a, b in zip(out[i:], gc[:lim])]
-        elif fi == -1:
-            out[i:] = [a - b for a, b in zip(out[i:], gc[:lim])]
-        else:
-            out[i:] = [a + fi * b for a, b in zip(out[i:], gc[:lim])]
-    return out
-
-
-def _karatsuba(a: list[int], b: list[int]) -> list[int]:
-    """Full product of two coefficient lists (length len(a)+len(b)-1)."""
-    n = max(len(a), len(b))
-    if n <= KARATSUBA_CUTOFF:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return out
-    half = n // 2
-    a0, a1 = a[:half], a[half:]
-    b0, b1 = b[:half], b[half:]
-    if not a1 or not b1:
-        # one operand fits entirely in the low half; fall back to splitting
-        # only the longer one
-        if len(a) < len(b):
-            lo = _karatsuba(a, b0)
-            hi = _karatsuba(a, b1) if b1 else []
-        else:
-            lo = _karatsuba(a0, b)
-            hi = _karatsuba(a1, b) if a1 else []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, v in enumerate(lo):
-            out[i] += v
-        for i, v in enumerate(hi):
-            out[half + i] += v
-        return out
-    z0 = _karatsuba(a0, b0)
-    z2 = _karatsuba(a1, b1)
-    asum = [x + y for x, y in zip(a0, a1)] + (a1[len(a0):] or a0[len(a1):])
-    bsum = [x + y for x, y in zip(b0, b1)] + (b1[len(b0):] or b0[len(b1):])
-    z1 = _karatsuba(asum, bsum)
-    for i, v in enumerate(z0):
-        z1[i] -= v
-    for i, v in enumerate(z2):
-        z1[i] -= v
-    out = [0] * (len(a) + len(b) - 1)
-    for i, v in enumerate(z0):
-        out[i] += v
-    for i, v in enumerate(z1):
-        out[half + i] += v
-    for i, v in enumerate(z2):
-        out[2 * half + i] += v
-    return out
+    low = (pack(fc) * pack(gc) + biases) & ((1 << (8 * width * n)) - 1)
+    raw = low.to_bytes(width * n, "little")
+    return TruncatedSeries(
+        [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, width * n, width)]
+    )
 
 
 def geometric_mul_inplace(coeffs: list[int], step: int, sign: int) -> None:

@@ -37,7 +37,6 @@ from lambertq import (
     sign_resolve,
 )
 from lambertq.constructors import SignedMonomial
-from lambertq.oracle import ORACLE_IDS
 
 
 @pytest.fixture
@@ -101,7 +100,7 @@ def test_criterion_04_product_identity_with_resolved_signs(announce):
 def test_criterion_05_oracle_equivalence_at_300(announce):
     mismatched = [
         sid.value
-        for sid in sorted(ORACLE_IDS, key=lambda s: s.value)
+        for sid in (SeriesId.A, SeriesId.B, SeriesId.B1, SeriesId.Y_DEF, SeriesId.Z)
         if oracle_expand(sid, 300) != named_series(sid, 300)
     ]
     y = oracle_expand(SeriesId.Y_DEF, 300)

@@ -14,7 +14,7 @@ from lambertq import (
     SeriesId,
     named_series,
 )
-from lambertq import cli
+from lambertq import cli, harness
 from lambertq.cli import main
 
 
@@ -141,6 +141,35 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--identity", "I1_Y_EQ2")
         assert code == 1
 
+    def test_raising_check_exits_three_and_keeps_completed_reports(self, capsys, monkeypatch):
+        original = harness.check_identity
+
+        def check_identity(ident, *args, **kwargs):
+            if ident is IdentityId.I9_LEMMA2:
+                raise RuntimeError("injected fault")
+            return original(ident, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "check_identity", check_identity)
+        for fmt in ("json", "table", "csv"):
+            code, out, err = run_cli(capsys, "verify", "--all", "--order", "16", "--format", fmt)
+            assert code == 3
+            assert err == "error: I9_LEMMA2: RuntimeError: injected fault\n"
+            assert "Traceback" not in err
+            assert "I9_LEMMA2" not in out
+            assert "I13_ENTRY29_INSTANCE" in out
+        rows = json.loads(run_cli(capsys, "verify", "--all", "--order", "16", "--format", "json")[1])
+        assert len(rows) == len(IdentityId) - 1
+
+    def test_raising_single_identity_exits_three(self, capsys, monkeypatch):
+        def check_identity(ident, order):
+            raise ValueError("broken builder")
+
+        monkeypatch.setattr(cli, "check_identity", check_identity)
+        code, out, err = run_cli(capsys, "verify", "--identity", "I1_Y_EQ2", "--format", "json")
+        assert code == 3
+        assert json.loads(out) == []
+        assert err == "error: I1_Y_EQ2: ValueError: broken builder\n"
+
     def test_identity_and_all_are_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["verify", "--all", "--identity", "I1_Y_EQ2"])
@@ -198,6 +227,11 @@ class TestBench:
     def test_op_is_required(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["bench", "--sizes", "16"])
+        assert exc_info.value.code == 2
+
+    def test_order_is_not_a_bench_option(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bench", "--op", "mul", "--sizes", "16", "--order", "5"])
         assert exc_info.value.code == 2
 
 

@@ -7,18 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambertq import (
+    ENTRY29_TRIPLES,
     Comparison,
     Mismatch,
     NotAUnit,
     OrderTooSmall,
     Parity,
+    SignedMonomial,
     TruncatedSeries,
     compare,
+    entry29_rhs,
     format_polynomial,
     geometric_mul,
     linear_combine,
     mul,
     parity_of,
+    phi,
+    pochhammer,
 )
 
 # Bounded random series for property tests. Coefficients stay small so
@@ -27,11 +32,30 @@ series_st = st.builds(
     TruncatedSeries,
     st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=64),
 )
+# Wide coefficients for the multiply: mostly small, some far past 64 bits.
+wide_st = st.builds(
+    TruncatedSeries,
+    st.lists(
+        st.one_of(st.integers(-9, 9), st.integers(-(2**300), 2**300)),
+        min_size=1,
+        max_size=40,
+    ),
+)
 unit_st = st.builds(
     lambda lead, rest: TruncatedSeries([lead] + rest),
     st.sampled_from([1, -1]),
     st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=63),
 )
+
+
+def schoolbook(f, g):
+    """Reference product: the plain double loop, truncated to the smaller order."""
+    n = min(f.order, g.order)
+    out = [0] * n
+    for i, a in enumerate(f.coefficients[:n]):
+        for j, b in enumerate(g.coefficients[: n - i]):
+            out[i + j] += a * b
+    return TruncatedSeries(out)
 
 
 class TestConstruction:
@@ -138,17 +162,83 @@ class TestMul:
         g = TruncatedSeries([1, 1])
         assert (f * g).coefficients == (1, 2)
 
-    def test_rejects_unknown_method(self):
-        f = TruncatedSeries([1, 1])
-        with pytest.raises(ValueError):
-            mul(f, f, method="fft")
-
     @pytest.mark.parametrize("n", [1, 2, 7, 47, 48, 49, 96, 130, 257])
-    def test_karatsuba_matches_schoolbook(self, n):
+    def test_matches_schoolbook_reference(self, n):
         rng = random.Random(n)
-        f = TruncatedSeries([rng.randint(-9, 9) for _ in range(n)])
-        g = TruncatedSeries([rng.randint(-9, 9) for _ in range(n)])
-        assert mul(f, g, method="karatsuba") == mul(f, g, method="schoolbook")
+        for bound in (9, 2**64, 2**200):
+            f = TruncatedSeries([rng.randint(-bound, bound) for _ in range(n)])
+            g = TruncatedSeries([rng.randint(-bound, bound) for _ in range(n)])
+            assert mul(f, g) == schoolbook(f, g)
+
+    @given(wide_st, wide_st)
+    @settings(max_examples=150)
+    def test_wide_operands_match_schoolbook_reference(self, f, g):
+        assert mul(f, g) == schoolbook(f, g)
+
+    def test_huge_magnitudes(self):
+        rng = random.Random(200)
+        f = TruncatedSeries([rng.choice([-1, 1]) * 2**rng.randint(200, 600) for _ in range(33)])
+        g = TruncatedSeries([rng.randint(-(2**256), 2**256) for _ in range(33)])
+        small = TruncatedSeries([rng.randint(-1, 1) for _ in range(33)])
+        assert mul(f, g) == schoolbook(f, g)
+        assert mul(f, small) == schoolbook(f, small)
+        # the extreme slot: every coefficient at the bound, all products aligned
+        top = TruncatedSeries([-(2**200)] * 17)
+        assert mul(top, top) == schoolbook(top, top)
+        assert mul(top, top)[16] == 17 * 2**400
+
+    def test_all_negative_operands(self):
+        rng = random.Random(7)
+        f = TruncatedSeries([-rng.randint(1, 2**80) for _ in range(50)])
+        g = TruncatedSeries([-rng.randint(1, 9) for _ in range(50)])
+        assert mul(f, g) == schoolbook(f, g)
+        assert all(c > 0 for c in mul(f, g))
+
+    def test_zero_operands(self):
+        huge = TruncatedSeries([(-1) ** i * 2**300 for i in range(20)])
+        zero = TruncatedSeries.zero(20)
+        assert mul(zero, zero) == zero
+        assert mul(zero, huge) == zero
+        assert mul(huge, zero) == zero
+        assert mul(TruncatedSeries.zero(1), TruncatedSeries([-(2**500)])) == TruncatedSeries([0])
+
+    @pytest.mark.parametrize("a,b", [(0, 5), (1, 1), (-1, 1), (-3, -7), (2**200, -(2**201)), (-(2**300), 0)])
+    def test_length_one_operands(self, a, b):
+        assert mul(TruncatedSeries([a]), TruncatedSeries([b])).coefficients == (a * b,)
+
+    def test_mismatched_orders(self):
+        rng = random.Random(3)
+        for m, n in ((1, 40), (40, 1), (5, 64), (64, 5), (31, 33)):
+            f = TruncatedSeries([rng.randint(-(2**100), 2**100) for _ in range(m)])
+            g = TruncatedSeries([rng.randint(-9, 9) for _ in range(n)])
+            assert mul(f, g) == schoolbook(f, g)
+            assert mul(f, g).order == min(m, n)
+
+    def test_phi_product_at_600(self):
+        # the operands phi() multiplies: (q^4;q^4)^4 and 1/(q^2;q^2)^2
+        p4 = pochhammer(SignedMonomial(1, 4), 4, 600)
+        p2 = pochhammer(SignedMonomial(1, 2), 2, 600)
+        num = schoolbook(schoolbook(p4, p4), schoolbook(p4, p4))
+        inv = schoolbook(p2, p2).invert()
+        assert mul(num, inv) == schoolbook(num, inv)
+        assert mul(num, inv) == phi(600)
+
+    @pytest.mark.parametrize("x,y,base", ENTRY29_TRIPLES)
+    def test_entry29_rhs_products(self, x, y, base):
+        # the operands entry29_rhs multiplies, rebuilt with the reference product
+        def poch(sign, exponent):
+            return pochhammer(SignedMonomial(sign, exponent), base, 300)
+
+        sxy, exy = x.sign * y.sign, x.exponent + y.exponent
+        qq = poch(1, base)
+        num = schoolbook(schoolbook(qq, qq), schoolbook(poch(sxy, exy), poch(sxy, base - exy)))
+        dx = (poch(x.sign, x.exponent), poch(x.sign, base - x.exponent))
+        dy = (poch(y.sign, y.exponent), poch(y.sign, base - y.exponent))
+        den = (schoolbook(*dx), schoolbook(*dy))
+        assert (mul(*dx), mul(*dy)) == den
+        assert mul(*den) == schoolbook(*den)
+        inv = schoolbook(*den).invert()
+        assert mul(num, inv) == schoolbook(num, inv) == entry29_rhs(x, y, base, 300)
 
     @given(series_st, series_st, series_st)
     @settings(max_examples=60)
