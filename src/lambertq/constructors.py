@@ -204,11 +204,11 @@ def pochhammer(arg: SignedMonomial, step: int, order: int) -> TruncatedSeries:
 def phi(order: int) -> TruncatedSeries:
     """The even quotient (q^4;q^4)_inf^4 / (q^2;q^2)_inf^2."""
     p4 = pochhammer(SignedMonomial(1, 4), 4, order)
-    p2 = pochhammer(SignedMonomial(1, 2), 2, order)
     p4sq = mul(p4, p4)
-    num = mul(p4sq, p4sq)
-    den = mul(p2, p2)
-    return mul(num, den.invert())
+    coeffs = list(mul(p4sq, p4sq).coefficients)
+    for k in [*range(2, order, 2)] * 2:  # divide by (q^2;q^2)^2, one (1 - q^k) at a time
+        geometric_mul_inplace(coeffs, k, 1)
+    return TruncatedSeries(coeffs)
 
 
 # -- the named series ---------------------------------------------------------
@@ -500,12 +500,12 @@ def entry29_rhs(x: SignedMonomial, y: SignedMonomial, base: int, order: int) -> 
         return pochhammer(SignedMonomial(sign, exponent), base, order)
 
     qq = poch(1, base)
-    num = mul(mul(qq, qq), mul(poch(sxy, ex + ey), poch(sxy, base - ex - ey)))
-    den = mul(
-        mul(poch(sx, ex), poch(sx, base - ex)),
-        mul(poch(sy, ey), poch(sy, base - ey)),
-    )
-    return mul(num, den.invert())
+    coeffs = list(mul(mul(qq, qq), mul(poch(sxy, ex + ey), poch(sxy, base - ex - ey))).coefficients)
+    # divide by the denominator one (1 - sign*q^k) at a time; the bounds keep k >= 1
+    for sign, e in ((sx, ex), (sx, base - ex), (sy, ey), (sy, base - ey)):
+        for k in range(e, order, base):
+            geometric_mul_inplace(coeffs, k, sign)
+    return TruncatedSeries(coeffs)
 
 
 def s_window(lo: int, hi: int, order: int) -> TruncatedSeries:

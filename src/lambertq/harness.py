@@ -10,10 +10,11 @@ finite-order evidence.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .constructors import (
     SeriesId,
@@ -27,7 +28,6 @@ from .constructors import (
 from .errors import LambertQError, NoConsistentSign, OrderTooSmall
 from .series import (
     Mismatch,
-    Parity,
     TruncatedSeries,
     compare,
     mul,
@@ -93,6 +93,10 @@ UNPROVEN_NOTE = "unproven conjecture: finite-order evidence only"
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """Outcome of one check. Under `run_suite`, `elapsed_seconds` counts a
+    named series only in the first report whose check built it; later
+    checks get it from the run's cache."""
+
     identity: IdentityId
     order_checked: int
     status: IdentityStatus
@@ -134,34 +138,63 @@ class SuiteError(LambertQError):
         super().__init__(f"{len(errors)} identity check(s) raised ({names})")
 
 
-# -- side builders --------------------------------------------------------------
+# -- the identity table ---------------------------------------------------------
+
+# One row per identity: it lazily yields the (label, lhs, rhs) pairs the
+# identity asserts, so a check that stops at its first mismatch builds nothing
+# after it. The label names the failing pair; None marks a single pair. Sides
+# are module globals looked up at call time, so patching them reaches here.
+Pair = tuple[Optional[str], TruncatedSeries, TruncatedSeries]
+Rows = Callable[[int, Builder], Iterable[Pair]]
+
+S = SeriesId
 
 
-def _two_sides(
-    ident: IdentityId, order: int, b: Builder
-) -> tuple[TruncatedSeries, TruncatedSeries]:
-    S = SeriesId
-    if ident is IdentityId.I1_Y_EQ2:
-        return b(S.Y_DEF, order), b(S.Y_EQ2, order)
-    if ident is IdentityId.I2_Y_EQ1:
-        return b(S.Y_DEF, order), b(S.Y_EQ1, order)
-    if ident is IdentityId.I3_Z_EQ_A_PLUS_B:
-        return b(S.Z, order), b(S.A, order) + b(S.B, order)
-    if ident is IdentityId.I4_LEMMA1:
-        return b(S.B1, order), b(S.A, order).compose_sign()
-    if ident is IdentityId.I5_D1_DECOMP:
-        return b(S.D1, order), b(S.Y_DEF, order) + b(S.Z, order)
-    if ident is IdentityId.I7_S_EQ_QPHI:
-        return b(S.S, order), b(S.PHI, order).shift(1)
-    if ident is IdentityId.I8_SUM_DIFFERENCE:
-        return b(S.L1, order) - b(S.L2, order), b(S.L3, order)
-    if ident is IdentityId.I9_LEMMA2:
-        lhs = b(S.D1, order) - b(S.D2, order)
-        rhs = mul(b(S.PHI, order).shift(1), b(S.L3, order))
-        return lhs, rhs
-    if ident is IdentityId.I11_CONJ2:
-        return b(S.Y_DEF, order), b(S.D2, order) - b(S.D1, order)
-    raise ValueError(f"{ident.value} has no simple two-sided form")
+def _d2_rows(n: int, b: Builder) -> Iterable[Pair]:
+    d2 = b(S.D2, n)
+    yield "D2 vs B + B1", d2, b(S.B, n) + b(S.B1, n)
+    yield "D2 vs split product", d2, d2_split_product(n)
+
+
+def _halving_rows(n: int, b: Builder) -> Iterable[Pair]:
+    for m_top in range(1, MAX_HALVING_WINDOW + 1):
+        yield f"window M={m_top}", s_window(1 - m_top, m_top, n), 2 * s_window(1, m_top, n)
+
+
+def _entry29_rows(n: int, b: Builder) -> Iterable[Pair]:
+    for x, y, base in ENTRY29_TRIPLES:
+        label = f"triple x={x}, y={y}, base={base}"
+        lhs = bilateral_sum(x, y, base, n)
+        yield label, lhs, entry29_rhs(x, y, base, n)
+        if (x, y, base) == ENTRY29_TRIPLES[0]:
+            yield label, lhs, 2 * b(S.PHI, n)
+
+
+# I10 is absent: it is a parity claim about one series, not an equation.
+_ROWS: dict[IdentityId, Rows] = {
+    IdentityId.I1_Y_EQ2: lambda n, b: [(None, b(S.Y_DEF, n), b(S.Y_EQ2, n))],
+    IdentityId.I2_Y_EQ1: lambda n, b: [(None, b(S.Y_DEF, n), b(S.Y_EQ1, n))],
+    IdentityId.I3_Z_EQ_A_PLUS_B: lambda n, b: [(None, b(S.Z, n), b(S.A, n) + b(S.B, n))],
+    IdentityId.I4_LEMMA1: lambda n, b: [(None, b(S.B1, n), b(S.A, n).compose_sign())],
+    IdentityId.I5_D1_DECOMP: lambda n, b: [(None, b(S.D1, n), b(S.Y_DEF, n) + b(S.Z, n))],
+    IdentityId.I6_D2_FORMS: _d2_rows,
+    IdentityId.I7_S_EQ_QPHI: lambda n, b: [(None, b(S.S, n), b(S.PHI, n).shift(1))],
+    IdentityId.I8_SUM_DIFFERENCE: lambda n, b: [(None, b(S.L1, n) - b(S.L2, n), b(S.L3, n))],
+    IdentityId.I9_LEMMA2: lambda n, b: [
+        (None, b(S.D1, n) - b(S.D2, n), mul(b(S.PHI, n).shift(1), b(S.L3, n)))
+    ],
+    IdentityId.I11_CONJ2: lambda n, b: [(None, b(S.Y_DEF, n), b(S.D2, n) - b(S.D1, n))],
+    IdentityId.I12_BILATERAL_HALVING: _halving_rows,
+    IdentityId.I13_ENTRY29_INSTANCE: _entry29_rows,
+}
+
+# annotations of a passing report; a failing one carries its pair's label
+# instead, when the pair has one
+_PASS_NOTES = {
+    IdentityId.I10_CONJ1_PARITY: UNPROVEN_NOTE,
+    IdentityId.I11_CONJ2: UNPROVEN_NOTE,
+    IdentityId.I13_ENTRY29_INSTANCE: f"checked {len(ENTRY29_TRIPLES)} parameter triples",
+}
 
 
 def _first_nonzero(f: TruncatedSeries, g: TruncatedSeries) -> Optional[int]:
@@ -178,8 +211,8 @@ def _first_nonzero(f: TruncatedSeries, g: TruncatedSeries) -> Optional[int]:
 def check_identity(ident: IdentityId, order: int, builder: Builder = named_series) -> IdentityReport:
     """Check one identity coefficient-exactly through q^(order-1).
 
-    `builder` supplies the named series and exists so tests can inject
-    faults; production callers never pass it.
+    `builder` supplies the named series: `run_suite` passes its per-run
+    cache, and tests pass builders that inject faults.
     """
     if order < 8:
         raise OrderTooSmall(f"identity checks need order >= 8, got {order}")
@@ -187,81 +220,30 @@ def check_identity(ident: IdentityId, order: int, builder: Builder = named_serie
 
     status = IdentityStatus.VERIFIED
     mismatch: Optional[Mismatch] = None
-    annotation: Optional[str] = None
+    annotation = _PASS_NOTES.get(ident)
 
     if ident is IdentityId.I10_CONJ1_PARITY:
         y = builder(SeriesId.Y_DEF, order)
-        verdict = parity_of(y)
-        if verdict.kind in (Parity.ODD, Parity.ODD_AND_EVEN):
-            annotation = UNPROVEN_NOTE
-        else:
-            idx = verdict.first_nonzero_even
-            assert idx is not None
-            status = IdentityStatus.FAILED
-            mismatch = Mismatch(idx, y[idx], 0)
-
-    elif ident is IdentityId.I6_D2_FORMS:
-        d2 = builder(SeriesId.D2, order)
-        forms = (
-            ("B + B1", builder(SeriesId.B, order) + builder(SeriesId.B1, order)),
-            ("split product", d2_split_product(order)),
-        )
-        for label, other in forms:
-            c = compare(d2, other, order)
-            if not c.equal:
-                status = IdentityStatus.FAILED
-                mismatch = c.first_mismatch
-                annotation = f"D2 vs {label}"
-                break
-
-    elif ident is IdentityId.I12_BILATERAL_HALVING:
-        for m_top in range(1, MAX_HALVING_WINDOW + 1):
-            window = s_window(1 - m_top, m_top, order)
-            half = s_window(1, m_top, order)
-            c = compare(window, 2 * half, order)
-            if not c.equal:
-                status = IdentityStatus.FAILED
-                mismatch = c.first_mismatch
-                annotation = f"window M={m_top}"
-                break
-
-    elif ident is IdentityId.I13_ENTRY29_INSTANCE:
-        for x, y, base in ENTRY29_TRIPLES:
-            lhs = bilateral_sum(x, y, base, order)
-            rhs = entry29_rhs(x, y, base, order)
+        idx = parity_of(y).first_nonzero_even
+        if idx is not None:
+            status, mismatch, annotation = IdentityStatus.FAILED, Mismatch(idx, y[idx], 0), None
+    else:
+        for label, lhs, rhs in _ROWS[ident](order, builder):
             c = compare(lhs, rhs, order)
-            if c.equal and (x, y, base) == ENTRY29_TRIPLES[0]:
-                doubled_phi = 2 * builder(SeriesId.PHI, order)
-                c = compare(lhs, doubled_phi, order)
-            if not c.equal:
-                status = IdentityStatus.FAILED
-                mismatch = c.first_mismatch
-                annotation = f"triple x={x}, y={y}, base={base}"
-                break
-        else:
-            annotation = f"checked {len(ENTRY29_TRIPLES)} parameter triples"
-
-    elif ident in SIGN_AMBIGUOUS:
-        lhs, rhs = _two_sides(ident, order, builder)
-        c = compare(lhs, rhs, order)
-        if not c.equal:
-            lead = _first_nonzero(lhs, rhs)
-            flipped = compare(lhs, -rhs, order)
-            if c.first_mismatch is not None and c.first_mismatch.index == lead and flipped.equal:
+            if c.equal:
+                continue
+            lead = c.first_mismatch.index
+            if (
+                ident in SIGN_AMBIGUOUS
+                and lead == _first_nonzero(lhs, rhs)
+                and compare(lhs, -rhs, order).equal
+            ):
                 status = IdentityStatus.VERIFIED_WITH_SIGN_FLIP
                 annotation = f"holds with right side negated; witness index {lead}"
             else:
-                status = IdentityStatus.FAILED
-                mismatch = c.first_mismatch
-
-    else:
-        lhs, rhs = _two_sides(ident, order, builder)
-        c = compare(lhs, rhs, order)
-        if not c.equal:
-            status = IdentityStatus.FAILED
-            mismatch = c.first_mismatch
-        if ident is IdentityId.I11_CONJ2:
-            annotation = UNPROVEN_NOTE
+                status, mismatch = IdentityStatus.FAILED, c.first_mismatch
+                annotation = label or annotation
+            break
 
     elapsed = time.perf_counter() - start
     return IdentityReport(ident, order, status, mismatch, elapsed, annotation)
@@ -276,6 +258,7 @@ def run_suite(order: int, builder: Builder = named_series) -> list[IdentityRepor
     """
     if order < 8:
         raise OrderTooSmall(f"suite needs order >= 8, got {order}")
+    builder = functools.cache(builder)  # each named series is built once per run
     reports: list[IdentityReport] = []
     errors: list[tuple[IdentityId, Exception]] = []
     for ident in IdentityId:
@@ -297,7 +280,7 @@ def sign_resolve(
         raise ValueError(f"sign resolution applies to I7/I8 only, not {ident.value}")
     if order < 8:
         raise OrderTooSmall(f"sign resolution needs order >= 8, got {order}")
-    lhs, rhs = _two_sides(ident, order, builder)
+    [(_, lhs, rhs)] = _ROWS[ident](order, builder)
     witness = _first_nonzero(lhs, rhs)
     if witness is None:
         raise NoConsistentSign("both sides vanish; no witness coefficient exists")

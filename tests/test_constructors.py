@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambertq import (
+    ENTRY29_TRIPLES,
     DivergentSpec,
     InvalidExponent,
     L1_SPEC,
@@ -22,6 +23,7 @@ from lambertq import (
     entry29_rhs,
     lambert_sum,
     lambert_term,
+    mul,
     named_series,
     phi,
     pochhammer,
@@ -41,6 +43,30 @@ PHI_16 = [1, 0, 2, 0, 1, 0, 2, 0, 2, 0, 0, 0, 3, 0, 2, 0]
 EULER_8 = [1, -1, -1, 0, 0, 1, 0, 1]
 D1_10 = [0, 0, 1, 0, 4, -1, 7, -2, 10, -3]
 D2_12 = [0, 0, 1, -1, 4, -3, 7, -5, 10, -8, 15, -10]
+
+
+def phi_by_inversion(order):
+    """Reference PHI: the numerator times the inverted denominator product."""
+    p4 = pochhammer(SignedMonomial(1, 4), 4, order)
+    p2 = pochhammer(SignedMonomial(1, 2), 2, order)
+    return mul(mul(mul(p4, p4), mul(p4, p4)), mul(p2, p2).invert())
+
+
+def entry29_rhs_by_inversion(x, y, base, order):
+    """Reference product form: all eight Pochhammer symbols built, the
+    denominator multiplied out and inverted."""
+
+    def poch(sign, exponent):
+        return pochhammer(SignedMonomial(sign, exponent), base, order)
+
+    sxy, exy = x.sign * y.sign, x.exponent + y.exponent
+    qq = poch(1, base)
+    num = mul(mul(qq, qq), mul(poch(sxy, exy), poch(sxy, base - exy)))
+    den = mul(
+        mul(poch(x.sign, x.exponent), poch(x.sign, base - x.exponent)),
+        mul(poch(y.sign, y.exponent), poch(y.sign, base - y.exponent)),
+    )
+    return mul(num, den.invert())
 
 
 class TestSignedMonomial:
@@ -173,6 +199,20 @@ class TestPhi:
 
     def test_constant_term_one(self):
         assert phi(4)[0] == 1
+
+
+class TestQuotientsByDivision:
+    """phi and entry29_rhs divide by one binomial factor at a time; the
+    references invert the whole denominator instead."""
+
+    @pytest.mark.parametrize("order", [1, 2, 9, 300])
+    def test_phi_matches_inversion(self, order):
+        assert phi(order) == phi_by_inversion(order)
+
+    @pytest.mark.parametrize("order", [1, 2, 9, 300])
+    @pytest.mark.parametrize("x,y,base", ENTRY29_TRIPLES)
+    def test_entry29_rhs_matches_inversion(self, x, y, base, order):
+        assert entry29_rhs(x, y, base, order) == entry29_rhs_by_inversion(x, y, base, order)
 
 
 class TestNamedSeries:

@@ -5,8 +5,11 @@ named series, then check that the harness pins the damage to the right
 identity instead of passing silently or failing everywhere.
 """
 
+from collections import Counter
+
 import pytest
 
+import lambertq.harness
 from lambertq import (
     ENTRY29_TRIPLES,
     IdentityId,
@@ -43,6 +46,27 @@ def _corrupting(sid, index, delta):
     return build
 
 
+def _corrupt_side(monkeypatch, name, hit, index, delta):
+    """Patch the harness's `name` so calls whose leading arguments equal
+    `hit` come back with one coefficient perturbed. These sides are built
+    outside the `builder` hook, so only patching can reach them."""
+    original = getattr(lambertq.harness, name)
+
+    def corrupted(*args):
+        f = original(*args)
+        if args[: len(hit)] == hit:
+            cs = list(f.coefficients)
+            cs[index] += delta
+            return TruncatedSeries(cs)
+        return f
+
+    monkeypatch.setattr(lambertq.harness, name, corrupted)
+
+
+def _failures(reports):
+    return {r.identity: r for r in reports if not r.passed}
+
+
 class TestRunSuite:
     def test_thirteen_reports_in_declaration_order(self):
         reports = run_suite(200)
@@ -77,6 +101,22 @@ class TestRunSuite:
 
     def test_elapsed_nonnegative(self):
         assert all(r.elapsed_seconds >= 0 for r in run_suite(8))
+
+    def test_each_series_is_built_once_per_run(self):
+        calls = Counter()
+
+        def counting(sid, order):
+            calls[sid, order] += 1
+            return named_series(sid, order)
+
+        run_suite(50, builder=counting)
+        assert calls == Counter({(sid, 50): 1 for sid in SeriesId})
+
+    def test_no_built_series_outlives_its_run(self):
+        assert all(r.passed for r in run_suite(50))
+        failed = _failures(run_suite(50, builder=_corrupting(SeriesId.Y_EQ2, 5, 1)))
+        assert list(failed) == [IdentityId.I1_Y_EQ2]
+        assert all(r.passed for r in run_suite(50))
 
 
 class TestCheckIdentity:
@@ -183,6 +223,92 @@ class TestFaultInjection:
         assert [i for i, _ in err.errors] == [IdentityId.I2_Y_EQ1]
         assert isinstance(err.errors[0][1], RuntimeError)
         assert "I2_Y_EQ1" in str(err)
+
+
+class TestSidesOutsideTheBuilder:
+    """Fault containment for the sides that are not named series."""
+
+    @pytest.mark.parametrize(
+        "name,hit,index,delta,ident,mismatch,annotation",
+        [
+            (
+                "s_window",
+                (-36, 37),
+                9,
+                1,
+                IdentityId.I12_BILATERAL_HALVING,
+                Mismatch(9, -3, -4),
+                "window M=37",
+            ),
+            (
+                "entry29_rhs",
+                ENTRY29_TRIPLES[2],
+                5,
+                2,
+                IdentityId.I13_ENTRY29_INSTANCE,
+                Mismatch(5, 1, 3),
+                "triple x=+q, y=+q, base=3",
+            ),
+            (
+                "bilateral_sum",
+                ENTRY29_TRIPLES[4],
+                6,
+                1,
+                IdentityId.I13_ENTRY29_INSTANCE,
+                Mismatch(6, 4, 3),
+                "triple x=+q, y=+q, base=4",
+            ),
+            (
+                "d2_split_product",
+                (),
+                7,
+                -1,
+                IdentityId.I6_D2_FORMS,
+                Mismatch(7, -5, -6),
+                "D2 vs split product",
+            ),
+        ],
+        ids=["s_window", "entry29_rhs", "bilateral_sum", "d2_split_product"],
+    )
+    def test_corruption_is_pinned_to_its_identity(
+        self, monkeypatch, name, hit, index, delta, ident, mismatch, annotation
+    ):
+        _corrupt_side(monkeypatch, name, hit, index, delta)
+        failed = _failures(run_suite(50))
+        assert list(failed) == [ident]
+        assert failed[ident].status is IdentityStatus.FAILED
+        assert failed[ident].first_mismatch == mismatch
+        assert failed[ident].annotation == annotation
+
+
+class TestConjectureFailures:
+    def test_failed_parity_carries_no_note_and_failed_conj2_keeps_it(self):
+        failed = _failures(run_suite(50, builder=_corrupting(SeriesId.Y_DEF, 6, 1)))
+        assert list(failed) == [
+            IdentityId.I1_Y_EQ2,
+            IdentityId.I2_Y_EQ1,
+            IdentityId.I5_D1_DECOMP,
+            IdentityId.I10_CONJ1_PARITY,
+            IdentityId.I11_CONJ2,
+        ]
+        parity = failed[IdentityId.I10_CONJ1_PARITY]
+        assert parity.first_mismatch == Mismatch(6, 1, 0)
+        assert parity.annotation is None
+        conj2 = failed[IdentityId.I11_CONJ2]
+        assert conj2.first_mismatch == Mismatch(6, 1, 0)
+        assert conj2.annotation == UNPROVEN_NOTE
+
+    def test_failed_conj2_from_d2_keeps_the_note(self):
+        failed = _failures(run_suite(50, builder=_corrupting(SeriesId.D2, 7, 1)))
+        assert list(failed) == [
+            IdentityId.I6_D2_FORMS,
+            IdentityId.I9_LEMMA2,
+            IdentityId.I11_CONJ2,
+        ]
+        assert failed[IdentityId.I6_D2_FORMS].annotation == "D2 vs B + B1"
+        conj2 = failed[IdentityId.I11_CONJ2]
+        assert conj2.first_mismatch == Mismatch(7, -3, -2)
+        assert conj2.annotation == UNPROVEN_NOTE
 
 
 class TestReportInvariants:
