@@ -1,15 +1,18 @@
 """Builders for every named series in the study, plus the generic pieces.
 
-Everything here reduces to three expansion moves on coefficient arrays:
-a geometric expansion of q^a/(1 - s*q^b) as Sum_j s^j q^(a+jb), an in-place
-division by (1 - s*q^e), and an in-place multiplication by a Pochhammer
-factor (1 - s*q^e). No rational-function arithmetic exists anywhere; each
-display is expanded exactly through the truncation order.
+Everything here is built from three expansion moves: a geometric expansion
+of q^a/(1 - s*q^b) as Sum_j s^j q^(a+jb), a division by (1 - s*q^e), and a
+multiplication by a Pochhammer factor (1 - s*q^e). The single sums, `Y_DEF`
+and the product side make these moves on coefficient lists. The double sums
+`Y_EQ1`, `Y_EQ2`, `Z`, `A`, `B` and `B1` make them on one Kronecker-packed
+integer (`series._Packing`), where each slice is a shift, a division and an
+add in CPython's bigint code. No rational-function arithmetic exists
+anywhere; each display is expanded exactly through the truncation order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable
 
@@ -19,7 +22,7 @@ from .errors import (
     ParameterOutOfRange,
     ZeroFactor,
 )
-from .series import TruncatedSeries, geometric_mul_inplace, mul
+from .series import TruncatedSeries, _Packing, geometric_mul_inplace, mul
 
 __all__ = [
     "SignedMonomial",
@@ -49,6 +52,9 @@ class SignedMonomial:
     exponent: int
 
     def __post_init__(self) -> None:
+        # coefficients are built from these without a per-coefficient type check
+        if not isinstance(self.sign, int) or not isinstance(self.exponent, int):
+            raise TypeError("monomial sign and exponent must be int")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if self.exponent < 0:
@@ -84,6 +90,9 @@ class LambertSpec:
     b1: int
 
     def __post_init__(self) -> None:
+        # coefficients are built from these without a per-coefficient type check
+        if not all(isinstance(getattr(self, f.name), int) for f in fields(self)):
+            raise TypeError("LambertSpec parameters must be int")
         if self.num_sign not in (1, -1) or self.den_sign not in (1, -1):
             raise ValueError("num_sign and den_sign must be +1 or -1")
         if self.a1 < 1 or self.a0 + self.a1 < 1:
@@ -153,7 +162,7 @@ def lambert_term(a: int, b: int, s: int, order: int) -> TruncatedSeries:
         raise ValueError(f"sign must be +1 or -1, got {s}")
     coeffs = [0] * order
     _add_geometric(coeffs, a, b, s)
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries._trusted(coeffs)
 
 
 def lambert_sum(spec: LambertSpec, order: int) -> TruncatedSeries:
@@ -174,7 +183,7 @@ def lambert_sum(spec: LambertSpec, order: int) -> TruncatedSeries:
         )
         k += 1
         w *= spec.num_sign
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries._trusted(coeffs)
 
 
 def pochhammer(arg: SignedMonomial, step: int, order: int) -> TruncatedSeries:
@@ -198,7 +207,7 @@ def pochhammer(arg: SignedMonomial, step: int, order: int) -> TruncatedSeries:
             for i in range(order - 1, e - 1, -1):
                 coeffs[i] -= s * coeffs[i - e]
         e += step
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries._trusted(coeffs)
 
 
 def phi(order: int) -> TruncatedSeries:
@@ -208,17 +217,18 @@ def phi(order: int) -> TruncatedSeries:
     coeffs = list(mul(p4sq, p4sq).coefficients)
     for k in [*range(2, order, 2)] * 2:  # divide by (q^2;q^2)^2, one (1 - q^k) at a time
         geometric_mul_inplace(coeffs, k, 1)
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries._trusted(coeffs)
 
 
 # -- the named series ---------------------------------------------------------
 
 
-def _build_y_def(order: int) -> list[int]:
+def _build_y_def(order: int) -> TruncatedSeries:
     # Sum_{m,n>=1} (-1)^m q^(2mn+m) / ((1+q^n)(1-q^(2m-1))).
     # The 1/(1+q^n) factor is tied to n, so expand it per (m, n) pair;
     # 1/(1-q^(2m-1)) distributes over the n-sum and is divided out once
-    # per m-slice.
+    # per m-slice. This stays on lists: packed, each of the ~order*ln(order)
+    # pair terms would cost a full-width operation, which measured slower.
     out = [0] * order
     m = 1
     while 3 * m < order:
@@ -234,147 +244,103 @@ def _build_y_def(order: int) -> list[int]:
         else:
             out[lo:] = [a + b for a, b in zip(out[lo:], h[lo:])]
         m += 1
-    return out
+    return TruncatedSeries._trusted(out)
 
 
-def _build_y_eq1(order: int) -> list[int]:
-    # Sum_{m>=1,k>=0} (-1)^(m+k) q^(3m+k) / ((1-q^(2m-1))(1-q^(2m+k))).
-    # Group by m: expand each k-term geometrically, then divide the whole
-    # m-slice by (1-q^(2m-1)) in one pass.
-    out = [0] * order
-    m = 1
-    while 3 * m < order:
-        g = [0] * order
-        k = 0
-        while 3 * m + k < order:
-            w = -1 if k % 2 else 1
-            _add_geometric(g, 3 * m + k, 2 * m + k, 1, w)
-            k += 1
-        geometric_mul_inplace(g, 2 * m - 1, 1)
-        lo = 3 * m
-        if m % 2:
-            out[lo:] = [a - b for a, b in zip(out[lo:], g[lo:])]
-        else:
-            out[lo:] = [a + b for a, b in zip(out[lo:], g[lo:])]
-        m += 1
-    return out
+# The six double sums below are accumulated packed (see series._Packing).
+# Each adds fewer than order^2 index pairs +-q^a/((1 -+ q^b)(1 -+ q^c)),
+# and one pair adds at most `order` to any coefficient below q^order, so
+# order^3 bounds every output coefficient.
 
 
-def _build_y_eq2(order: int) -> list[int]:
+def _build_y_eq1(order: int) -> TruncatedSeries:
+    # Sum_{m>=1,k>=0} (-1)^(m+k) q^(3m+k) / ((1-q^(2m-1))(1-q^(2m+k))),
+    # summed by j = 2m+k as
+    # Sum_{j>=2} (-1)^j q^j/(1-q^j) * Sum_{m=1}^{j//2} (-1)^m q^m/(1-q^(2m-1)).
+    # The inner sum gains the term m = j/2 at each even j.
+    p = _Packing(order, order**3)
+    out = inner = 0
+    for j in range(2, order - 1):  # the j-slice starts at q^(j+1)
+        if j % 2 == 0:
+            m = j // 2
+            term = p.divide(p.shift(1, m), 2 * m - 1, 1)
+            inner = inner - term if m % 2 else inner + term
+        part = p.shift(p.divide(inner, j, 1), j)
+        out = out - part if j % 2 else out + part
+    return p.unpack(out)
+
+
+def _build_y_eq2(order: int) -> TruncatedSeries:
     # -Sum_{k>=2} q^k/(1+q^(2k-1)) * Sum_{n=1}^{k-1} q^n/(1+q^n).
-    # The inner partial sum grows by one term per k, so keep it running;
-    # the outer factor is sparse, so convolve slice by slice.
-    out = [0] * order
-    inner = [0] * order
-    for k in range(2, order):
-        if k + 1 >= order:
-            break
-        _add_geometric(inner, k - 1, k - 1, -1)
-        e = k
-        neg = True  # overall minus sign times (-1)^j for the outer expansion
-        while e + 1 < order:
-            seg = inner[: order - e]
-            if neg:
-                out[e:] = [a - b for a, b in zip(out[e:], seg)]
-            else:
-                out[e:] = [a + b for a, b in zip(out[e:], seg)]
-            e += 2 * k - 1
-            neg = not neg
-    return out
+    # The inner partial sum gains one term per k.
+    p = _Packing(order, order**3)
+    out = inner = 0
+    for k in range(2, order - 1):  # the k-slice starts at q^(k+1)
+        inner += p.divide(p.shift(1, k - 1), k - 1, -1)
+        out -= p.shift(p.divide(inner, 2 * k - 1, -1), k)
+    return p.unpack(out)
 
 
-def _build_z(order: int) -> list[int]:
+def _build_z(order: int) -> TruncatedSeries:
     # Sum_{m>=1} (-1)^m q^m/(1-q^(2m-1)) * Sum_{k=1}^{2m-1} (-1)^k q^k/(1-q^k).
     # The inner sum gains the terms k = 2m-2, 2m-1 when m steps up.
-    out = [0] * order
-    inner = [0] * order
-    k_done = 0
-    m = 1
-    while m + 1 < order:
-        for k in range(k_done + 1, 2 * m):
-            if k < order:
-                _add_geometric(inner, k, k, 1, -1 if k % 2 else 1)
-        k_done = max(k_done, 2 * m - 1)
-        e = m
-        flip = m % 2 == 1
-        while e + 1 < order:
-            seg = inner[: order - e]
-            if flip:
-                out[e:] = [a - b for a, b in zip(out[e:], seg)]
-            else:
-                out[e:] = [a + b for a, b in zip(out[e:], seg)]
-            e += 2 * m - 1
-        m += 1
-    return out
+    p = _Packing(order, order**3)
+    out = inner = 0
+    for m in range(1, order - 1):  # the m-slice starts at q^(m+1)
+        for k in (2 * m - 2, 2 * m - 1):
+            if 1 <= k < order:
+                term = p.divide(p.shift(1, k), k, 1)
+                inner = inner - term if k % 2 else inner + term
+        part = p.shift(p.divide(inner, 2 * m - 1, 1), m)
+        out = out - part if m % 2 else out + part
+    return p.unpack(out)
 
 
-def _build_a(order: int) -> list[int]:
+def _build_a(order: int) -> TruncatedSeries:
     # Sum_{i>=0} Sum_{j>i} q^(j+1)/((1+q^(2i+1))(1+q^(2j+1))).
     # Walk i downward keeping the tail sum over j > i, then divide the
     # tail by (1+q^(2i+1)) for each i.
-    out = [0] * order
-    if order < 3:
-        return out
-    tail = [0] * order
-    i_top = order - 3  # smallest term for (i, j=i+1) is q^(i+2)
-    j_added = order - 1  # terms use j+1 < order, so j <= order-2
-    for i in range(i_top, -1, -1):
-        for j in range(j_added - 1, i, -1):
-            _add_geometric(tail, j + 1, 2 * j + 1, -1)
-        j_added = min(j_added, i + 1)
-        h = tail.copy()
-        geometric_mul_inplace(h, 2 * i + 1, -1)
-        lo = i + 2
-        out[lo:] = [a + b for a, b in zip(out[lo:], h[lo:])]
-    return out
+    p = _Packing(order, order**3)
+    out = tail = 0
+    for i in range(order - 3, -1, -1):  # the (i, i+1) term starts at q^(i+2)
+        tail += p.divide(p.shift(1, i + 2), 2 * i + 3, -1)
+        out += p.divide(tail, 2 * i + 1, -1)
+    return p.unpack(out)
 
 
-def _build_b(order: int) -> list[int]:
+def _build_b(order: int) -> TruncatedSeries:
     # Sum_{i>=0} Sum_{j>i} q^(i+2j+2)/((1+q^(2i+1))(1+q^(2j+1))).
     # Same walk as A, but the tail collects q^(2j+2)-led terms and each
     # i-slice is shifted by q^i after the division.
-    out = [0] * order
-    if order < 4:
-        return out
-    tail = [0] * order
-    i_top = (order - 5) // 3  # smallest term for (i, j=i+1) is q^(3i+4)
-    if i_top < 0:
-        return out
-    j_added = (order - 3) // 2 + 1  # terms need 2j+2 < order
-    for i in range(i_top, -1, -1):
-        for j in range(j_added - 1, i, -1):
-            _add_geometric(tail, 2 * j + 2, 2 * j + 1, -1)
-        j_added = min(j_added, i + 1)
-        h = tail.copy()
-        geometric_mul_inplace(h, 2 * i + 1, -1)
-        out[i:] = [a + b for a, b in zip(out[i:], h[: order - i])]
-    return out
+    p = _Packing(order, order**3)
+    out = tail = 0
+    j = (order - 3) // 2  # terms need 2j+2 < order
+    for i in range((order - 5) // 3, -1, -1):  # the (i, i+1) term starts at q^(3i+4)
+        while j > i:
+            tail += p.divide(p.shift(1, 2 * j + 2), 2 * j + 1, -1)
+            j -= 1
+        out += p.shift(p.divide(tail, 2 * i + 1, -1), i)
+    return p.unpack(out)
 
 
-def _build_b1(order: int) -> list[int]:
+def _build_b1(order: int) -> TruncatedSeries:
     # Sum_{i>=0} Sum_{j<=i} q^(i+2j+2)/((1+q^(2i+1))(1+q^(2j+1))).
     # Here j runs below i, so the inner sum grows forward with i.
-    out = [0] * order
-    inner = [0] * order
-    for i in range(0, order - 2):  # smallest term for (i, j=0) is q^(i+2)
+    p = _Packing(order, order**3)
+    out = inner = 0
+    for i in range(order - 2):  # the (i, 0) term starts at q^(i+2)
         if 2 * i + 2 < order:
-            _add_geometric(inner, 2 * i + 2, 2 * i + 1, -1)
-        h = inner.copy()
-        geometric_mul_inplace(h, 2 * i + 1, -1)
-        out[i:] = [a + b for a, b in zip(out[i:], h[: order - i])]
-    return out
+            inner += p.divide(p.shift(1, 2 * i + 2), 2 * i + 1, -1)
+        out += p.shift(p.divide(inner, 2 * i + 1, -1), i)
+    return p.unpack(out)
 
 
-def _build_d1(order: int) -> list[int]:
-    s = lambert_sum(S_SPEC, order)
-    l1 = lambert_sum(L1_SPEC, order)
-    return list(mul(s, l1).coefficients)
+def _build_d1(order: int) -> TruncatedSeries:
+    return mul(lambert_sum(S_SPEC, order), lambert_sum(L1_SPEC, order))
 
 
-def _build_d2(order: int) -> list[int]:
-    s = lambert_sum(S_SPEC, order)
-    l2 = lambert_sum(L2_SPEC, order)
-    return list(mul(s, l2).coefficients)
+def _build_d2(order: int) -> TruncatedSeries:
+    return mul(lambert_sum(S_SPEC, order), lambert_sum(L2_SPEC, order))
 
 
 def d2_split_product(order: int) -> TruncatedSeries:
@@ -390,10 +356,10 @@ def d2_split_product(order: int) -> TruncatedSeries:
     while 2 * j + 2 < order:
         _add_geometric(right, 2 * j + 2, 2 * j + 1, -1)
         j += 1
-    return mul(TruncatedSeries(left), TruncatedSeries(right))
+    return mul(TruncatedSeries._trusted(left), TruncatedSeries._trusted(right))
 
 
-_BUILDERS: dict[SeriesId, Callable[[int], list[int]]] = {
+_BUILDERS: dict[SeriesId, Callable[[int], TruncatedSeries]] = {
     SeriesId.Y_DEF: _build_y_def,
     SeriesId.Y_EQ1: _build_y_eq1,
     SeriesId.Y_EQ2: _build_y_eq2,
@@ -419,7 +385,7 @@ def named_series(sid: SeriesId, order: int) -> TruncatedSeries:
         return lambert_sum(_SPEC_SERIES[sid], order)
     if sid is SeriesId.PHI:
         return phi(order)
-    return TruncatedSeries(_BUILDERS[sid](order))
+    return _BUILDERS[sid](order)
 
 
 # -- bilateral machinery --------------------------------------------------------
@@ -476,7 +442,7 @@ def bilateral_sum(x: SignedMonomial, y: SignedMonomial, base: int, order: int) -
         )
         m += 1
 
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries._trusted(coeffs)
 
 
 def entry29_rhs(x: SignedMonomial, y: SignedMonomial, base: int, order: int) -> TruncatedSeries:
@@ -505,7 +471,7 @@ def entry29_rhs(x: SignedMonomial, y: SignedMonomial, base: int, order: int) -> 
     for sign, e in ((sx, ex), (sx, base - ex), (sy, ey), (sy, base - ey)):
         for k in range(e, order, base):
             geometric_mul_inplace(coeffs, k, sign)
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries._trusted(coeffs)
 
 
 def s_window(lo: int, hi: int, order: int) -> TruncatedSeries:
@@ -525,4 +491,4 @@ def s_window(lo: int, hi: int, order: int) -> TruncatedSeries:
             _add_geometric(coeffs, m, 2 * m - 1, 1, w)
         else:
             _add_geometric(coeffs, 1 - m, 1 - 2 * m, 1, -w)
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries._trusted(coeffs)

@@ -43,12 +43,26 @@ class TruncatedSeries:
         self._coeffs = cs
 
     @classmethod
+    def _trusted(cls, coeffs: Iterable[int]) -> "TruncatedSeries":
+        """Wrap coefficients this package computed itself from ints.
+
+        Skips the public constructor's per-coefficient type check; callers
+        pass only results of int arithmetic on validated inputs.
+        """
+        cs = tuple(coeffs)
+        if not cs:
+            raise OrderTooSmall("a series needs at least the q^0 coefficient")
+        self = object.__new__(cls)
+        self._coeffs = cs
+        return self
+
+    @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([0] * order)
+        return cls._trusted([0] * order)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1] + [0] * (order - 1))
+        return cls._trusted([1] + [0] * (order - 1))
 
     @classmethod
     def monomial(cls, exponent: int, order: int, coefficient: int = 1) -> "TruncatedSeries":
@@ -97,27 +111,27 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(len(self._coeffs), len(other._coeffs))
-        return TruncatedSeries([a + b for a, b in zip(self._coeffs, other._coeffs)][:n])
+        return TruncatedSeries._trusted([a + b for a, b in zip(self._coeffs, other._coeffs)][:n])
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(len(self._coeffs), len(other._coeffs))
-        return TruncatedSeries([a - b for a, b in zip(self._coeffs, other._coeffs)][:n])
+        return TruncatedSeries._trusted([a - b for a, b in zip(self._coeffs, other._coeffs)][:n])
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-a for a in self._coeffs])
+        return TruncatedSeries._trusted([-a for a in self._coeffs])
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             return mul(self, other)
         if isinstance(other, int):
-            return TruncatedSeries([other * a for a in self._coeffs])
+            return TruncatedSeries._trusted([other * a for a in self._coeffs])
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, int):
-            return TruncatedSeries([other * a for a in self._coeffs])
+            return TruncatedSeries._trusted([other * a for a in self._coeffs])
         return NotImplemented
 
     # -- unary transforms ---------------------------------------------------
@@ -132,7 +146,7 @@ class TruncatedSeries:
             )
         if order == len(self._coeffs):
             return self
-        return TruncatedSeries(self._coeffs[:order])
+        return TruncatedSeries._trusted(self._coeffs[:order])
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by q^k (k >= 0), keeping the same order."""
@@ -143,11 +157,11 @@ class TruncatedSeries:
             return self
         if k >= n:
             return TruncatedSeries.zero(n)
-        return TruncatedSeries((0,) * k + self._coeffs[: n - k])
+        return TruncatedSeries._trusted((0,) * k + self._coeffs[: n - k])
 
     def compose_sign(self) -> "TruncatedSeries":
         """Substitute q -> -q, i.e. negate the odd-index coefficients."""
-        return TruncatedSeries(
+        return TruncatedSeries._trusted(
             [c if i % 2 == 0 else -c for i, c in enumerate(self._coeffs)]
         )
 
@@ -159,7 +173,7 @@ class TruncatedSeries:
         out = [0] * n
         for i in range(0, (n - 1) // t + 1):
             out[i * t] = self._coeffs[i]
-        return TruncatedSeries(out)
+        return TruncatedSeries._trusted(out)
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse; exists over Z only when the constant term is +-1.
@@ -181,7 +195,7 @@ class TruncatedSeries:
                 if fi:
                     acc += fi * g[k - i]
             g[k] = -f0 * acc
-        return TruncatedSeries(g)
+        return TruncatedSeries._trusted(g)
 
     # -- rendering ------------------------------------------------------------
 
@@ -232,33 +246,85 @@ def linear_combine(c1: int, f: TruncatedSeries, c2: int, g: TruncatedSeries) -> 
     return TruncatedSeries([c1 * fc[i] + c2 * gc[i] for i in range(n)])
 
 
+class _Packing:
+    """Kronecker substitution: a series mod q^order as one integer.
+
+    A series is stored as its value at q = 2^w, reduced mod 2^(w*order);
+    slot i of the integer holds the coefficient of q^i. Evaluation at 2^w
+    is a ring homomorphism Z[q]/q^order -> Z/2^(w*order). Sums, products,
+    multiplication by q^k and division by the unit 1 - s*q^b are ring
+    operations, so any integer congruent to the value may stand for it and
+    intermediate values need no bound. Reading the residue back as
+    balanced base-2^w digits is exact when every coefficient read satisfies
+    |c| < 2^(w-1). The width w is the least multiple of 8 with
+    2^(w-1) > bound, so `bound` must bound every coefficient packed or
+    unpacked.
+    """
+
+    __slots__ = ("order", "width", "mask", "_bytes", "_half", "_biases")
+
+    def __init__(self, order: int, bound: int) -> None:
+        if order < 1:
+            raise OrderTooSmall("a series needs at least the q^0 coefficient")
+        self.order = order
+        self._bytes = (bound.bit_length() + 8) // 8
+        self.width = 8 * self._bytes
+        self.mask = (1 << (self.width * order)) - 1
+        self._half = 1 << (self.width - 1)
+        self._biases = int.from_bytes(self._half.to_bytes(self._bytes, "little") * order, "little")
+
+    def pack(self, coeffs: Iterable[int]) -> int:
+        """The value at q = 2^w of exactly `order` coefficients."""
+        nb, half = self._bytes, self._half
+        raw = b"".join([(c + half).to_bytes(nb, "little") for c in coeffs])
+        return int.from_bytes(raw, "little") - self._biases
+
+    def unpack(self, x: int) -> TruncatedSeries:
+        """The series whose value is congruent to x; adding 2^(w-1) to every
+        slot makes each digit nonnegative, so none borrows from the next."""
+        nb, half = self._bytes, self._half
+        raw = ((x + self._biases) & self.mask).to_bytes(nb * self.order, "little")
+        return TruncatedSeries._trusted(
+            [int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, len(raw), nb)]
+        )
+
+    def shift(self, x: int, k: int) -> int:
+        """x times q^k, for k >= 0."""
+        if k >= self.order:
+            return 0
+        return (x << (k * self.width)) & self.mask
+
+    def divide(self, x: int, b: int, s: int) -> int:
+        """x divided by 1 - s*q^b, for b >= 1 and s = +-1.
+
+        1/(1 - q^b) = Prod_t (1 + q^(b*2^t)) mod q^order, one shift-add per
+        factor with b*2^t < order; 1/(1 + q^b) = (1 - q^b)/(1 - q^(2b)).
+        """
+        if b < 1:
+            raise ValueError("geometric step must be at least 1")
+        if b >= self.order:
+            return x
+        w, mask = self.width, self.mask
+        if s == -1:
+            x = (x - (x << (b * w))) & mask
+            b *= 2
+        while b < self.order:
+            x = (x + (x << (b * w))) & mask
+            b *= 2
+        return x
+
+
 def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Product truncated to min(f.order, g.order), by Kronecker substitution.
 
-    Each operand is evaluated at q = 2^slot as one integer and the two are
-    multiplied once in CPython's bigint code. The slot width keeps
-    2^(slot-1) > n*max(max|f|, 1)*max(max|g|, 1), which bounds every product
-    coefficient and every operand coefficient, so adding 2^(slot-1) to each
-    slot makes it nonnegative and no slot borrows from or carries into the
-    next. Operands are packed the same way, biased by 2^(slot-1) per slot,
-    and the bias is subtracted once from the packed integer.
+    Both operands are packed and multiplied once in CPython's bigint code.
+    n*max(max|f|, 1)*max(max|g|, 1) bounds every product coefficient and
+    every operand coefficient, so it sets the slot width.
     """
     n = min(f.order, g.order)
     fc, gc = f.coefficients[:n], g.coefficients[:n]
-    bound = max(max(map(abs, fc)), 1) * max(max(map(abs, gc)), 1) * n
-    width = (bound.bit_length() + 8) // 8  # bytes per slot
-    half = 1 << (8 * width - 1)
-    biases = int.from_bytes(half.to_bytes(width, "little") * n, "little")
-
-    def pack(cs: tuple[int, ...]) -> int:
-        raw = b"".join([(c + half).to_bytes(width, "little") for c in cs])
-        return int.from_bytes(raw, "little") - biases
-
-    low = (pack(fc) * pack(gc) + biases) & ((1 << (8 * width * n)) - 1)
-    raw = low.to_bytes(width * n, "little")
-    return TruncatedSeries(
-        [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, width * n, width)]
-    )
+    p = _Packing(n, max(max(map(abs, fc)), 1) * max(max(map(abs, gc)), 1) * n)
+    return p.unpack(p.pack(fc) * p.pack(gc))
 
 
 def geometric_mul_inplace(coeffs: list[int], step: int, sign: int) -> None:
@@ -284,7 +350,7 @@ def geometric_mul(f: TruncatedSeries, step: int, sign: int) -> TruncatedSeries:
     """f(q) / (1 - sign*q^step), exact through f.order, in O(order) time."""
     cs = list(f.coefficients)
     geometric_mul_inplace(cs, step, sign)
-    return TruncatedSeries(cs)
+    return TruncatedSeries._trusted(cs)
 
 
 # -- comparison and parity -----------------------------------------------------

@@ -12,6 +12,7 @@ from lambertq import (
     L2_SPEC,
     L3_SPEC,
     LambertSpec,
+    OrderTooSmall,
     ParameterOutOfRange,
     S_SPEC,
     SeriesId,
@@ -30,6 +31,7 @@ from lambertq import (
     s_window,
 )
 from lambertq.oracle import oracle_partitions
+from lambertq.series import geometric_mul_inplace
 
 Q = SignedMonomial(1, 1)
 Q2 = SignedMonomial(1, 2)
@@ -69,6 +71,121 @@ def entry29_rhs_by_inversion(x, y, base, order):
     return mul(num, den.invert())
 
 
+# -- reference builders ---------------------------------------------------------
+# The list-based double-sum builders the packed ones replaced, kept as
+# differential references: every slice is a pure-Python pass over a
+# coefficient list.
+
+
+def add_geometric(coeffs, a, b, s, weight=1):
+    """Accumulate weight * q^a/(1 - s*q^b) into a coefficient list."""
+    e = a
+    while e < len(coeffs):
+        coeffs[e] += weight
+        weight *= s
+        e += b
+
+
+def add_slice(out, h, lo, sign):
+    """out[lo:] += sign * h[lo:]."""
+    out[lo:] = [a + sign * b for a, b in zip(out[lo:], h[lo:])]
+
+
+def y_eq1_by_lists(order):
+    # Sum_{m>=1,k>=0} (-1)^(m+k) q^(3m+k) / ((1-q^(2m-1))(1-q^(2m+k)))
+    out = [0] * order
+    m = 1
+    while 3 * m < order:
+        g = [0] * order
+        k = 0
+        while 3 * m + k < order:
+            add_geometric(g, 3 * m + k, 2 * m + k, 1, -1 if k % 2 else 1)
+            k += 1
+        geometric_mul_inplace(g, 2 * m - 1, 1)
+        add_slice(out, g, 3 * m, -1 if m % 2 else 1)
+        m += 1
+    return out
+
+
+def y_eq2_by_lists(order):
+    # -Sum_{k>=2} q^k/(1+q^(2k-1)) * Sum_{n=1}^{k-1} q^n/(1+q^n)
+    out = [0] * order
+    inner = [0] * order
+    for k in range(2, order - 1):
+        add_geometric(inner, k - 1, k - 1, -1)
+        e, sign = k, -1
+        while e + 1 < order:
+            add_slice(out, [0] * e + inner[: order - e], e, sign)
+            e += 2 * k - 1
+            sign = -sign
+    return out
+
+
+def z_by_lists(order):
+    # Sum_{m>=1} (-1)^m q^m/(1-q^(2m-1)) * Sum_{k=1}^{2m-1} (-1)^k q^k/(1-q^k)
+    out = [0] * order
+    inner = [0] * order
+    for m in range(1, order - 1):
+        for k in (2 * m - 2, 2 * m - 1):
+            if 1 <= k < order:
+                add_geometric(inner, k, k, 1, -1 if k % 2 else 1)
+        e = m
+        while e + 1 < order:
+            add_slice(out, [0] * e + inner[: order - e], e, -1 if m % 2 else 1)
+            e += 2 * m - 1
+    return out
+
+
+def a_by_lists(order):
+    # Sum_{i>=0} Sum_{j>i} q^(j+1)/((1+q^(2i+1))(1+q^(2j+1)))
+    out = [0] * order
+    tail = [0] * order
+    for i in range(order - 3, -1, -1):
+        add_geometric(tail, i + 2, 2 * i + 3, -1)
+        h = tail.copy()
+        geometric_mul_inplace(h, 2 * i + 1, -1)
+        add_slice(out, h, i + 2, 1)
+    return out
+
+
+def b_by_lists(order):
+    # Sum_{i>=0} Sum_{j>i} q^(i+2j+2)/((1+q^(2i+1))(1+q^(2j+1)))
+    out = [0] * order
+    tail = [0] * order
+    j = (order - 3) // 2
+    for i in range((order - 5) // 3, -1, -1):
+        while j > i:
+            add_geometric(tail, 2 * j + 2, 2 * j + 1, -1)
+            j -= 1
+        h = tail.copy()
+        geometric_mul_inplace(h, 2 * i + 1, -1)
+        add_slice(out, [0] * i + h[: order - i], i, 1)
+    return out
+
+
+def b1_by_lists(order):
+    # Sum_{i>=0} Sum_{j<=i} q^(i+2j+2)/((1+q^(2i+1))(1+q^(2j+1)))
+    out = [0] * order
+    inner = [0] * order
+    for i in range(order - 2):
+        if 2 * i + 2 < order:
+            add_geometric(inner, 2 * i + 2, 2 * i + 1, -1)
+        h = inner.copy()
+        geometric_mul_inplace(h, 2 * i + 1, -1)
+        add_slice(out, [0] * i + h[: order - i], i, 1)
+    return out
+
+
+LIST_REFERENCES = {
+    SeriesId.Y_EQ1: y_eq1_by_lists,
+    SeriesId.Y_EQ2: y_eq2_by_lists,
+    SeriesId.Z: z_by_lists,
+    SeriesId.A: a_by_lists,
+    SeriesId.B: b_by_lists,
+    SeriesId.B1: b1_by_lists,
+}
+
+
 class TestSignedMonomial:
     def test_str(self):
         assert str(SignedMonomial(1, 1)) == "+q"
@@ -80,6 +197,12 @@ class TestSignedMonomial:
             SignedMonomial(2, 1)
         with pytest.raises(InvalidExponent):
             SignedMonomial(1, -1)
+
+    @pytest.mark.parametrize("sign,exponent", [(1.0, 1), (1, 2.0), ("1", 1)])
+    def test_non_int_rejected(self, sign, exponent):
+        # built series take their coefficients from the sign unchecked
+        with pytest.raises(TypeError):
+            SignedMonomial(sign, exponent)
 
 
 class TestLambertTerm:
@@ -124,6 +247,13 @@ class TestLambertSpec:
     def test_sign_fields_validated(self):
         with pytest.raises(ValueError):
             LambertSpec(scalar=1, num_sign=0, a0=0, a1=1, den_sign=1, b0=0, b1=1)
+
+    @pytest.mark.parametrize("field", ["scalar", "num_sign", "a0", "b1"])
+    def test_non_int_fields_rejected(self, field):
+        kwargs = dict(scalar=1, num_sign=-1, a0=0, a1=1, den_sign=1, b0=0, b1=1)
+        kwargs[field] = float(kwargs[field])
+        with pytest.raises(TypeError):
+            LambertSpec(**kwargs)
 
 
 class TestLambertSum:
@@ -213,6 +343,18 @@ class TestQuotientsByDivision:
     @pytest.mark.parametrize("x,y,base", ENTRY29_TRIPLES)
     def test_entry29_rhs_matches_inversion(self, x, y, base, order):
         assert entry29_rhs(x, y, base, order) == entry29_rhs_by_inversion(x, y, base, order)
+
+
+class TestPackedBuilders:
+    @pytest.mark.parametrize("sid", list(LIST_REFERENCES), ids=lambda sid: sid.value)
+    def test_matches_list_reference(self, sid):
+        for order in [*range(1, 41), 97, 256, 1000, 2000]:
+            assert list(named_series(sid, order)) == LIST_REFERENCES[sid](order), order
+
+    @pytest.mark.parametrize("sid", list(LIST_REFERENCES), ids=lambda sid: sid.value)
+    def test_order_zero_rejected(self, sid):
+        with pytest.raises(OrderTooSmall):
+            named_series(sid, 0)
 
 
 class TestNamedSeries:

@@ -25,6 +25,7 @@ from lambertq import (
     phi,
     pochhammer,
 )
+from lambertq.series import _Packing, geometric_mul_inplace
 
 # Bounded random series for property tests. Coefficients stay small so
 # failures print readably; exactness does not depend on magnitude.
@@ -264,6 +265,50 @@ class TestMul:
         n = min(f.order, g.order)
         for m in (1, (n + 1) // 2, n):
             assert (f * g).truncate(m) == f.truncate(m) * g.truncate(m)
+
+
+class TestPacking:
+    @pytest.mark.parametrize("order", [1, 2, 7, 50])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_divide_matches_geometric_mul_inplace(self, order, sign):
+        rng = random.Random(order)
+        wide = _Packing(order, 2**40)
+        top = 2 ** (wide.width - 1) - 1
+        small = [rng.randint(-9, 9) for _ in range(order)]
+        cases = [
+            (wide, [top] + [0] * (order - 1)),  # every output coefficient at +-top
+            (wide, [-top] + [0] * (order - 1)),
+            (wide, ([top, -sign * top] + [0] * order)[:order]),  # output top, then zeros
+            (_Packing(order, 9 * order), small),
+        ]
+        for step in sorted({1, 2, max(order - 1, 1), order, order + 5}):
+            for p, cs in cases:
+                expected = list(cs)
+                geometric_mul_inplace(expected, step, sign)
+                assert p.unpack(p.divide(p.pack(cs), step, sign)).coefficients == tuple(expected)
+
+    def test_divide_rejects_step_zero(self):
+        with pytest.raises(ValueError):
+            _Packing(4, 9).divide(1, 0, 1)
+
+    def test_order_zero_rejected(self):
+        with pytest.raises(OrderTooSmall):
+            _Packing(0, 9)
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_pack_unpack_round_trips_at_the_slot_bound(self, data):
+        order = data.draw(st.integers(1, 40))
+        bound = data.draw(st.one_of(st.integers(0, 300), st.integers(0, 2**200)))
+        p = _Packing(order, bound)
+        top = 2 ** (p.width - 1) - 1
+        assert top >= bound
+        edge = st.sampled_from([top, -top, 0, 1, -1])
+        cs = data.draw(st.lists(st.one_of(edge, st.integers(-top, top)), min_size=order, max_size=order))
+        x = p.pack(cs)
+        assert p.unpack(x).coefficients == tuple(cs)
+        for k in (0, 1, order - 1, order, order + 3):
+            assert p.unpack(p.shift(x, k)) == TruncatedSeries(cs).shift(k)
 
 
 class TestInvert:
