@@ -1,8 +1,9 @@
 """Command-line front end: expand series, verify identities, run benchmarks.
 
 Exit codes: 0 success, 1 when any identity check FAILED, 2 on usage errors,
-3 when an identity check raised instead of reporting (the completed reports
-are still printed, one `error:` line per raised check goes to stderr).
+3 when an identity check raised instead of reporting (`verify` still prints
+the completed reports and `bench` the sizes whose suite completed; one
+`error:` line per raised check goes to stderr).
 JSON output carries coefficients as decimal strings so arbitrarily large
 integers survive a round trip through 64-bit JSON parsers.
 """
@@ -45,6 +46,10 @@ class OutputFormat(Enum):
 def _fail_usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _raised(ident: IdentityId, exc: Exception) -> str:
+    return f"{ident.value}: {type(exc).__name__}: {exc}"
 
 
 def _print_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
@@ -169,7 +174,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             rows,
         )
     for ident, exc in errors:
-        print(f"error: {ident.value}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {_raised(ident, exc)}", file=sys.stderr)
     if errors:
         return 3
     failed = any(r.status is IdentityStatus.FAILED for r in reports)
@@ -196,6 +201,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     rng = random.Random(BENCH_SEED)
     rows = []
+    errors: list[str] = []
     for size in sizes:
         if args.op == "mul":
             f = _random_series(rng, size)
@@ -205,7 +211,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             elapsed = time.perf_counter() - start
         else:
             start = time.perf_counter()
-            run_suite(size)
+            try:
+                run_suite(size)
+            except SuiteError as exc:  # no row: the timing of a broken suite means nothing
+                errors += [f"size {size}: {_raised(ident, e)}" for ident, e in exc.errors]
+                continue
             elapsed = time.perf_counter() - start
         rows.append({"size": size, "elapsed_ms": round(elapsed * 1000.0, 3)})
 
@@ -218,7 +228,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(json.dumps({"op": args.op, "rows": rows}, indent=2))
     else:
         _print_csv(("size", "elapsed_ms"), [(r["size"], r["elapsed_ms"]) for r in rows])
-    return 0
+    for line in errors:
+        print(f"error: {line}", file=sys.stderr)
+    return 3 if errors else 0
 
 
 # -- wiring ---------------------------------------------------------------------

@@ -3,18 +3,29 @@
 Everything here is built from three expansion moves: a geometric expansion
 of q^a/(1 - s*q^b) as Sum_j s^j q^(a+jb), a division by (1 - s*q^e), and a
 multiplication by a Pochhammer factor (1 - s*q^e). The single sums, `Y_DEF`
-and the product side make these moves on coefficient lists. The double sums
-`Y_EQ1`, `Y_EQ2`, `Z`, `A`, `B` and `B1` make them on one Kronecker-packed
-integer (`series._Packing`), where each slice is a shift, a division and an
-add in CPython's bigint code. No rational-function arithmetic exists
-anywhere; each display is expanded exactly through the truncation order.
+and the product side make these moves on coefficient lists, where the
+division and the Pochhammer factor are slice operations that run in
+CPython's C loops. The double sums `Y_EQ1`, `Y_EQ2`, `Z`, `A`, `B` and `B1`
+make them on one Kronecker-packed integer (`series._Packing`), where each
+slice is a shift, a division and an add in CPython's bigint code. No
+rational-function arithmetic exists anywhere; each display is expanded
+exactly through the truncation order.
+
+The product side `entry29_rhs` cancels the Pochhammer symbols that stand
+both above and below its bar before it expands anything. That is exact:
+every denominator symbol has constant term 1, so it is a unit of
+Z[[q]]/q^N, and f*g/g = f holds in that ring. No identity between series
+is assumed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable
+from functools import reduce
+from operator import add, sub
+from typing import Callable, Iterator
 
 from .errors import (
     DivergentSpec,
@@ -41,6 +52,7 @@ __all__ = [
     "bilateral_sum",
     "entry29_rhs",
     "s_window",
+    "halving_windows",
 ]
 
 
@@ -199,13 +211,12 @@ def pochhammer(arg: SignedMonomial, step: int, order: int) -> TruncatedSeries:
     coeffs[0] = 1
     s = arg.sign
     e = arg.exponent
-    while e < order:
-        if e == 0:  # only reachable with s = -1: constant factor (1 + 1) = 2
-            for i in range(order):
-                coeffs[i] *= 2
-        else:
-            for i in range(order - 1, e - 1, -1):
-                coeffs[i] -= s * coeffs[i - e]
+    if e == 0:  # only reachable with s = -1: constant factor (1 + 1) = 2
+        coeffs[0] = 2
+        e = step
+    op = sub if s == 1 else add
+    while e < order:  # times (1 - s*q^e); both slices are copies of the old list
+        coeffs[e:] = map(op, coeffs[e:], coeffs[: order - e])
         e += step
     return TruncatedSeries._trusted(coeffs)
 
@@ -451,6 +462,13 @@ def entry29_rhs(x: SignedMonomial, y: SignedMonomial, base: int, order: int) -> 
         (Q; Q)^2 (xy; Q) (Q/xy; Q)  /  [(x; Q)(Q/x; Q)(y; Q)(Q/y; Q)]
 
     all Pochhammer symbols with step = base, x and y signed monomials.
+
+    A symbol that stands both above and below the bar is cancelled before
+    anything is expanded. This is exact ring algebra, f*g/g = f: every
+    denominator symbol has exponent >= 1 under the bounds, so it is a unit
+    of Z[[q]]/q^order, and equal (sign, exponent, step) give equal series.
+    For x = y = q, Q = q^3 the quotient is (Q;Q)^2/((q;Q)(q^2;Q)); for
+    x = q, y = q^2, Q = q^4 it is (Q;Q)^2/(q^2;Q)^2.
     """
     _check_bilateral_bounds(x, y, base)
     sx, ex = x.sign, x.exponent
@@ -461,34 +479,59 @@ def entry29_rhs(x: SignedMonomial, y: SignedMonomial, base: int, order: int) -> 
             "the (Q/xy; Q) factor starts 1 - q^0 = 0 when "
             "x.exponent + y.exponent = base with x.sign*y.sign = +1"
         )
+    num = Counter([(1, base), (1, base), (sxy, ex + ey), (sxy, base - ex - ey)])
+    den = Counter([(sx, ex), (sx, base - ex), (sy, ey), (sy, base - ey)])
+    common = num & den
+    num -= common  # (Q; Q) never cancels: denominator exponents stay below base
+    den -= common
 
-    def poch(sign: int, exponent: int) -> TruncatedSeries:
-        return pochhammer(SignedMonomial(sign, exponent), base, order)
-
-    qq = poch(1, base)
-    coeffs = list(mul(mul(qq, qq), mul(poch(sxy, ex + ey), poch(sxy, base - ex - ey))).coefficients)
+    factors = []
+    for (sign, e), k in num.items():
+        factors += [pochhammer(SignedMonomial(sign, e), base, order)] * k
+    coeffs = list(reduce(mul, factors).coefficients)
     # divide by the denominator one (1 - sign*q^k) at a time; the bounds keep k >= 1
-    for sign, e in ((sx, ex), (sx, base - ex), (sy, ey), (sy, base - ey)):
+    for sign, e in den.elements():
         for k in range(e, order, base):
             geometric_mul_inplace(coeffs, k, sign)
     return TruncatedSeries._trusted(coeffs)
 
 
+def _add_s_term(coeffs: list[int], m: int) -> None:
+    """Accumulate the m-th term (-1)^m q^m / (1 - q^(2m-1)) of the bilateral S sum.
+
+    An index m <= 0 carries a negative denominator exponent, so its term is
+    rewritten first as -(-1)^m q^(1-m)/(1 - q^(1-2m)), an honest power series.
+    """
+    w = -1 if m % 2 else 1
+    if m >= 1:
+        _add_geometric(coeffs, m, 2 * m - 1, 1, w)
+    else:
+        _add_geometric(coeffs, 1 - m, 1 - 2 * m, 1, -w)
+
+
 def s_window(lo: int, hi: int, order: int) -> TruncatedSeries:
     """Partial sum of (-1)^m q^m / (1 - q^(2m-1)) over integer m in [lo, hi].
 
-    Indices m <= 0 carry a negative denominator exponent, so they are
-    rewritten first: the m-th term equals -(-1)^m q^(1-m)/(1 - q^(1-2m)),
-    which is an honest power series term. The full bilateral sum is the
-    limit lo -> -inf, hi -> +inf.
+    The full bilateral sum is the limit lo -> -inf, hi -> +inf.
     """
     if lo > hi:
         raise ValueError(f"empty window: lo={lo} > hi={hi}")
     coeffs = [0] * order
     for m in range(lo, hi + 1):
-        w = -1 if m % 2 else 1
-        if m >= 1:
-            _add_geometric(coeffs, m, 2 * m - 1, 1, w)
-        else:
-            _add_geometric(coeffs, 1 - m, 1 - 2 * m, 1, -w)
+        _add_s_term(coeffs, m)
     return TruncatedSeries._trusted(coeffs)
+
+
+def halving_windows(count: int, order: int) -> Iterator[tuple[TruncatedSeries, TruncatedSeries]]:
+    """The pairs (s_window(1 - m, m, order), s_window(1, m, order)) for m = 1..count.
+
+    Both windows grow as running sums: each step adds the terms 1 - m and m
+    to the first and the term m to the second.
+    """
+    full = [0] * order
+    half = [0] * order
+    for m in range(1, count + 1):
+        _add_s_term(full, 1 - m)
+        _add_s_term(full, m)
+        _add_s_term(half, m)
+        yield TruncatedSeries._trusted(full), TruncatedSeries._trusted(half)

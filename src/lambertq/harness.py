@@ -22,8 +22,9 @@ from .constructors import (
     bilateral_sum,
     d2_split_product,
     entry29_rhs,
+    halving_windows,
     named_series,
-    s_window,
+    s_window,  # not called here, but perfbench/spans.py wraps harness.s_window
 )
 from .errors import LambertQError, NoConsistentSign, OrderTooSmall
 from .series import (
@@ -157,15 +158,20 @@ def _d2_rows(n: int, b: Builder) -> Iterable[Pair]:
 
 
 def _halving_rows(n: int, b: Builder) -> Iterable[Pair]:
-    for m_top in range(1, MAX_HALVING_WINDOW + 1):
-        yield f"window M={m_top}", s_window(1 - m_top, m_top, n), 2 * s_window(1, m_top, n)
+    for m_top, (full, half) in enumerate(halving_windows(MAX_HALVING_WINDOW, n), 1):
+        yield f"window M={m_top}", full, 2 * half
 
 
 def _entry29_rows(n: int, b: Builder) -> Iterable[Pair]:
+    rhs: dict[tuple[frozenset[SignedMonomial], int], TruncatedSeries] = {}
     for x, y, base in ENTRY29_TRIPLES:
         label = f"triple x={x}, y={y}, base={base}"
         lhs = bilateral_sum(x, y, base, n)
-        yield label, lhs, entry29_rhs(x, y, base, n)
+        # the product form is symmetric in x and y: a swapped triple reuses it
+        key = (frozenset((x, y)), base)
+        if key not in rhs:
+            rhs[key] = entry29_rhs(x, y, base, n)
+        yield label, lhs, rhs[key]
         if (x, y, base) == ENTRY29_TRIPLES[0]:
             yield label, lhs, 2 * b(S.PHI, n)
 

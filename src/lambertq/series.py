@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import add, neg, sub
 from typing import Iterable, Iterator, Optional
 
 from .errors import NotAUnit, OrderTooSmall
@@ -330,20 +332,32 @@ def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 def geometric_mul_inplace(coeffs: list[int], step: int, sign: int) -> None:
     """Multiply a coefficient list in place by sum_{j>=0} sign^j q^(j*step).
 
-    Equivalently, divide by (1 - sign*q^step). One pass suffices because
-    out[n] = f[n] + sign*out[n-step].
+    Equivalently, divide by (1 - sign*q^step): out[n] = f[n] + sign*out[n-step].
+    Each residue class mod step is then a running sum, alternating for
+    sign = -1, which `accumulate` runs in C; negating the odd positions of
+    the class before and after turns the alternating sum into a plain one.
+    When the classes are short (step*step >= len), it instead updates one
+    block of `step` coefficients at a time from the block before it.
     """
     if step < 1:
         raise ValueError("geometric step must be at least 1")
     if sign not in (1, -1):
         raise ValueError("geometric sign must be +1 or -1")
     n = len(coeffs)
-    if sign == 1:
-        for i in range(step, n):
-            coeffs[i] += coeffs[i - step]
+    if step * step < n:
+        for r in range(step):
+            run = coeffs[r::step]
+            if sign == -1:
+                run[1::2] = map(neg, run[1::2])
+                run = list(accumulate(run))
+                run[1::2] = map(neg, run[1::2])
+                coeffs[r::step] = run
+            else:
+                coeffs[r::step] = accumulate(run)
     else:
-        for i in range(step, n):
-            coeffs[i] -= coeffs[i - step]
+        op = add if sign == 1 else sub
+        for i in range(step, n, step):
+            coeffs[i : i + step] = map(op, coeffs[i : i + step], coeffs[i - step : i])
 
 
 def geometric_mul(f: TruncatedSeries, step: int, sign: int) -> TruncatedSeries:

@@ -211,6 +211,24 @@ class TestBench:
         assert doc["op"] == "suite"
         assert len(doc["rows"]) == 1
 
+    def test_raising_check_in_suite_exits_three(self, capsys, monkeypatch):
+        original = harness.check_identity
+
+        def check_identity(ident, order, *args, **kwargs):
+            if ident is IdentityId.I9_LEMMA2 and order == 12:
+                raise RuntimeError("injected fault")
+            return original(ident, order, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "check_identity", check_identity)
+        code, out, err = run_cli(
+            capsys, "bench", "--op", "suite", "--sizes", "8,12,16", "--format", "json"
+        )
+        assert code == 3
+        assert err == "error: size 12: I9_LEMMA2: RuntimeError: injected fault\n"
+        assert "Traceback" not in err
+        # the sizes whose suite completed keep their rows
+        assert [r["size"] for r in json.loads(out)["rows"]] == [8, 16]
+
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--op", "mul", "--sizes", "16", "--format", "csv")
         assert code == 0

@@ -22,6 +22,7 @@ from lambertq import (
     bilateral_sum,
     d2_split_product,
     entry29_rhs,
+    halving_windows,
     lambert_sum,
     lambert_term,
     mul,
@@ -30,6 +31,8 @@ from lambertq import (
     pochhammer,
     s_window,
 )
+from lambertq import constructors
+from lambertq.harness import MAX_HALVING_WINDOW
 from lambertq.oracle import oracle_partitions
 from lambertq.series import geometric_mul_inplace
 
@@ -47,11 +50,35 @@ D1_10 = [0, 0, 1, 0, 4, -1, 7, -2, 10, -3]
 D2_12 = [0, 0, 1, -1, 4, -3, 7, -5, 10, -8, 15, -10]
 
 
+def pochhammer_by_loop(arg, step, order):
+    """Reference (s*q^a; q^step)_inf: the per-element loop that the
+    slice-based `pochhammer` replaced, one binomial factor at a time."""
+    coeffs = [1] + [0] * (order - 1)
+    e = arg.exponent
+    while e < order:
+        if e == 0:  # s = -1: the constant factor 1 + 1
+            coeffs = [2 * c for c in coeffs]
+        else:
+            for i in range(order - 1, e - 1, -1):
+                coeffs[i] -= arg.sign * coeffs[i - e]
+        e += step
+    return TruncatedSeries(coeffs)
+
+
 def phi_by_inversion(order):
     """Reference PHI: the numerator times the inverted denominator product."""
-    p4 = pochhammer(SignedMonomial(1, 4), 4, order)
-    p2 = pochhammer(SignedMonomial(1, 2), 2, order)
+    p4 = pochhammer_by_loop(SignedMonomial(1, 4), 4, order)
+    p2 = pochhammer_by_loop(SignedMonomial(1, 2), 2, order)
     return mul(mul(mul(p4, p4), mul(p4, p4)), mul(p2, p2).invert())
+
+
+def _entry29_symbols(x, y, base):
+    """(sign, exponent) of the four numerator and four denominator symbols."""
+    sxy, exy = x.sign * y.sign, x.exponent + y.exponent
+    num = [(1, base), (1, base), (sxy, exy), (sxy, base - exy)]
+    den = [(x.sign, x.exponent), (x.sign, base - x.exponent)]
+    den += [(y.sign, y.exponent), (y.sign, base - y.exponent)]
+    return num, den
 
 
 def entry29_rhs_by_inversion(x, y, base, order):
@@ -59,16 +86,44 @@ def entry29_rhs_by_inversion(x, y, base, order):
     denominator multiplied out and inverted."""
 
     def poch(sign, exponent):
-        return pochhammer(SignedMonomial(sign, exponent), base, order)
+        return pochhammer_by_loop(SignedMonomial(sign, exponent), base, order)
 
-    sxy, exy = x.sign * y.sign, x.exponent + y.exponent
-    qq = poch(1, base)
-    num = mul(mul(qq, qq), mul(poch(sxy, exy), poch(sxy, base - exy)))
-    den = mul(
-        mul(poch(x.sign, x.exponent), poch(x.sign, base - x.exponent)),
-        mul(poch(y.sign, y.exponent), poch(y.sign, base - y.exponent)),
-    )
+    num, den = _entry29_symbols(x, y, base)
+    num = mul(mul(poch(*num[0]), poch(*num[1])), mul(poch(*num[2]), poch(*num[3])))
+    den = mul(mul(poch(*den[0]), poch(*den[1])), mul(poch(*den[2]), poch(*den[3])))
     return mul(num, den.invert())
+
+
+def entry29_rhs_uncancelled(x, y, base, order):
+    """Reference product form without cancellation: the four numerator
+    symbols multiplied out, then divided by every binomial factor of the
+    four denominator symbols. It runs on the package's `pochhammer` and
+    `geometric_mul_inplace`, which the loop references check, so it is
+    cheap enough for order 2000, where inverting is not."""
+    num, den = _entry29_symbols(x, y, base)
+    factors = [pochhammer(SignedMonomial(sign, e), base, order) for sign, e in num]
+    coeffs = list(mul(mul(factors[0], factors[1]), mul(factors[2], factors[3])).coefficients)
+    for sign, e in den:
+        for k in range(e, order, base):
+            geometric_mul_inplace(coeffs, k, sign)
+    return TruncatedSeries(coeffs)
+
+
+# Admissible triples beyond ENTRY29_TRIPLES, each with the symbols
+# entry29_rhs is expected to build after cancelling.
+MORE_TRIPLES = {
+    # (q, q^2, 4) swapped: cancels through y's pair
+    (SignedMonomial(1, 2), Q, 4): {(1, 4)},
+    # base = 2*x.exponent + y.exponent with y.sign = +1: cancels through x's pair
+    (SignedMonomial(-1, 1), Q, 3): {(1, 3)},
+    (SignedMonomial(1, 2), SignedMonomial(1, 3), 7): {(1, 7)},
+    # the same, swapped
+    (Q, SignedMonomial(-1, 1), 3): {(1, 3)},
+    # exponents as in (q, q, 3), but the signs keep every symbol
+    (SignedMonomial(-1, 1), SignedMonomial(-1, 1), 3): {(1, 3), (1, 2), (1, 1)},
+    # (Q/xy; Q) = (-1; Q), a symbol with exponent 0
+    (SignedMonomial(-1, 2), SignedMonomial(1, 3), 5): {(1, 5), (-1, 5), (-1, 0)},
+}
 
 
 # -- reference builders ---------------------------------------------------------
@@ -296,6 +351,15 @@ class TestPochhammer:
     def test_euler_function(self):
         assert list(pochhammer(Q, 1, 8)) == EULER_8
 
+    @pytest.mark.parametrize("base", [1, 2, 3, 4, 5])
+    def test_matches_loop_reference(self, base):
+        # every exponent 0..5 with both signs, except the zero factor (q^0; .)
+        args = [SignedMonomial(s, e) for s in (1, -1) for e in range(6) if (s, e) != (1, 0)]
+        for arg in args:
+            for order in [*range(1, 41), 1000]:
+                expected = pochhammer_by_loop(arg, base, order)
+                assert pochhammer(arg, base, order) == expected, (arg, order)
+
     def test_minus_one_doubles(self):
         lhs = pochhammer(SignedMonomial(-1, 0), 1, 30)
         rhs = 2 * pochhammer(SignedMonomial(-1, 1), 1, 30)
@@ -343,6 +407,39 @@ class TestQuotientsByDivision:
     @pytest.mark.parametrize("x,y,base", ENTRY29_TRIPLES)
     def test_entry29_rhs_matches_inversion(self, x, y, base, order):
         assert entry29_rhs(x, y, base, order) == entry29_rhs_by_inversion(x, y, base, order)
+
+    @pytest.mark.parametrize("order", [1, 2, 9, 300])
+    @pytest.mark.parametrize("x,y,base", list(MORE_TRIPLES))
+    def test_more_triples_match_inversion(self, x, y, base, order):
+        assert entry29_rhs(x, y, base, order) == entry29_rhs_by_inversion(x, y, base, order)
+
+    @pytest.mark.parametrize("x,y,base", list(MORE_TRIPLES))
+    def test_more_triples_match_uncancelled_at_2000(self, x, y, base):
+        assert entry29_rhs(x, y, base, 2000) == entry29_rhs_uncancelled(x, y, base, 2000)
+
+    @pytest.mark.parametrize("x,y,base", list(MORE_TRIPLES))
+    def test_swapped_triple_gives_the_same_series(self, x, y, base):
+        assert entry29_rhs(x, y, base, 300) == entry29_rhs(y, x, base, 300)
+
+    @pytest.mark.parametrize(
+        "x,y,base,built",
+        [
+            (*ENTRY29_TRIPLES[0], {(1, 2), (-1, 2), (-1, 0)}),
+            (*ENTRY29_TRIPLES[2], {(1, 3)}),  # (Q;Q)^2 / ((q;Q)(q^2;Q))
+            (*ENTRY29_TRIPLES[5], {(1, 4)}),  # (Q;Q)^2 / (q^2;Q)^2
+            *((*t, built) for t, built in MORE_TRIPLES.items()),
+        ],
+    )
+    def test_cancelled_symbols_are_not_built(self, monkeypatch, x, y, base, built):
+        seen = []
+
+        def recording(arg, step, order):
+            seen.append((arg.sign, arg.exponent))
+            return pochhammer(arg, step, order)
+
+        monkeypatch.setattr(constructors, "pochhammer", recording)
+        entry29_rhs(x, y, base, 40)
+        assert sorted(seen) == sorted(built)
 
 
 class TestPackedBuilders:
@@ -459,3 +556,17 @@ class TestSWindow:
         # m = 0 contributes -q/(1-q) after the bilateral rewrite
         f = s_window(0, 0, 6)
         assert list(f) == [0, -1, -1, -1, -1, -1]
+
+
+class TestHalvingWindows:
+    @pytest.mark.parametrize("order", [1, 2, 9, 300])
+    def test_running_windows_match_s_window(self, order):
+        # collected first, so a pair that aliased the running sums would fail
+        pairs = list(halving_windows(MAX_HALVING_WINDOW, order))
+        assert len(pairs) == MAX_HALVING_WINDOW
+        for m, (full, half) in enumerate(pairs, 1):
+            assert full == s_window(1 - m, m, order), m
+            assert half == s_window(1, m, order), m
+
+    def test_no_windows(self):
+        assert list(halving_windows(0, 10)) == []

@@ -25,9 +25,10 @@ from lambertq import (
     check_identity,
     named_series,
     run_suite,
+    s_window,
     sign_resolve,
 )
-from lambertq.harness import MAX_HALVING_WINDOW, SIGN_AMBIGUOUS, UNPROVEN_NOTE
+from lambertq.harness import _ROWS, MAX_HALVING_WINDOW, SIGN_AMBIGUOUS, UNPROVEN_NOTE
 
 EXPECTED_FLIPS = {IdentityId.I7_S_EQ_QPHI, IdentityId.I8_SUM_DIFFERENCE}
 
@@ -46,6 +47,12 @@ def _corrupting(sid, index, delta):
     return build
 
 
+def _bumped(f, index, delta):
+    cs = list(f.coefficients)
+    cs[index] += delta
+    return TruncatedSeries(cs)
+
+
 def _corrupt_side(monkeypatch, name, hit, index, delta):
     """Patch the harness's `name` so calls whose leading arguments equal
     `hit` come back with one coefficient perturbed. These sides are built
@@ -54,11 +61,19 @@ def _corrupt_side(monkeypatch, name, hit, index, delta):
 
     def corrupted(*args):
         f = original(*args)
-        if args[: len(hit)] == hit:
-            cs = list(f.coefficients)
-            cs[index] += delta
-            return TruncatedSeries(cs)
-        return f
+        return _bumped(f, index, delta) if args[: len(hit)] == hit else f
+
+    monkeypatch.setattr(lambertq.harness, name, corrupted)
+
+
+def _corrupt_windows(monkeypatch, name, hit, index, delta):
+    """Patch the harness's `name`, which yields the I12 window pairs, so the
+    full window whose bounds (1 - M, M) equal `hit` is perturbed."""
+    original = getattr(lambertq.harness, name)
+
+    def corrupted(*args):
+        for m_top, (full, half) in enumerate(original(*args), 1):
+            yield (_bumped(full, index, delta) if (1 - m_top, m_top) == hit else full), half
 
     monkeypatch.setattr(lambertq.harness, name, corrupted)
 
@@ -232,7 +247,7 @@ class TestSidesOutsideTheBuilder:
         "name,hit,index,delta,ident,mismatch,annotation",
         [
             (
-                "s_window",
+                "halving_windows",
                 (-36, 37),
                 9,
                 1,
@@ -273,12 +288,53 @@ class TestSidesOutsideTheBuilder:
     def test_corruption_is_pinned_to_its_identity(
         self, monkeypatch, name, hit, index, delta, ident, mismatch, annotation
     ):
-        _corrupt_side(monkeypatch, name, hit, index, delta)
+        corrupt = _corrupt_windows if name == "halving_windows" else _corrupt_side
+        corrupt(monkeypatch, name, hit, index, delta)
         failed = _failures(run_suite(50))
         assert list(failed) == [ident]
         assert failed[ident].status is IdentityStatus.FAILED
         assert failed[ident].first_mismatch == mismatch
         assert failed[ident].annotation == annotation
+
+
+class TestBilateralRows:
+    """I12 grows its windows and I13 shares the right side of swapped triples;
+    the pairs they compare are the ones the plain definitions give."""
+
+    def test_halving_pairs_are_the_s_windows(self):
+        pairs = list(_ROWS[IdentityId.I12_BILATERAL_HALVING](60, named_series))
+        assert len(pairs) == MAX_HALVING_WINDOW
+        for m, (label, lhs, rhs) in enumerate(pairs, 1):
+            assert label == f"window M={m}"
+            assert lhs == s_window(1 - m, m, 60)
+            assert rhs == 2 * s_window(1, m, 60)
+
+    def test_halving_makes_no_s_window_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("I12 rebuilt a window")
+
+        monkeypatch.setattr(lambertq.harness, "s_window", refuse)
+        assert check_identity(IdentityId.I12_BILATERAL_HALVING, 100).passed
+
+    def test_entry29_pairs_and_shared_right_side(self, monkeypatch):
+        calls = []
+        original = lambertq.harness.entry29_rhs
+
+        def counting(*args):
+            calls.append(args[:3])
+            return original(*args)
+
+        monkeypatch.setattr(lambertq.harness, "entry29_rhs", counting)
+        pairs = list(_ROWS[IdentityId.I13_ENTRY29_INSTANCE](120, named_series))
+        # triples 0 and 1 swap x and y, so the second reuses the first's right side
+        assert calls == [ENTRY29_TRIPLES[0], *ENTRY29_TRIPLES[2:]]
+        by_triple = [pairs[0], *pairs[2:]]
+        flagship = bilateral_sum(*ENTRY29_TRIPLES[0], 120)
+        assert pairs[1][1:] == (flagship, 2 * named_series(SeriesId.PHI, 120))
+        for (x, y, base), (label, lhs, rhs) in zip(ENTRY29_TRIPLES, by_triple):
+            assert label == f"triple x={x}, y={y}, base={base}"
+            assert lhs == bilateral_sum(x, y, base, 120)
+            assert rhs == original(x, y, base, 120)
 
 
 class TestConjectureFailures:

@@ -466,7 +466,39 @@ class TestParity:
         assert v.first_violation == 2
 
 
+def geometric_mul_by_loop(coeffs, step, sign):
+    """Reference division by 1 - sign*q^step: the per-element loop that the
+    slice-based `geometric_mul_inplace` replaced."""
+    for i in range(step, len(coeffs)):
+        coeffs[i] += sign * coeffs[i - step]
+
+
 class TestGeometricMul:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 50, 301])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_inplace_matches_loop_reference(self, n, sign):
+        # every step from 1 past the end, so both the residue-class path
+        # (step*step < n) and the block path run, with their boundary
+        rng = random.Random(n * 10 + sign)
+        for step in range(1, n + 3):
+            for width in (4, 300):
+                cs = [rng.randint(-(2**width), 2**width) for _ in range(n)]
+                expected = list(cs)
+                geometric_mul_by_loop(expected, step, sign)
+                geometric_mul_inplace(cs, step, sign)
+                assert cs == expected, (step, width)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_inplace_extreme_magnitudes(self, sign):
+        top = 2**300
+        alternating = [(-1) ** i * top for i in range(64)]
+        for cs in ([top] * 64, [-top] * 64, alternating, [top] + [0] * 63):
+            for step in (1, 2, 7, 8, 9, 63, 64):
+                got, expected = list(cs), list(cs)
+                geometric_mul_inplace(got, step, sign)
+                geometric_mul_by_loop(expected, step, sign)
+                assert got == expected
+
     @pytest.mark.parametrize("step,sign", [(1, 1), (1, -1), (3, 1), (5, -1)])
     def test_matches_explicit_product(self, step, sign):
         rng = random.Random(step * 10 + sign)
