@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import random
 import sys
 import time
 from enum import Enum
@@ -29,11 +28,10 @@ from .harness import (
     check_identity,
     run_suite,
 )
-from .series import TruncatedSeries, format_polynomial, mul
+from .series import format_polynomial
 
 __all__ = ["OutputFormat", "main"]
 
-BENCH_SEED = 1729
 DEFAULT_ORDER = 200
 
 
@@ -184,10 +182,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # -- bench ----------------------------------------------------------------------
 
 
-def _random_series(rng: random.Random, order: int) -> TruncatedSeries:
-    return TruncatedSeries([rng.randint(-9, 9) for _ in range(order)])
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     raw = [piece for piece in args.sizes.split(",") if piece.strip()]
     if not raw:
@@ -199,24 +193,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if any(s < 8 for s in sizes):
         return _fail_usage("every bench size must be >= 8")
 
-    rng = random.Random(BENCH_SEED)
     rows = []
     errors: list[str] = []
     for size in sizes:
-        if args.op == "mul":
-            f = _random_series(rng, size)
-            g = _random_series(rng, size)
-            start = time.perf_counter()
-            mul(f, g)
-            elapsed = time.perf_counter() - start
-        else:
-            start = time.perf_counter()
-            try:
-                run_suite(size)
-            except SuiteError as exc:  # no row: the timing of a broken suite means nothing
-                errors += [f"size {size}: {_raised(ident, e)}" for ident, e in exc.errors]
-                continue
-            elapsed = time.perf_counter() - start
+        start = time.perf_counter()
+        try:
+            run_suite(size)
+        except SuiteError as exc:  # no row: the timing of a broken suite means nothing
+            errors += [f"size {size}: {_raised(ident, e)}" for ident, e in exc.errors]
+            continue
+        elapsed = time.perf_counter() - start
         rows.append({"size": size, "elapsed_ms": round(elapsed * 1000.0, 3)})
 
     fmt = OutputFormat(args.format)
@@ -275,8 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="time multiplication or the full suite")
-    p_bench.add_argument("--op", choices=["mul", "suite"], required=True)
+    p_bench = sub.add_parser("bench", help="time the full suite")
+    p_bench.add_argument("--op", choices=["suite"], required=True)
     p_bench.add_argument(
         "--sizes",
         required=True,

@@ -2,20 +2,17 @@
 
 Everything here is built from three expansion moves: a geometric expansion
 of q^a/(1 - s*q^b) as Sum_j s^j q^(a+jb), a division by (1 - s*q^e), and a
-multiplication by a Pochhammer factor (1 - s*q^e). The single sums, `Y_DEF`
-and the product side make these moves on coefficient lists, where the
-division and the Pochhammer factor are slice operations that run in
-CPython's C loops. The double sums `Y_EQ1`, `Y_EQ2`, `Z`, `A`, `B` and `B1`
-make them on one Kronecker-packed integer (`series._Packing`), where each
-slice is a shift, a division and an add in CPython's bigint code. No
-rational-function arithmetic exists anywhere; each display is expanded
-exactly through the truncation order.
+multiplication by a binomial factor (1 - s*q^e). The single sums, `Y_DEF`
+and the products make these moves on coefficient lists, where the division
+and the binomial factor are slice operations that run in CPython's C loops.
+The double sums `Y_EQ1`, `Y_EQ2`, `Z`, `A`, `B` and `B1` make them on one
+Kronecker-packed integer (`series._Packing`), where each slice is a shift,
+a division and an add in CPython's bigint code. No rational-function
+arithmetic exists anywhere; each display is expanded exactly through the
+truncation order.
 
-The product side `entry29_rhs` cancels the Pochhammer symbols that stand
-both above and below its bar before it expands anything. That is exact:
-every denominator symbol has constant term 1, so it is a unit of
-Z[[q]]/q^N, and f*g/g = f holds in that ring. No identity between series
-is assumed.
+Every product (`pochhammer`, `phi`, `entry29_rhs`) is one `_quotient` of
+binomial factors, first rewritten by exact ring identities alone.
 """
 
 from __future__ import annotations
@@ -23,13 +20,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import reduce
+from functools import partial
+from math import gcd
 from operator import add, sub
 from typing import Callable, Iterator
 
 from .errors import (
     DivergentSpec,
     InvalidExponent,
+    OrderTooSmall,
     ParameterOutOfRange,
     ZeroFactor,
 )
@@ -198,6 +197,61 @@ def lambert_sum(spec: LambertSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries._trusted(coeffs)
 
 
+def _normal_form(num: Counter, den: Counter, order: int) -> tuple[int, int, Counter, Counter]:
+    """Rewrite Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) as (const, g, num, den).
+
+    The Counters hold binomial factors (s, k), s = +-1 and 0 <= k < order,
+    with multiplicity, and are consumed; only `num` may hold a k = 0 factor,
+    (-1, 0). Only exact ring identities are used, never one between series:
+    (1 + q^0) = 2 goes into `const`; a factor on both sides cancels (f*g/g = f;
+    each denominator factor, k >= 1, is a unit of Z[[q]]/q^order); on each
+    side (1 - q^k)(1 + q^k) = 1 - q^(2k) in ascending k, dropped once
+    2k >= order (pairing makes only (1, 2k), so the (-1, k) exponents meet
+    every pair); then what stands on both sides cancels again. g is the gcd
+    of the surviving exponents (1 if none). No factor is ever added, so no
+    more survive than after cancelling whole Pochhammer symbols. PHI and half
+    the Entry 29 side of (-q, q, 2) both become (q^4;q^4)^2/(q^2;q^4)^2, g = 2.
+    """
+    const = 2 ** num.pop((-1, 0), 0)
+    num, den = num - den, den - num
+    for side in (num, den):
+        for k in sorted(k for s, k in side if s == -1):
+            n = min(side[1, k], side[-1, k])  # zero counts left here go at the next cancel
+            side[1, k] -= n
+            side[-1, k] -= n
+            if 2 * k < order:
+                side[1, 2 * k] += n
+    num, den = num - den, den - num
+    return const, gcd(*(k for _, k in num + den)) or 1, num, den
+
+
+def _quotient(num: Counter, den: Counter, order: int) -> TruncatedSeries:
+    """Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) through q^(order-1).
+
+    In normal form it is expanded in q^g through ceil(order/g) terms, one
+    slice pass per numerator factor and one `geometric_mul_inplace` per
+    denominator factor, then spread out (q -> q^g is a ring homomorphism).
+    """
+    if order < 1:
+        raise OrderTooSmall(f"a series needs order >= 1, got {order}")
+    const, g, num, den = _normal_form(num, den, order)
+    n = -(-order // g)
+    coeffs = [const] + [0] * (n - 1)
+    for s, k in num.elements():  # times (1 - s*q^e); both slices are copies of the old list
+        e = k // g
+        coeffs[e:] = map(sub if s == 1 else add, coeffs[e:], coeffs[: n - e])
+    for s, k in den.elements():
+        geometric_mul_inplace(coeffs, k // g, s)
+    out = [0] * order
+    out[::g] = coeffs
+    return TruncatedSeries._trusted(out)
+
+
+def _symbols(symbols: list[tuple[int, int]], step: int, order: int) -> Counter:
+    """The binomial factors below q^order of (s*q^a; q^step)_inf for each (s, a)."""
+    return Counter((s, k) for s, a in symbols for k in range(a, order, step))
+
+
 def pochhammer(arg: SignedMonomial, step: int, order: int) -> TruncatedSeries:
     """The product (s*q^a; q^step)_inf = Prod_{n>=0} (1 - s*q^(a+n*step)).
 
@@ -207,28 +261,12 @@ def pochhammer(arg: SignedMonomial, step: int, order: int) -> TruncatedSeries:
         raise ValueError(f"Pochhammer step must be >= 1, got {step}")
     if arg.sign == 1 and arg.exponent == 0:
         raise ZeroFactor("(q^0; .)_inf contains the factor 1 - 1 = 0")
-    coeffs = [0] * order
-    coeffs[0] = 1
-    s = arg.sign
-    e = arg.exponent
-    if e == 0:  # only reachable with s = -1: constant factor (1 + 1) = 2
-        coeffs[0] = 2
-        e = step
-    op = sub if s == 1 else add
-    while e < order:  # times (1 - s*q^e); both slices are copies of the old list
-        coeffs[e:] = map(op, coeffs[e:], coeffs[: order - e])
-        e += step
-    return TruncatedSeries._trusted(coeffs)
+    return _quotient(_symbols([(arg.sign, arg.exponent)], step, order), Counter(), order)
 
 
 def phi(order: int) -> TruncatedSeries:
     """The even quotient (q^4;q^4)_inf^4 / (q^2;q^2)_inf^2."""
-    p4 = pochhammer(SignedMonomial(1, 4), 4, order)
-    p4sq = mul(p4, p4)
-    coeffs = list(mul(p4sq, p4sq).coefficients)
-    for k in [*range(2, order, 2)] * 2:  # divide by (q^2;q^2)^2, one (1 - q^k) at a time
-        geometric_mul_inplace(coeffs, k, 1)
-    return TruncatedSeries._trusted(coeffs)
+    return _quotient(_symbols([(1, 4)] * 4, 4, order), _symbols([(1, 2)] * 2, 2, order), order)
 
 
 # -- the named series ---------------------------------------------------------
@@ -380,22 +418,16 @@ _BUILDERS: dict[SeriesId, Callable[[int], TruncatedSeries]] = {
     SeriesId.B1: _build_b1,
     SeriesId.D1: _build_d1,
     SeriesId.D2: _build_d2,
-}
-
-_SPEC_SERIES: dict[SeriesId, LambertSpec] = {
-    SeriesId.S: S_SPEC,
-    SeriesId.L1: L1_SPEC,
-    SeriesId.L2: L2_SPEC,
-    SeriesId.L3: L3_SPEC,
+    SeriesId.S: partial(lambert_sum, S_SPEC),
+    SeriesId.L1: partial(lambert_sum, L1_SPEC),
+    SeriesId.L2: partial(lambert_sum, L2_SPEC),
+    SeriesId.L3: partial(lambert_sum, L3_SPEC),
+    SeriesId.PHI: phi,
 }
 
 
 def named_series(sid: SeriesId, order: int) -> TruncatedSeries:
     """Build any named series exactly through q^(order-1)."""
-    if sid in _SPEC_SERIES:
-        return lambert_sum(_SPEC_SERIES[sid], order)
-    if sid is SeriesId.PHI:
-        return phi(order)
     return _BUILDERS[sid](order)
 
 
@@ -462,13 +494,6 @@ def entry29_rhs(x: SignedMonomial, y: SignedMonomial, base: int, order: int) -> 
         (Q; Q)^2 (xy; Q) (Q/xy; Q)  /  [(x; Q)(Q/x; Q)(y; Q)(Q/y; Q)]
 
     all Pochhammer symbols with step = base, x and y signed monomials.
-
-    A symbol that stands both above and below the bar is cancelled before
-    anything is expanded. This is exact ring algebra, f*g/g = f: every
-    denominator symbol has exponent >= 1 under the bounds, so it is a unit
-    of Z[[q]]/q^order, and equal (sign, exponent, step) give equal series.
-    For x = y = q, Q = q^3 the quotient is (Q;Q)^2/((q;Q)(q^2;Q)); for
-    x = q, y = q^2, Q = q^4 it is (Q;Q)^2/(q^2;Q)^2.
     """
     _check_bilateral_bounds(x, y, base)
     sx, ex = x.sign, x.exponent
@@ -479,21 +504,9 @@ def entry29_rhs(x: SignedMonomial, y: SignedMonomial, base: int, order: int) -> 
             "the (Q/xy; Q) factor starts 1 - q^0 = 0 when "
             "x.exponent + y.exponent = base with x.sign*y.sign = +1"
         )
-    num = Counter([(1, base), (1, base), (sxy, ex + ey), (sxy, base - ex - ey)])
-    den = Counter([(sx, ex), (sx, base - ex), (sy, ey), (sy, base - ey)])
-    common = num & den
-    num -= common  # (Q; Q) never cancels: denominator exponents stay below base
-    den -= common
-
-    factors = []
-    for (sign, e), k in num.items():
-        factors += [pochhammer(SignedMonomial(sign, e), base, order)] * k
-    coeffs = list(reduce(mul, factors).coefficients)
-    # divide by the denominator one (1 - sign*q^k) at a time; the bounds keep k >= 1
-    for sign, e in den.elements():
-        for k in range(e, order, base):
-            geometric_mul_inplace(coeffs, k, sign)
-    return TruncatedSeries._trusted(coeffs)
+    num = [(1, base), (1, base), (sxy, ex + ey), (sxy, base - ex - ey)]
+    den = [(sx, ex), (sx, base - ex), (sy, ey), (sy, base - ey)]
+    return _quotient(_symbols(num, base, order), _symbols(den, base, order), order)
 
 
 def _add_s_term(coeffs: list[int], m: int) -> None:

@@ -192,16 +192,6 @@ class TestVerify:
 
 
 class TestBench:
-    def test_mul_rows(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bench", "--op", "mul", "--sizes", "16,32", "--format", "json"
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["op"] == "mul"
-        assert [r["size"] for r in doc["rows"]] == [16, 32]
-        assert all(r["elapsed_ms"] >= 0 for r in doc["rows"])
-
     def test_suite_rows(self, capsys):
         code, out, _ = run_cli(
             capsys, "bench", "--op", "suite", "--sizes", "8", "--format", "json"
@@ -230,7 +220,7 @@ class TestBench:
         assert [r["size"] for r in json.loads(out)["rows"]] == [8, 16]
 
     def test_csv(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--op", "mul", "--sizes", "16", "--format", "csv")
+        code, out, _ = run_cli(capsys, "bench", "--op", "suite", "--sizes", "16", "--format", "csv")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "size,elapsed_ms"
@@ -238,7 +228,7 @@ class TestBench:
 
     @pytest.mark.parametrize("sizes", ["", "abc", "16,xyz", "4", "16,4"])
     def test_bad_sizes_rejected(self, capsys, sizes):
-        code, _, err = run_cli(capsys, "bench", "--op", "mul", "--sizes", sizes)
+        code, _, err = run_cli(capsys, "bench", "--op", "suite", "--sizes", sizes)
         assert code == 2
         assert err.startswith("error:")
 
@@ -249,8 +239,15 @@ class TestBench:
 
     def test_order_is_not_a_bench_option(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
-            main(["bench", "--op", "mul", "--sizes", "16", "--order", "5"])
+            main(["bench", "--op", "suite", "--sizes", "16", "--order", "5"])
         assert exc_info.value.code == 2
+
+    def test_mul_is_not_an_op(self, capsys):
+        # random +-9 vectors say nothing about the real operands; only the suite is timed
+        with pytest.raises(SystemExit) as exc_info:
+            main(["bench", "--op", "mul", "--sizes", "16"])
+        assert exc_info.value.code == 2
+        assert "invalid choice: 'mul'" in capsys.readouterr().err
 
 
 def test_module_entry_point():

@@ -1,5 +1,7 @@
 """Constructor tests against hand-expanded vectors and independent re-summation."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,21 +111,61 @@ def entry29_rhs_uncancelled(x, y, base, order):
     return TruncatedSeries(coeffs)
 
 
-# Admissible triples beyond ENTRY29_TRIPLES, each with the symbols
-# entry29_rhs is expected to build after cancelling.
+def factors(symbols, order):
+    """Counter of the binomial factors (s, k), k < order, of the symbols
+    (s*q^a; q^step)^times given as (s, a, step, times)."""
+    return Counter(
+        (s, k) for s, a, step, times in symbols for k in range(a, order, step) for _ in range(times)
+    )
+
+
+# Admissible triples beyond ENTRY29_TRIPLES, each with the normal form
+# (const, g, numerator symbols, denominator symbols) that `_normal_form`
+# gives its product side at order 40, symbols as in `factors`.
 MORE_TRIPLES = {
-    # (q, q^2, 4) swapped: cancels through y's pair
-    (SignedMonomial(1, 2), Q, 4): {(1, 4)},
-    # base = 2*x.exponent + y.exponent with y.sign = +1: cancels through x's pair
-    (SignedMonomial(-1, 1), Q, 3): {(1, 3)},
-    (SignedMonomial(1, 2), SignedMonomial(1, 3), 7): {(1, 7)},
-    # the same, swapped
-    (Q, SignedMonomial(-1, 1), 3): {(1, 3)},
-    # exponents as in (q, q, 3), but the signs keep every symbol
-    (SignedMonomial(-1, 1), SignedMonomial(-1, 1), 3): {(1, 3), (1, 2), (1, 1)},
-    # (Q/xy; Q) = (-1; Q), a symbol with exponent 0
-    (SignedMonomial(-1, 2), SignedMonomial(1, 3), 5): {(1, 5), (-1, 5), (-1, 0)},
+    # (q, q^2, 4) swapped: y's pair cancels, leaving (Q;Q)^2/(q^2;Q)^2 = PHI
+    (SignedMonomial(1, 2), Q, 4): (1, 2, [(1, 4, 4, 2)], [(1, 2, 4, 2)]),
+    # base = 2*x.exponent + y.exponent with y.sign = +1: x's pair cancels,
+    # for (-q, q, 3) before (1 - q^k)(1 + q^k) could pair in the denominator
+    (SignedMonomial(-1, 1), Q, 3): (1, 1, [(1, 3, 3, 2)], [(1, 1, 3, 1), (1, 2, 3, 1)]),
+    (SignedMonomial(1, 2), SignedMonomial(1, 3), 7): (1, 1, [(1, 7, 7, 2)], [(1, 3, 7, 1), (1, 4, 7, 1)]),
+    # the first of the two above, swapped
+    (Q, SignedMonomial(-1, 1), 3): (1, 1, [(1, 3, 3, 2)], [(1, 1, 3, 1), (1, 2, 3, 1)]),
+    # exponents as in (q, q, 3), but the signs keep every factor
+    (SignedMonomial(-1, 1), SignedMonomial(-1, 1), 3): (
+        1,
+        1,
+        [(1, 3, 3, 2), (1, 1, 3, 1), (1, 2, 3, 1)],
+        [(-1, 1, 3, 2), (-1, 2, 3, 2)],
+    ),
+    # (Q/xy; Q) = (-1; Q) gives the constant 2; then (Q;Q)^2 (-Q;Q)^2 pairs
+    # into (q^10;q^10)^2 and the denominator into (q^4;q^10)(q^6;q^10)
+    (SignedMonomial(-1, 2), SignedMonomial(1, 3), 5): (2, 2, [(1, 10, 10, 2)], [(1, 4, 10, 1), (1, 6, 10, 1)]),
 }
+
+NORMAL_FORMS_AT_40 = [
+    # 2 (q^4;q^4)^2/(q^2;q^4)^2: 2*PHI, all in q^2
+    (*ENTRY29_TRIPLES[0], (2, 2, [(1, 4, 4, 2)], [(1, 2, 4, 2)])),
+    # (Q;Q)^2 / ((q;Q)(q^2;Q)), nothing to pair
+    (*ENTRY29_TRIPLES[2], (1, 1, [(1, 3, 3, 2)], [(1, 1, 3, 1), (1, 2, 3, 1)])),
+    # (Q;Q)^2 / (q^2;Q)^2 with Q = q^4, in q^2
+    (*ENTRY29_TRIPLES[5], (1, 2, [(1, 4, 4, 2)], [(1, 2, 4, 2)])),
+    *((*t, form) for t, form in MORE_TRIPLES.items()),
+]
+
+
+def admissible_triples(max_base):
+    """Every (x, y, base) with base <= max_base that passes the bounds and
+    has no zero factor."""
+    return [
+        (SignedMonomial(sx, ex), SignedMonomial(sy, ey), base)
+        for base in range(2, max_base + 1)
+        for ex in range(1, base)
+        for ey in range(1, base - ex + 1)
+        for sx in (1, -1)
+        for sy in (1, -1)
+        if not (ex + ey == base and sx * sy == 1)
+    ]
 
 
 # -- reference builders ---------------------------------------------------------
@@ -421,25 +463,81 @@ class TestQuotientsByDivision:
     def test_swapped_triple_gives_the_same_series(self, x, y, base):
         assert entry29_rhs(x, y, base, 300) == entry29_rhs(y, x, base, 300)
 
+    @pytest.mark.parametrize("x,y,base,built", NORMAL_FORMS_AT_40)
+    def test_cancelled_symbols_are_not_built(self, monkeypatch, x, y, base, built):
+        # what is left to expand once the quotient is in normal form
+        seen = []
+        normal_form = constructors._normal_form
+
+        def recording(num, den, order):
+            seen.append(normal_form(num, den, order))
+            return seen[-1]
+
+        monkeypatch.setattr(constructors, "_normal_form", recording)
+        entry29_rhs(x, y, base, 40)
+        const, g, num, den = built
+        assert seen == [(const, g, factors(num, 40), factors(den, 40))]
+
     @pytest.mark.parametrize(
-        "x,y,base,built",
+        "num,den,form",
         [
-            (*ENTRY29_TRIPLES[0], {(1, 2), (-1, 2), (-1, 0)}),
-            (*ENTRY29_TRIPLES[2], {(1, 3)}),  # (Q;Q)^2 / ((q;Q)(q^2;Q))
-            (*ENTRY29_TRIPLES[5], {(1, 4)}),  # (Q;Q)^2 / (q^2;Q)^2
-            *((*t, built) for t, built in MORE_TRIPLES.items()),
+            # (1 - q^3)(1 + q^3) / (1 - q^6): the pair cancels only after it forms
+            ({(1, 3): 1, (-1, 3): 1}, {(1, 6): 1}, (1, 1, {}, {})),
+            # (1 - q^3)(1 + q^3) / (1 - q^3): a cancel first leaves 1 + q^3
+            ({(1, 3): 1, (-1, 3): 1}, {(1, 3): 1}, (1, 3, {(-1, 3): 1}, {})),
+            # pairs chain upward and drop at q^order; (1 + q^0) leaves as 2
+            ({(-1, 0): 2, (1, 2): 1, (-1, 2): 1, (-1, 4): 1}, {(-1, 6): 1}, (4, 6, {}, {(-1, 6): 1})),
         ],
     )
-    def test_cancelled_symbols_are_not_built(self, monkeypatch, x, y, base, built):
-        seen = []
+    def test_normal_form_by_hand(self, num, den, form):
+        const, g, num_form, den_form = form
+        got = constructors._normal_form(Counter(num), Counter(den), 8)
+        assert got == (const, g, Counter(num_form), Counter(den_form))
 
-        def recording(arg, step, order):
-            seen.append((arg.sign, arg.exponent))
-            return pochhammer(arg, step, order)
+    @pytest.mark.parametrize(
+        "build,divisions",
+        [
+            # (q^2;q^4)^2 in q^2 at order 20: steps 1, 3, ..., 19, each twice
+            (lambda: entry29_rhs(*ENTRY29_TRIPLES[0], 40), {(20, k, 1): 2 for k in range(1, 20, 2)}),
+            (lambda: phi(40), {(20, k, 1): 2 for k in range(1, 20, 2)}),
+            # (q;q^3)(q^2;q^3) keeps g = 1
+            (lambda: entry29_rhs(*ENTRY29_TRIPLES[2], 40), {(40, k, 1): 1 for k in range(1, 40) if k % 3}),
+        ],
+        ids=["2phi-triple", "phi", "q-q-3"],
+    )
+    def test_divisions_run_in_q_to_the_g(self, monkeypatch, build, divisions):
+        seen = Counter()
 
-        monkeypatch.setattr(constructors, "pochhammer", recording)
-        entry29_rhs(x, y, base, 40)
-        assert sorted(seen) == sorted(built)
+        def recording(coeffs, step, sign):
+            seen[len(coeffs), step, sign] += 1
+            geometric_mul_inplace(coeffs, step, sign)
+
+        monkeypatch.setattr(constructors, "geometric_mul_inplace", recording)
+        build()
+        assert seen == divisions
+
+    @pytest.mark.parametrize("x,y,base", admissible_triples(5))
+    def test_every_small_triple_matches_inversion(self, x, y, base):
+        for order in [*range(1, 41), 300]:
+            assert entry29_rhs(x, y, base, order) == entry29_rhs_by_inversion(x, y, base, order), order
+
+    def test_phi_matches_inversion_at_every_small_order(self):
+        for order in range(1, 41):
+            assert phi(order) == phi_by_inversion(order), order
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            phi,
+            lambda n: pochhammer(Q, 1, n),
+            lambda n: entry29_rhs(*ENTRY29_TRIPLES[0], n),
+        ],
+        ids=["phi", "pochhammer", "entry29_rhs"],
+    )
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_order_below_one_rejected(self, build, order):
+        with pytest.raises(OrderTooSmall):
+            build(order)
 
 
 class TestPackedBuilders:
