@@ -1,5 +1,9 @@
 """Command-line front end: expand series, verify identities, run benchmarks.
 
+Orders are bounded: `--order` for `expand` and `verify`, and every
+`bench --sizes` entry, may not exceed MAX_ORDER = 100000; a larger one is a
+usage error, reported before anything is built.
+
 Exit codes: 0 success, 1 when any identity check FAILED, 2 on usage errors,
 3 when an identity check raised instead of reporting (`verify` still prints
 the completed reports and `bench` the sizes whose suite completed; one
@@ -33,6 +37,7 @@ from .series import format_polynomial
 __all__ = ["OutputFormat", "main"]
 
 DEFAULT_ORDER = 200
+MAX_ORDER = 100_000  # the suite takes ~10 s at 5500 already; its cost grows at least as order^2
 
 
 class OutputFormat(Enum):
@@ -62,8 +67,8 @@ def _print_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    if args.order < 1:
-        return _fail_usage(f"--order must be >= 1, got {args.order}")
+    if not 1 <= args.order <= MAX_ORDER:
+        return _fail_usage(f"--order must lie in [1, {MAX_ORDER}], got {args.order}")
     sid = SeriesId(args.series)
     series = named_series(sid, args.order)
     fmt = OutputFormat(args.format)
@@ -122,8 +127,10 @@ def _print_verify_table(reports: Sequence[IdentityReport]) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.order < 8:
-        return _fail_usage(f"--order must be >= 8 for verification, got {args.order}")
+    if not 8 <= args.order <= MAX_ORDER:
+        return _fail_usage(
+            f"--order must lie in [8, {MAX_ORDER}] for verification, got {args.order}"
+        )
     errors: list[tuple[IdentityId, Exception]] = []
     if args.all:
         try:
@@ -190,8 +197,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         sizes = [int(piece) for piece in raw]
     except ValueError:
         return _fail_usage(f"--sizes must be integers, got {args.sizes!r}")
-    if any(s < 8 for s in sizes):
-        return _fail_usage("every bench size must be >= 8")
+    if not all(8 <= s <= MAX_ORDER for s in sizes):
+        return _fail_usage(f"every bench size must lie in [8, {MAX_ORDER}]")
 
     rows = []
     errors: list[str] = []

@@ -12,7 +12,8 @@ arithmetic exists anywhere; each display is expanded exactly through the
 truncation order.
 
 Every product (`pochhammer`, `phi`, `entry29_rhs`) is one `_quotient` of
-binomial factors, first rewritten by exact ring identities alone.
+binomial factors, first rewritten by exact ring identities alone, then
+expanded as the square of its root times the factors left over.
 """
 
 from __future__ import annotations
@@ -210,7 +211,8 @@ def _normal_form(num: Counter, den: Counter, order: int) -> tuple[int, int, Coun
     every pair); then what stands on both sides cancels again. g is the gcd
     of the surviving exponents (1 if none). No factor is ever added, so no
     more survive than after cancelling whole Pochhammer symbols. PHI and half
-    the Entry 29 side of (-q, q, 2) both become (q^4;q^4)^2/(q^2;q^4)^2, g = 2.
+    the Entry 29 side of (-q, q, 2) both become (q^4;q^4)^2/(q^2;q^4)^2, g = 2,
+    a perfect square, as are five of the seven Entry 29 sides of the suite.
     """
     const = 2 ** num.pop((-1, 0), 0)
     num, den = num - den, den - num
@@ -225,23 +227,44 @@ def _normal_form(num: Counter, den: Counter, order: int) -> tuple[int, int, Coun
     return const, gcd(*(k for _, k in num + den)) or 1, num, den
 
 
-def _quotient(num: Counter, den: Counter, order: int) -> TruncatedSeries:
-    """Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) through q^(order-1).
-
-    In normal form it is expanded in q^g through ceil(order/g) terms, one
-    slice pass per numerator factor and one `geometric_mul_inplace` per
-    denominator factor, then spread out (q -> q^g is a ring homomorphism).
-    """
-    if order < 1:
-        raise OrderTooSmall(f"a series needs order >= 1, got {order}")
-    const, g, num, den = _normal_form(num, den, order)
-    n = -(-order // g)
-    coeffs = [const] + [0] * (n - 1)
+def _expand(coeffs: list[int], num: Counter, den: Counter, g: int) -> None:
+    """Multiply coeffs, a series in q^g, in place by each factor of `num` and
+    divide it by each factor of `den`: one slice pass per numerator factor and
+    one `geometric_mul_inplace` per denominator factor."""
+    n = len(coeffs)
     for s, k in num.elements():  # times (1 - s*q^e); both slices are copies of the old list
         e = k // g
         coeffs[e:] = map(sub if s == 1 else add, coeffs[e:], coeffs[: n - e])
     for s, k in den.elements():
         geometric_mul_inplace(coeffs, k // g, s)
+
+
+def _quotient(num: Counter, den: Counter, order: int) -> TruncatedSeries:
+    """Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) through q^(order-1).
+
+    In normal form it is expanded in q^g through ceil(order/g) terms, then
+    spread out (q -> q^g is a ring homomorphism). A factor f of multiplicity
+    m is split as (f^(m//2))^2 * f^(m%2): the root, Prod f^(m//2) above and
+    below the bar, is expanded once and squared with one `mul`; then the
+    constant and the odd factors f^(m%2) are applied in place. The split
+    only regroups factors, so it is exact; a product with no repeated factor,
+    such as a Pochhammer symbol, has root 1 and is never squared.
+    """
+    if order < 1:
+        raise OrderTooSmall(f"a series needs order >= 1, got {order}")
+    const, g, num, den = _normal_form(num, den, order)
+    n = -(-order // g)
+    coeffs = [1] + [0] * (n - 1)
+    root_num, root_den = (
+        Counter({f: m // 2 for f, m in side.items() if m > 1}) for side in (num, den)
+    )
+    if root_num or root_den:
+        _expand(coeffs, root_num, root_den, g)
+        root = TruncatedSeries._trusted(coeffs)
+        coeffs = list(mul(root, root).coefficients)
+    if const != 1:
+        coeffs = [const * c for c in coeffs]
+    _expand(coeffs, num - root_num - root_num, den - root_den - root_den, g)
     out = [0] * order
     out[::g] = coeffs
     return TruncatedSeries._trusted(out)
@@ -296,10 +319,17 @@ def _build_y_def(order: int) -> TruncatedSeries:
     return TruncatedSeries._trusted(out)
 
 
-# The six double sums below are accumulated packed (see series._Packing).
-# Each adds fewer than order^2 index pairs +-q^a/((1 -+ q^b)(1 -+ q^c)),
-# and one pair adds at most `order` to any coefficient below q^order, so
-# order^3 bounds every output coefficient.
+# The six double sums below are accumulated packed (see series._Packing),
+# whose slot must hold every output coefficient; order^2 bounds them. An
+# index pair +-q^a/((1 -+ q^b)(1 -+ q^c)) of a display is
+# Sum_{u,v>=0} +-q^(a+ub+vc), and for each u at most one v lands on q^e, so
+# it puts at most floor((e-a)/M) + 1 lattice points on q^e, M = max(b, c).
+# That grows with e, so take e = order-1. Without the floor the pairs of one
+# display add up to less than 3/4*order^2: in A the j pairs with
+# M = 2j+1 have a = j+1 and add j(e+j)/(2j+1) < (e+j)/2, and
+# Sum_{j<e} (e+j)/2 < 3/4*e^2; grouped by M, the other five stay below it.
+# With the floor A's sum, the largest, stays below 0.62*order^2
+# (tests/test_constructors.py counts every display's pairs).
 
 
 def _build_y_eq1(order: int) -> TruncatedSeries:
@@ -307,7 +337,7 @@ def _build_y_eq1(order: int) -> TruncatedSeries:
     # summed by j = 2m+k as
     # Sum_{j>=2} (-1)^j q^j/(1-q^j) * Sum_{m=1}^{j//2} (-1)^m q^m/(1-q^(2m-1)).
     # The inner sum gains the term m = j/2 at each even j.
-    p = _Packing(order, order**3)
+    p = _Packing(order, order**2)
     out = inner = 0
     for j in range(2, order - 1):  # the j-slice starts at q^(j+1)
         if j % 2 == 0:
@@ -322,7 +352,7 @@ def _build_y_eq1(order: int) -> TruncatedSeries:
 def _build_y_eq2(order: int) -> TruncatedSeries:
     # -Sum_{k>=2} q^k/(1+q^(2k-1)) * Sum_{n=1}^{k-1} q^n/(1+q^n).
     # The inner partial sum gains one term per k.
-    p = _Packing(order, order**3)
+    p = _Packing(order, order**2)
     out = inner = 0
     for k in range(2, order - 1):  # the k-slice starts at q^(k+1)
         inner += p.divide(p.shift(1, k - 1), k - 1, -1)
@@ -333,7 +363,7 @@ def _build_y_eq2(order: int) -> TruncatedSeries:
 def _build_z(order: int) -> TruncatedSeries:
     # Sum_{m>=1} (-1)^m q^m/(1-q^(2m-1)) * Sum_{k=1}^{2m-1} (-1)^k q^k/(1-q^k).
     # The inner sum gains the terms k = 2m-2, 2m-1 when m steps up.
-    p = _Packing(order, order**3)
+    p = _Packing(order, order**2)
     out = inner = 0
     for m in range(1, order - 1):  # the m-slice starts at q^(m+1)
         for k in (2 * m - 2, 2 * m - 1):
@@ -349,7 +379,7 @@ def _build_a(order: int) -> TruncatedSeries:
     # Sum_{i>=0} Sum_{j>i} q^(j+1)/((1+q^(2i+1))(1+q^(2j+1))).
     # Walk i downward keeping the tail sum over j > i, then divide the
     # tail by (1+q^(2i+1)) for each i.
-    p = _Packing(order, order**3)
+    p = _Packing(order, order**2)
     out = tail = 0
     for i in range(order - 3, -1, -1):  # the (i, i+1) term starts at q^(i+2)
         tail += p.divide(p.shift(1, i + 2), 2 * i + 3, -1)
@@ -361,7 +391,7 @@ def _build_b(order: int) -> TruncatedSeries:
     # Sum_{i>=0} Sum_{j>i} q^(i+2j+2)/((1+q^(2i+1))(1+q^(2j+1))).
     # Same walk as A, but the tail collects q^(2j+2)-led terms and each
     # i-slice is shifted by q^i after the division.
-    p = _Packing(order, order**3)
+    p = _Packing(order, order**2)
     out = tail = 0
     j = (order - 3) // 2  # terms need 2j+2 < order
     for i in range((order - 5) // 3, -1, -1):  # the (i, i+1) term starts at q^(3i+4)
@@ -375,7 +405,7 @@ def _build_b(order: int) -> TruncatedSeries:
 def _build_b1(order: int) -> TruncatedSeries:
     # Sum_{i>=0} Sum_{j<=i} q^(i+2j+2)/((1+q^(2i+1))(1+q^(2j+1))).
     # Here j runs below i, so the inner sum grows forward with i.
-    p = _Packing(order, order**3)
+    p = _Packing(order, order**2)
     out = inner = 0
     for i in range(order - 2):  # the (i, 0) term starts at q^(i+2)
         if 2 * i + 2 < order:

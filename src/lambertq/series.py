@@ -401,6 +401,8 @@ def compare(f: TruncatedSeries, g: TruncatedSeries, order: Optional[int] = None)
             f"operands are only known through q^{limit - 1}, cannot compare at {order}"
         )
     fc, gc = f.coefficients, g.coefficients
+    if fc[:order] == gc[:order]:  # one C-level pass; the scan below finds the index
+        return Comparison(True, order, None)
     for i in range(order):
         if fc[i] != gc[i]:
             return Comparison(False, order, Mismatch(i, fc[i], gc[i]))

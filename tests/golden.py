@@ -1,13 +1,18 @@
 """Committed sha256 digests of the CLI's outputs, and a check against them.
 
-    PYTHONPATH=src python tests/golden.py 5000
+    PYTHONPATH=src python tests/golden.py 2896 5000
 
-checks `lambertq verify --all --format json` at each order given, and exits
-1 if a digest differs. The digests were computed before the product sides
-moved onto one binomial-factor path, so they pin every status, mismatch
-index and annotation across that rewrite. A `verify` digest hashes the JSON
-rows with their `elapsed_ms` removed, re-dumped as the CLI prints them; an
-`expand` digest hashes the CLI's whole stdout.
+checks, at each order given, `lambertq verify --all --format json` and
+`lambertq expand <SID> --format json` for every digest committed at that
+order, and exits 1 if a digest differs. The `verify` digests and the
+`expand` digests at 2000 were computed before the product sides moved onto
+one binomial-factor path, so they pin every status, mismatch index and
+annotation across that rewrite. The `expand` digests at 2896 and 5000 were
+computed before the packed double sums sized their slots from order^2 and
+before product quotients were squared from a root; they pin the widest
+slots, 3 bytes up to order 2896 and 4 bytes at 5000. A `verify` digest
+hashes the JSON rows with their `elapsed_ms` removed, re-dumped as the CLI
+prints them; an `expand` digest hashes the CLI's whole stdout.
 """
 
 from __future__ import annotations
@@ -44,6 +49,28 @@ EXPAND = {
     "PHI": "6800d0d73fb8622504b86d8fe899eb5f906544f30c97de8ff732b24e7a343377",
 }
 
+# the six packed double sums and PHI where the packed slots are widest
+WIDE_EXPAND = {
+    2896: {
+        "Y_EQ1": "450cf86a07311f4ca7571494015ec716cec7391910c42acb8b901767e45e9090",
+        "Y_EQ2": "8baa7230187638adc5e185d5d31bb92e96d958b9c3905588de4b9f9f3d6349ee",
+        "Z": "25b3bc763d6f2d7ce65ec5ccc44a6ff0834281505f89dbd4669eff7774ee9c52",
+        "A": "68ee5c42308399d2df1d9c43be9fb17a7cdf6c2c44c429d7e90f4565bf5f82a6",
+        "B": "3f54ea4743287eec24b4354cd4a35f345360c4ba25bfbadbb295172be4396043",
+        "B1": "e617ac0f954ab152a9c7d0fc8203ed145ca37602d77373b630d7fc281d2f960d",
+        "PHI": "5ef6f207ecf63033582f4e9edab43721e608da096bf5a8fa3804e74f0104f9eb",
+    },
+    5000: {
+        "Y_EQ1": "336ef3dfd721e045e50ff4ae81365ff7c739c8778a895eddfc21311139554891",
+        "Y_EQ2": "d889f6ec95deddd9a251e408884e6cd6f95f8c02b1fc33e71113cbf21d89897d",
+        "Z": "9bcb360aef917f40b2da088397b8339bd2f1055c097170d1597251256598eef6",
+        "A": "97db7a499bc9f634caf2c63cfef8c82b659801b1ef1c1613c1a4c40355702fb1",
+        "B": "ac166a79a127c5e156c5f1282d85018b0587d1fdb20d693663c414edc8105982",
+        "B1": "283aca92bcf7260b957189b743865b36aafc0006c0b9dbf1c022396d40fc3009",
+        "PHI": "5f9806dd184be86ea7894c9bf20cc689074182f04da62fc48a264796462f8f9d",
+    },
+}
+
 
 def _run(argv: list[str]) -> str:
     buf = io.StringIO()
@@ -65,8 +92,8 @@ def verify_digest(order: int) -> str:
     return _sha256(json.dumps(rows, indent=2))
 
 
-def expand_digest(sid: str) -> str:
-    return _sha256(_run(["expand", sid, "--order", str(EXPAND_ORDER), "--format", "json"]))
+def expand_digest(sid: str, order: int = EXPAND_ORDER) -> str:
+    return _sha256(_run(["expand", sid, "--order", str(order), "--format", "json"]))
 
 
 def check(order: int) -> bool:
@@ -76,8 +103,16 @@ def check(order: int) -> bool:
 
 if __name__ == "__main__":
     failed = False
-    for arg in sys.argv[1:]:
-        ok = check(int(arg))
-        failed |= not ok
-        print(f"verify --all --order {arg}: {'ok' if ok else 'DIGEST MISMATCH'}")
+    for order in map(int, sys.argv[1:]):
+        results = [(f"verify --all --order {order}", check(order))] if order in VERIFY else []
+        results += [
+            (f"expand {sid} --order {order}", expand_digest(sid, order) == digest)
+            for sid, digest in WIDE_EXPAND.get(order, {}).items()
+        ]
+        if not results:
+            failed = True
+            print(f"order {order}: no digest committed")
+        for what, ok in results:
+            failed |= not ok
+            print(f"{what}: {'ok' if ok else 'DIGEST MISMATCH'}")
     sys.exit(1 if failed else 0)

@@ -69,6 +69,58 @@ class TestExpand:
         assert err.startswith("error:")
 
 
+class TestOrderBudget:
+    """Orders above cli.MAX_ORDER are usage errors raised before any work."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started for a rejected order")
+
+        for name in ("named_series", "run_suite", "check_identity"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("order", [cli.MAX_ORDER + 1, 10**12])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "PHI"],
+            ["verify", "--all"],
+            ["verify", "--identity", "I4_LEMMA1"],
+        ],
+        ids=["expand", "verify-all", "verify-identity"],
+    )
+    def test_order_above_the_budget_is_a_usage_error(self, capsys, argv, order):
+        code, out, err = run_cli(capsys, *argv, "--order", str(order))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --order must lie in [")
+        assert str(cli.MAX_ORDER) in err
+
+    @pytest.mark.parametrize(
+        "sizes", [f"16,{cli.MAX_ORDER + 1}", f"{10**12}", f"{cli.MAX_ORDER + 1},8"]
+    )
+    def test_bench_size_above_the_budget_is_a_usage_error(self, capsys, sizes):
+        code, out, err = run_cli(capsys, "bench", "--op", "suite", "--sizes", sizes)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: every bench size must lie in [8, {cli.MAX_ORDER}]\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "PHI", "--order", str(cli.MAX_ORDER)],
+            ["verify", "--all", "--order", str(cli.MAX_ORDER)],
+            ["bench", "--op", "suite", "--sizes", str(cli.MAX_ORDER)],
+        ],
+        ids=["expand", "verify-all", "bench"],
+    )
+    def test_the_budget_itself_is_accepted(self, argv):
+        # accepted means handed to the (refusing) builders, so nothing runs
+        with pytest.raises(AssertionError, match="work started"):
+            main(argv)
+
+
 class TestVerify:
     def test_single_identity(self, capsys):
         code, out, _ = run_cli(

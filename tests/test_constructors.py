@@ -154,6 +154,55 @@ NORMAL_FORMS_AT_40 = [
 ]
 
 
+def quotient_by_factors(num, den, order):
+    """Reference quotient of binomial factors (s, k): multiply by each
+    numerator factor (1 - s*q^k), then divide by each denominator factor,
+    one factor and one coefficient at a time."""
+    coeffs = [1] + [0] * (order - 1)
+    for s, k in num.elements():
+        if k == 0:  # s = -1: the constant factor 1 + 1
+            coeffs = [2 * c for c in coeffs]
+            continue
+        for i in range(order - 1, k - 1, -1):
+            coeffs[i] -= s * coeffs[i - k]
+    for s, k in den.elements():
+        for i in range(k, order):
+            coeffs[i] += s * coeffs[i - k]
+    return TruncatedSeries(coeffs)
+
+
+# Factor multisets for `_quotient`, multiplicities 0-5 on each side; each
+# order keeps the factors below it.
+QUOTIENT_CASES = {
+    "odd": (
+        Counter({(1, 1): 3, (-1, 2): 1, (1, 3): 5, (-1, 5): 1}),
+        Counter({(-1, 1): 1, (1, 4): 3, (1, 6): 5}),
+    ),
+    "even": (
+        Counter({(1, 2): 2, (-1, 3): 4, (1, 7): 2}),
+        Counter({(1, 1): 2, (-1, 1): 4, (1, 5): 2}),
+    ),
+    "mixed": (
+        Counter({(1, 1): 5, (-1, 1): 4, (1, 2): 2, (-1, 4): 0, (1, 6): 1}),
+        Counter({(1, 3): 3, (-1, 2): 2, (-1, 5): 1, (1, 8): 0}),
+    ),
+    "constant-2": (
+        Counter({(-1, 0): 3, (1, 1): 2, (-1, 2): 1}),
+        Counter({(1, 2): 2, (-1, 3): 5}),
+    ),
+    "constant-2-squared": (
+        Counter({(-1, 0): 2, (-1, 1): 2, (1, 3): 4}),
+        Counter({(1, 1): 2}),
+    ),
+    "empty-numerator": (Counter(), Counter({(1, 1): 2, (-1, 2): 5, (1, 3): 1})),
+    # whole symbols: (q;q)^2 (-q^2;q^2)^3 / ((q;q^2)^5 (-q^3;q^3)^4)
+    "symbols": (
+        factors([(1, 1, 1, 2), (-1, 2, 2, 3)], 300),
+        factors([(1, 1, 2, 5), (-1, 3, 3, 4)], 300),
+    ),
+}
+
+
 def admissible_triples(max_base):
     """Every (x, y, base) with base <= max_base that passes the bounds and
     has no zero factor."""
@@ -497,9 +546,10 @@ class TestQuotientsByDivision:
     @pytest.mark.parametrize(
         "build,divisions",
         [
-            # (q^2;q^4)^2 in q^2 at order 20: steps 1, 3, ..., 19, each twice
-            (lambda: entry29_rhs(*ENTRY29_TRIPLES[0], 40), {(20, k, 1): 2 for k in range(1, 20, 2)}),
-            (lambda: phi(40), {(20, k, 1): 2 for k in range(1, 20, 2)}),
+            # (q^2;q^4)^2 in q^2 at order 20: its root (q^2;q^4) divides once
+            # by each step 1, 3, ..., 19, and `mul` squares it
+            (lambda: entry29_rhs(*ENTRY29_TRIPLES[0], 40), {(20, k, 1): 1 for k in range(1, 20, 2)}),
+            (lambda: phi(40), {(20, k, 1): 1 for k in range(1, 20, 2)}),
             # (q;q^3)(q^2;q^3) keeps g = 1
             (lambda: entry29_rhs(*ENTRY29_TRIPLES[2], 40), {(40, k, 1): 1 for k in range(1, 40) if k % 3}),
         ],
@@ -515,6 +565,38 @@ class TestQuotientsByDivision:
         monkeypatch.setattr(constructors, "geometric_mul_inplace", recording)
         build()
         assert seen == divisions
+
+    @pytest.mark.parametrize(
+        "build,squared",
+        [
+            # the roots (q^4;q^4)/(q^2;q^4) in q^2, (q^3;q^3) and (q^2;q^2)/(q;q^2)
+            (lambda: phi(40), [20]),
+            (lambda: entry29_rhs(*ENTRY29_TRIPLES[0], 40), [20]),
+            (lambda: entry29_rhs(*ENTRY29_TRIPLES[2], 40), [40]),
+            (lambda: entry29_rhs(*ENTRY29_TRIPLES[4], 40), [40]),
+            # no factor repeats: the root is 1 and nothing is squared
+            (lambda: pochhammer(Q, 1, 40), []),
+        ],
+        ids=["phi", "2phi-triple", "q-q-3", "q-q-4", "pochhammer"],
+    )
+    def test_the_root_is_squared_by_one_mul(self, monkeypatch, build, squared):
+        seen = []
+
+        def recording(f, g):
+            assert f is g
+            seen.append(f.order)
+            return mul(f, g)
+
+        monkeypatch.setattr(constructors, "mul", recording)
+        build()
+        assert seen == squared
+
+    @pytest.mark.parametrize("num,den", list(QUOTIENT_CASES.values()), ids=list(QUOTIENT_CASES))
+    def test_quotient_matches_one_factor_at_a_time(self, num, den):
+        for order in [*range(1, 41), 300]:
+            num_o, den_o = (Counter({f: m for f, m in c.items() if f[1] < order}) for c in (num, den))
+            expected = quotient_by_factors(num_o, den_o, order)
+            assert constructors._quotient(Counter(num_o), Counter(den_o), order) == expected, order
 
     @pytest.mark.parametrize("x,y,base", admissible_triples(5))
     def test_every_small_triple_matches_inversion(self, x, y, base):
@@ -543,13 +625,86 @@ class TestQuotientsByDivision:
 class TestPackedBuilders:
     @pytest.mark.parametrize("sid", list(LIST_REFERENCES), ids=lambda sid: sid.value)
     def test_matches_list_reference(self, sid):
-        for order in [*range(1, 41), 97, 256, 1000, 2000]:
+        # at 11/12 and 181/182 the order^2 slot grows from 1 to 2 to 3 bytes
+        for order in [*range(1, 41), 97, 181, 182, 256, 1000, 2000]:
             assert list(named_series(sid, order)) == LIST_REFERENCES[sid](order), order
 
     @pytest.mark.parametrize("sid", list(LIST_REFERENCES), ids=lambda sid: sid.value)
     def test_order_zero_rejected(self, sid):
         with pytest.raises(OrderTooSmall):
             named_series(sid, 0)
+
+
+def display_pairs(sid, e):
+    """(a, b, c) of every index pair +-q^a/((1 -+ q^b)(1 -+ q^c)) with a <= e
+    of the double sum that `sid` names, read off its printed display rather
+    than its builder."""
+    if sid is SeriesId.Y_EQ1:  # q^(3m+k) / ((1-q^(2m-1))(1-q^(2m+k))), m >= 1, k >= 0
+        return [(3 * m + k, 2 * m - 1, 2 * m + k) for m in range(1, e) for k in range(e - 3 * m + 1)]
+    if sid is SeriesId.Y_EQ2:  # q^k/(1+q^(2k-1)) * q^n/(1+q^n), 1 <= n < k
+        return [(k + n, 2 * k - 1, n) for k in range(2, e) for n in range(1, min(k, e - k + 1))]
+    if sid is SeriesId.Z:  # q^m/(1-q^(2m-1)) * q^k/(1-q^k), 1 <= k <= 2m-1
+        return [(m + k, 2 * m - 1, k) for m in range(1, e) for k in range(1, min(2 * m, e - m + 1))]
+    if sid is SeriesId.A:  # q^(j+1) / ((1+q^(2i+1))(1+q^(2j+1))), 0 <= i < j
+        return [(j + 1, 2 * i + 1, 2 * j + 1) for j in range(1, e) for i in range(j)]
+    if sid is SeriesId.B:  # q^(i+2j+2) / ((1+q^(2i+1))(1+q^(2j+1))), 0 <= i < j
+        return [
+            (i + 2 * j + 2, 2 * i + 1, 2 * j + 1)
+            for j in range(1, e)
+            for i in range(min(j, e - 2 * j - 1))
+        ]
+    assert sid is SeriesId.B1  # the same term with 0 <= j <= i
+    return [
+        (i + 2 * j + 2, 2 * i + 1, 2 * j + 1)
+        for i in range(e)
+        for j in range(min(i + 1, (e - i) // 2))
+    ]
+
+
+def lattice_bound(sid, order):
+    """Sum over the display's pairs of floor((e-a)/max(b, c)) + 1, at
+    e = order - 1: the lattice points (u, v) with a + u*b + v*c = e that a
+    pair can put on q^e, at most one v for each u."""
+    e = order - 1
+    return sum((e - a) // max(b, c) + 1 for a, b, c in display_pairs(sid, e))
+
+
+class TestPackedSlotBound:
+    """The packed builders size their slots from order^2."""
+
+    @pytest.mark.parametrize("sid", list(LIST_REFERENCES), ids=lambda sid: sid.value)
+    def test_pairs_are_the_displays(self, sid):
+        # every pair listed once, with a <= e, and no pair left out below e
+        for e in (9, 30):
+            pairs = display_pairs(sid, e)
+            assert len(pairs) == len(set(pairs))
+            assert all(a <= e for a, _, _ in pairs)
+            assert {p for p in display_pairs(sid, e + 5) if p[0] <= e} == set(pairs)
+
+    @pytest.mark.parametrize("sid", list(LIST_REFERENCES), ids=lambda sid: sid.value)
+    def test_lattice_count_stays_below_order_squared(self, sid):
+        for order in [*range(1, 151), 1000]:
+            assert lattice_bound(sid, order) < order * order, order
+
+    @pytest.mark.parametrize("sid", list(LIST_REFERENCES), ids=lambda sid: sid.value)
+    def test_lattice_count_bounds_the_coefficients(self, sid):
+        for order in [*range(1, 61), 150]:
+            assert max(map(abs, named_series(sid, order))) <= lattice_bound(sid, order), order
+
+
+class TestPartitionOracle:
+    """`oracle_partitions` counts by knapsack what `_quotient` expands as a
+    product: 1/(q^2;q^2)^2 only as a squared root, 1/(q;q) only as odd factors."""
+
+    def test_two_colored_even_parts(self):
+        for order in range(1, 301):
+            den = Counter({(1, k): 2 for k in range(2, order, 2)})
+            assert constructors._quotient(Counter(), den, order) == oracle_partitions(2, 2, order)
+
+    def test_partitions(self):
+        for order in range(1, 301):
+            den = Counter({(1, k): 1 for k in range(1, order)})
+            assert constructors._quotient(Counter(), den, order) == oracle_partitions(1, 1, order)
 
 
 class TestNamedSeries:

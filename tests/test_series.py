@@ -438,6 +438,21 @@ class TestCompare:
         g = TruncatedSeries([1, 2])
         assert compare(f, g).order_checked == 2
 
+    @pytest.mark.parametrize("order", [1, 5, 9])
+    def test_differences_at_or_above_order_are_not_seen(self, order):
+        f = TruncatedSeries(range(10))
+        g = TruncatedSeries([*range(order), *(-c - 1 for c in range(order, 12))])
+        assert compare(f, g, order) == Comparison(True, order, None)
+
+    @pytest.mark.parametrize("order", [1, 2, 7, 300])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_mismatch_at_either_end_of_the_window(self, order, where):
+        f = TruncatedSeries([3] * order + [0] * 5)
+        i = 0 if where == "first" else order - 1
+        g = TruncatedSeries([3] * i + [-4] + [3] * (order - 1 - i) + [1] * 5)
+        assert compare(f, g, order) == Comparison(False, order, Mismatch(i, 3, -4))
+        assert compare(g, f, order) == Comparison(False, order, Mismatch(i, -4, 3))
+
 
 class TestParity:
     def test_zero_is_both(self):
