@@ -1,120 +1,21 @@
 """lambertq: exact truncated power series over the integers, the named
 q-series built from Lambert sums and Pochhammer products, an independent
-brute-force oracle, and a coefficient-exact identity verification suite."""
+brute-force oracle, and a coefficient-exact identity verification suite.
 
-from .constructors import (
-    L1_SPEC,
-    L2_SPEC,
-    L3_SPEC,
-    S_SPEC,
-    LambertSpec,
-    SeriesId,
-    SignedMonomial,
-    bilateral_sum,
-    d2_split_product,
-    entry29_rhs,
-    halving_windows,
-    lambert_sum,
-    lambert_term,
-    named_series,
-    phi,
-    pochhammer,
-    s_window,
-)
-from .errors import (
-    DivergentSpec,
-    InvalidExponent,
-    LambertQError,
-    NoConsistentSign,
-    NotAUnit,
-    OrderTooSmall,
-    ParameterOutOfRange,
-    UnsupportedSeries,
-    ZeroFactor,
-)
-from .harness import (
-    ENTRY29_TRIPLES,
-    IdentityId,
-    IdentityReport,
-    IdentityStatus,
-    SignResolution,
-    SuiteError,
-    check_identity,
-    run_suite,
-    sign_resolve,
-)
-from .oracle import (
-    oracle_divisor_lambert,
-    oracle_expand,
-    oracle_partition_count,
-    oracle_partitions,
-)
-from .series import (
-    Comparison,
-    Mismatch,
-    Parity,
-    ParityVerdict,
-    TruncatedSeries,
-    compare,
-    format_polynomial,
-    geometric_mul,
-    linear_combine,
-    mul,
-    parity_of,
-)
+Each module's `__all__` is the public surface; the package republishes them."""
+
+from . import constructors, errors, harness, oracle, series
+from .constructors import *
+from .errors import *
+from .harness import *
+from .oracle import *
+from .series import *
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "TruncatedSeries",
-    "Comparison",
-    "Mismatch",
-    "Parity",
-    "ParityVerdict",
-    "linear_combine",
-    "mul",
-    "geometric_mul",
-    "compare",
-    "parity_of",
-    "format_polynomial",
-    "SignedMonomial",
-    "LambertSpec",
-    "SeriesId",
-    "L1_SPEC",
-    "L2_SPEC",
-    "L3_SPEC",
-    "S_SPEC",
-    "lambert_term",
-    "lambert_sum",
-    "pochhammer",
-    "phi",
-    "named_series",
-    "d2_split_product",
-    "bilateral_sum",
-    "entry29_rhs",
-    "s_window",
-    "halving_windows",
-    "oracle_expand",
-    "oracle_partitions",
-    "oracle_partition_count",
-    "oracle_divisor_lambert",
-    "IdentityId",
-    "IdentityStatus",
-    "IdentityReport",
-    "SignResolution",
-    "SuiteError",
-    "ENTRY29_TRIPLES",
-    "check_identity",
-    "run_suite",
-    "sign_resolve",
-    "LambertQError",
-    "NotAUnit",
-    "OrderTooSmall",
-    "InvalidExponent",
-    "DivergentSpec",
-    "ZeroFactor",
-    "ParameterOutOfRange",
-    "UnsupportedSeries",
-    "NoConsistentSign",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += series.__all__
+__all__ += constructors.__all__
+__all__ += oracle.__all__
+__all__ += harness.__all__
+__all__ += errors.__all__

@@ -91,8 +91,21 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 # -- verify ---------------------------------------------------------------------
 
+_VERIFY_CSV_HEADER = (
+    "identity",
+    "order",
+    "status",
+    "mismatch_index",
+    "mismatch_lhs",
+    "mismatch_rhs",
+    "elapsed_ms",
+    "annotation",
+)
+
 
 def _report_row(report: IdentityReport) -> dict:
+    """One report as the row every format renders: JSON prints it as is, CSV
+    flattens it, and the table lays it out."""
     row: dict = {
         "identity": report.identity.value,
         "order": report.order_checked,
@@ -110,20 +123,24 @@ def _report_row(report: IdentityReport) -> dict:
     return row
 
 
-def _print_verify_table(reports: Sequence[IdentityReport]) -> None:
+def _print_verify_table(rows: Sequence[dict]) -> None:
     print(f"{'identity':<24} {'status':<24} {'order':>6} {'elapsed_ms':>11}  note")
-    for r in reports:
+    for row in rows:
         notes = []
-        if r.first_mismatch is not None:
-            m = r.first_mismatch
-            notes.append(f"first mismatch at q^{m.index}: {m.lhs} != {m.rhs}")
-        if r.annotation:
-            notes.append(r.annotation)
-        ms = r.elapsed_seconds * 1000.0
+        if "first_mismatch" in row:
+            m = row["first_mismatch"]
+            notes.append(f"first mismatch at q^{m['index']}: {m['lhs']} != {m['rhs']}")
+        if row.get("annotation"):
+            notes.append(row["annotation"])
         print(
-            f"{r.identity.value:<24} {r.status.value:<24} {r.order_checked:>6} "
-            f"{ms:>11.3f}  {'; '.join(notes)}".rstrip()
+            f"{row['identity']:<24} {row['status']:<24} {row['order']:>6} "
+            f"{row['elapsed_ms']:>11.3f}  {'; '.join(notes)}".rstrip()
         )
+
+
+def _csv_cells(row: dict) -> list:
+    flat = {**row, **{f"mismatch_{k}": v for k, v in row.get("first_mismatch", {}).items()}}
+    return [flat.get(column, "") for column in _VERIFY_CSV_HEADER]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -144,40 +161,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         except Exception as exc:  # noqa: BLE001 - reported like run_suite's errors
             reports, errors = [], [(ident, exc)]
 
+    rows = [_report_row(r) for r in reports]
     fmt = OutputFormat(args.format)
     if fmt is OutputFormat.TABLE:
-        _print_verify_table(reports)
+        _print_verify_table(rows)
     elif fmt is OutputFormat.JSON:
-        print(json.dumps([_report_row(r) for r in reports], indent=2))
+        print(json.dumps(rows, indent=2))
     else:
-        rows = []
-        for r in reports:
-            m = r.first_mismatch
-            rows.append(
-                (
-                    r.identity.value,
-                    r.order_checked,
-                    r.status.value,
-                    m.index if m else "",
-                    str(m.lhs) if m else "",
-                    str(m.rhs) if m else "",
-                    round(r.elapsed_seconds * 1000.0, 3),
-                    r.annotation or "",
-                )
-            )
-        _print_csv(
-            (
-                "identity",
-                "order",
-                "status",
-                "mismatch_index",
-                "mismatch_lhs",
-                "mismatch_rhs",
-                "elapsed_ms",
-                "annotation",
-            ),
-            rows,
-        )
+        _print_csv(_VERIFY_CSV_HEADER, [_csv_cells(row) for row in rows])
     for ident, exc in errors:
         print(f"error: {_raised(ident, exc)}", file=sys.stderr)
     if errors:

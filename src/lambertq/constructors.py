@@ -179,8 +179,8 @@ def lambert_term(a: int, b: int, s: int, order: int) -> TruncatedSeries:
 
 def lambert_sum(spec: LambertSpec, order: int) -> TruncatedSeries:
     """Expand a LambertSpec sum exactly: terms stop once q^(a0+a1*k) >= order."""
-    # re-assert the invariants so hand-built (e.g. dataclasses.replace'd)
-    # specs cannot sneak through
+    # re-assert the invariants: `dataclasses.replace` re-runs __post_init__,
+    # but a spec mutated through object.__setattr__ skips it
     LambertSpec(spec.scalar, spec.num_sign, spec.a0, spec.a1, spec.den_sign, spec.b0, spec.b1)
     coeffs = [0] * order
     k = 1

@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "LambertQError",
+    "NotAUnit",
+    "OrderTooSmall",
+    "InvalidExponent",
+    "DivergentSpec",
+    "ZeroFactor",
+    "ParameterOutOfRange",
+    "UnsupportedSeries",
+    "NoConsistentSign",
+]
+
 
 class LambertQError(Exception):
     """Base class for all errors raised by this package."""

@@ -239,11 +239,8 @@ def check_identity(ident: IdentityId, order: int, builder: Builder = named_serie
             if c.equal:
                 continue
             lead = c.first_mismatch.index
-            if (
-                ident in SIGN_AMBIGUOUS
-                and lead == _first_nonzero(lhs, rhs)
-                and compare(lhs, -rhs, order).equal
-            ):
+            # lhs = -rhs through `order` makes `lead` lhs's first nonzero index
+            if ident in SIGN_AMBIGUOUS and compare(lhs, -rhs, order).equal:
                 status = IdentityStatus.VERIFIED_WITH_SIGN_FLIP
                 annotation = f"holds with right side negated; witness index {lead}"
             else:

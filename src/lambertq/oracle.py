@@ -16,6 +16,7 @@ from .series import TruncatedSeries
 __all__ = [
     "oracle_expand",
     "oracle_partitions",
+    "oracle_partition_count",
     "oracle_divisor_lambert",
 ]
 

@@ -27,6 +27,7 @@ __all__ = [
     "geometric_mul",
     "compare",
     "parity_of",
+    "format_polynomial",
 ]
 
 class TruncatedSeries:

@@ -1,5 +1,6 @@
 """Constructor tests against hand-expanded vectors and independent re-summation."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -35,7 +36,7 @@ from lambertq import (
 )
 from lambertq import constructors
 from lambertq.harness import MAX_HALVING_WINDOW
-from lambertq.oracle import oracle_partitions
+from lambertq.oracle import oracle_partition_count, oracle_partitions
 from lambertq.series import geometric_mul_inplace
 
 Q = SignedMonomial(1, 1)
@@ -390,6 +391,16 @@ class TestLambertSpec:
         spec = LambertSpec(scalar=1, num_sign=-1, a0=0, a1=1, den_sign=1, b0=-1, b1=2)
         assert spec == S_SPEC
 
+    def test_replace_revalidates(self):
+        with pytest.raises(DivergentSpec):
+            dataclasses.replace(S_SPEC, a1=0)
+
+    def test_lambert_sum_rejects_a_spec_mutated_past_validation(self):
+        spec = LambertSpec(scalar=1, num_sign=-1, a0=0, a1=1, den_sign=1, b0=-1, b1=2)
+        object.__setattr__(spec, "a0", -1)  # a frozen dataclass still allows this
+        with pytest.raises(DivergentSpec):
+            lambert_sum(spec, 10)
+
     def test_sign_fields_validated(self):
         with pytest.raises(ValueError):
             LambertSpec(scalar=1, num_sign=0, a0=0, a1=1, den_sign=1, b0=0, b1=1)
@@ -694,7 +705,8 @@ class TestPackedSlotBound:
 
 class TestPartitionOracle:
     """`oracle_partitions` counts by knapsack what `_quotient` expands as a
-    product: 1/(q^2;q^2)^2 only as a squared root, 1/(q;q) only as odd factors."""
+    product: 1/(q^2;q^2)^2 only as a squared root, 1/(q;q) only as odd factors.
+    `oracle_partition_count` counts 1/(q;q) a third way, one p(n) at a time."""
 
     def test_two_colored_even_parts(self):
         for order in range(1, 301):
@@ -705,6 +717,13 @@ class TestPartitionOracle:
         for order in range(1, 301):
             den = Counter({(1, k): 1 for k in range(1, order)})
             assert constructors._quotient(Counter(), den, order) == oracle_partitions(1, 1, order)
+
+    def test_partition_counts(self):
+        # p(n) by descending-part recursion, which shares no code with the knapsack
+        order = 40
+        den = Counter({(1, k): 1 for k in range(1, order)})
+        partitions = constructors._quotient(Counter(), den, order)
+        assert list(partitions) == [oracle_partition_count(n) for n in range(order)]
 
 
 class TestNamedSeries:

@@ -1,0 +1,89 @@
+"""The package's public surface is exactly its modules' `__all__` lists."""
+
+import lambertq
+from lambertq import constructors, errors, harness, oracle, series
+
+MODULES = (series, constructors, oracle, harness, errors)
+
+# every name `lambertq` exported when `__init__.py` still listed them by hand
+EXPORTED_BEFORE = [
+    "TruncatedSeries",
+    "Comparison",
+    "Mismatch",
+    "Parity",
+    "ParityVerdict",
+    "linear_combine",
+    "mul",
+    "geometric_mul",
+    "compare",
+    "parity_of",
+    "format_polynomial",
+    "SignedMonomial",
+    "LambertSpec",
+    "SeriesId",
+    "L1_SPEC",
+    "L2_SPEC",
+    "L3_SPEC",
+    "S_SPEC",
+    "lambert_term",
+    "lambert_sum",
+    "pochhammer",
+    "phi",
+    "named_series",
+    "d2_split_product",
+    "bilateral_sum",
+    "entry29_rhs",
+    "s_window",
+    "halving_windows",
+    "oracle_expand",
+    "oracle_partitions",
+    "oracle_partition_count",
+    "oracle_divisor_lambert",
+    "IdentityId",
+    "IdentityStatus",
+    "IdentityReport",
+    "SignResolution",
+    "SuiteError",
+    "ENTRY29_TRIPLES",
+    "check_identity",
+    "run_suite",
+    "sign_resolve",
+    "LambertQError",
+    "NotAUnit",
+    "OrderTooSmall",
+    "InvalidExponent",
+    "DivergentSpec",
+    "ZeroFactor",
+    "ParameterOutOfRange",
+    "UnsupportedSeries",
+    "NoConsistentSign",
+    "__version__",
+]
+
+
+def test_all_is_the_version_and_the_module_lists():
+    assert lambertq.__all__ == ["__version__"] + [n for m in MODULES for n in m.__all__]
+
+
+def test_no_name_is_listed_twice():
+    assert len(set(lambertq.__all__)) == len(lambertq.__all__)
+
+
+def test_every_entry_resolves_to_its_module_object():
+    assert lambertq.__version__ == "1.0.0"
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(lambertq, name) is getattr(module, name)
+
+
+def test_star_import_binds_exactly_all():
+    namespace: dict = {}
+    exec("from lambertq import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(lambertq.__all__)
+
+
+def test_no_export_is_lost_and_one_is_new():
+    assert len(EXPORTED_BEFORE) == 51
+    assert set(EXPORTED_BEFORE) <= set(lambertq.__all__)
+    assert set(lambertq.__all__) - set(EXPORTED_BEFORE) == {"MAX_HALVING_WINDOW"}
