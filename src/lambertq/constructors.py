@@ -227,16 +227,44 @@ def _normal_form(num: Counter, den: Counter, order: int) -> tuple[int, int, Coun
     return const, gcd(*(k for _, k in num + den)) or 1, num, den
 
 
-def _expand(coeffs: list[int], num: Counter, den: Counter, g: int) -> None:
-    """Multiply coeffs, a series in q^g, in place by each factor of `num` and
-    divide it by each factor of `den`: one slice pass per numerator factor and
-    one `geometric_mul_inplace` per denominator factor."""
-    n = len(coeffs)
-    for s, k in num.elements():  # times (1 - s*q^e); both slices are copies of the old list
-        e = k // g
-        coeffs[e:] = map(sub if s == 1 else add, coeffs[e:], coeffs[: n - e])
-    for s, k in den.elements():
-        geometric_mul_inplace(coeffs, k // g, s)
+def _expand(num: Counter, den: Counter, g: int, n: int) -> list[int]:
+    """Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k), a series in q^g, through
+    n terms, for factors with g | k and 1 <= k//g < n.
+
+    It starts from 1 and applies the factors above and below the bar
+    interleaved, in descending exponent e = k//g, keeping `live`: the list
+    is zero on (0, live). Times (1 - s*q^e), only the slots [e+live, n)
+    and e can change: one slice pass and `c[e] -= s`. Divided by
+    (1 - s*q^e), the list 1 + t (t zero below `live`) becomes
+    t/(1 - s*q^e) + Sum_j s^j q^(je): the tail [live, n) is divided in
+    place, which leaves it unchanged when e + live >= n, and the series
+    Sum_{j>=1} s^j q^(je) goes in as strided slices. Either way the list is
+    then zero on (0, e), so `live` becomes e, and a factor with e >= n/2
+    costs O(n/e).
+    """
+    coeffs = [1] + [0] * (n - 1)
+    live = n
+    for e, s, above in sorted(
+        [(k // g, s, True) for s, k in num.elements()]
+        + [(k // g, s, False) for s, k in den.elements()],
+        reverse=True,
+    ):
+        if above:  # both slices are copies of the old list
+            op = sub if s == 1 else add
+            coeffs[e + live :] = map(op, coeffs[e + live :], coeffs[live : n - e])
+            coeffs[e] -= s
+        else:
+            if e + live < n:
+                tail = coeffs[live:]
+                geometric_mul_inplace(tail, e, s)
+                coeffs[live:] = tail
+            if s == 1:
+                coeffs[e::e] = [c + 1 for c in coeffs[e::e]]
+            else:
+                coeffs[e :: 2 * e] = [c - 1 for c in coeffs[e :: 2 * e]]
+                coeffs[2 * e :: 2 * e] = [c + 1 for c in coeffs[2 * e :: 2 * e]]
+        live = e
+    return coeffs
 
 
 def _quotient(num: Counter, den: Counter, order: int) -> TruncatedSeries:
@@ -244,29 +272,31 @@ def _quotient(num: Counter, den: Counter, order: int) -> TruncatedSeries:
 
     In normal form it is expanded in q^g through ceil(order/g) terms, then
     spread out (q -> q^g is a ring homomorphism). A factor f of multiplicity
-    m is split as (f^(m//2))^2 * f^(m%2): the root, Prod f^(m//2) above and
-    below the bar, is expanded once and squared with one `mul`; then the
-    constant and the odd factors f^(m%2) are applied in place. The split
-    only regroups factors, so it is exact; a product with no repeated factor,
-    such as a Pochhammer symbol, has root 1 and is never squared.
+    m is split as (f^(m//2))^2 * f^(m%2), so the quotient is
+    const * root^2 * odd: the root, Prod f^(m//2) above and below the bar,
+    and the odd part, Prod f^(m%2), are each expanded from 1 by `_expand`;
+    one `mul` squares the root and one more joins it to the odd part when
+    both are more than 1. The split only regroups factors, so it is exact;
+    a Pochhammer symbol has no repeated factor and `PHI` no odd one, so
+    neither makes a join.
     """
     if order < 1:
         raise OrderTooSmall(f"a series needs order >= 1, got {order}")
     const, g, num, den = _normal_form(num, den, order)
     n = -(-order // g)
-    coeffs = [1] + [0] * (n - 1)
     root_num, root_den = (
         Counter({f: m // 2 for f, m in side.items() if m > 1}) for side in (num, den)
     )
+    odd_num, odd_den = num - root_num - root_num, den - root_den - root_den
+    coeffs = _expand(odd_num, odd_den, g, n)
     if root_num or root_den:
-        _expand(coeffs, root_num, root_den, g)
-        root = TruncatedSeries._trusted(coeffs)
-        coeffs = list(mul(root, root).coefficients)
-    if const != 1:
-        coeffs = [const * c for c in coeffs]
-    _expand(coeffs, num - root_num - root_num, den - root_den - root_den, g)
+        root = TruncatedSeries._trusted(_expand(root_num, root_den, g, n))
+        square = mul(root, root)
+        if odd_num or odd_den:
+            square = mul(square, TruncatedSeries._trusted(coeffs))
+        coeffs = square.coefficients
     out = [0] * order
-    out[::g] = coeffs
+    out[::g] = coeffs if const == 1 else [const * c for c in coeffs]
     return TruncatedSeries._trusted(out)
 
 
@@ -299,22 +329,25 @@ def _build_y_def(order: int) -> TruncatedSeries:
     # Sum_{m,n>=1} (-1)^m q^(2mn+m) / ((1+q^n)(1-q^(2m-1))).
     # The 1/(1+q^n) factor is tied to n, so expand it per (m, n) pair;
     # 1/(1-q^(2m-1)) distributes over the n-sum and is divided out once
-    # per m-slice. This stays on lists: packed, each of the ~order*ln(order)
-    # pair terms would cost a full-width operation, which measured slower.
+    # per m-slice. The slice h holds the m-slice from q^(3m) on, where its
+    # (m, n) term q^(2mn+m) - q^(2mn+m+n) + ... starts at h[2m(n-1)]: two
+    # strided runs of constant sign, +1 every 2n slots and -1 every 2n
+    # slots from n further on. This stays on lists: packed, each of the
+    # ~order*ln(order) pair terms would cost a full-width operation, which
+    # measured slower.
     out = [0] * order
     m = 1
     while 3 * m < order:
-        h = [0] * order
+        lo = 3 * m
+        h = [0] * (order - lo)
         n = 1
         while 2 * m * n + m < order:  # leading exponent of the (m, n) term
-            _add_geometric(h, 2 * m * n + m, n, -1)
+            a = 2 * m * (n - 1)
+            h[a :: 2 * n] = [c + 1 for c in h[a :: 2 * n]]
+            h[a + n :: 2 * n] = [c - 1 for c in h[a + n :: 2 * n]]
             n += 1
         geometric_mul_inplace(h, 2 * m - 1, 1)
-        lo = 3 * m
-        if m % 2:
-            out[lo:] = [a - b for a, b in zip(out[lo:], h[lo:])]
-        else:
-            out[lo:] = [a + b for a, b in zip(out[lo:], h[lo:])]
+        out[lo:] = map(sub if m % 2 else add, out[lo:], h)
         m += 1
     return TruncatedSeries._trusted(out)
 

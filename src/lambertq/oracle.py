@@ -4,7 +4,9 @@ Every function here enumerates integer lattice points of a defining
 multi-sum and accumulates +1 or -1 into a coefficient array, one tuple at
 a time. Nothing is shared with the constructors module: no geometric
 tricks, no incremental state, no products of series. Slow on purpose;
-meant for cross-checking at moderate orders.
+meant for cross-checking at moderate orders. `oracle_phi` alone counts
+the lattice points of another series, equal to PHI by a classical
+theorem, so it is a cross-check of PHI rather than of its display.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ __all__ = [
     "oracle_partitions",
     "oracle_partition_count",
     "oracle_divisor_lambert",
+    "oracle_phi",
 ]
 
 def _y_def(order: int) -> list[int]:
@@ -208,3 +211,22 @@ def oracle_partition_count(n: int) -> int:
         return total
 
     return count(n, n)
+
+
+def oracle_phi(order: int) -> TruncatedSeries:
+    """PHI by counting the pairs m, n >= 0 with m(m+1) + n(n+1) = k.
+
+    A cross-check, not an expansion of PHI's display: the count is
+    psi(q^2)^2, psi(q) = Sum_{n>=0} q^(n(n+1)/2), which equals
+    (q^4;q^4)^4/(q^2;q^2)^2 by Gauss's identity
+    psi(q) = (q^2;q^2)/(q;q^2), a classical theorem.
+    """
+    c = [0] * order
+    m = 0
+    while m * (m + 1) < order:
+        n = 0
+        while m * (m + 1) + n * (n + 1) < order:
+            c[m * (m + 1) + n * (n + 1)] += 1
+            n += 1
+        m += 1
+    return TruncatedSeries(c)

@@ -320,14 +320,17 @@ class _Packing:
 def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Product truncated to min(f.order, g.order), by Kronecker substitution.
 
-    Both operands are packed and multiplied once in CPython's bigint code.
-    n*max(max|f|, 1)*max(max|g|, 1) bounds every product coefficient and
-    every operand coefficient, so it sets the slot width.
+    Both operands are packed and multiplied once in CPython's bigint code;
+    a square (g is f) is packed once and multiplied as x * x, which takes
+    CPython's faster squaring path. n*max(max|f|, 1)*max(max|g|, 1) bounds
+    every product coefficient and every operand coefficient, so it sets
+    the slot width.
     """
     n = min(f.order, g.order)
     fc, gc = f.coefficients[:n], g.coefficients[:n]
     p = _Packing(n, max(max(map(abs, fc)), 1) * max(max(map(abs, gc)), 1) * n)
-    return p.unpack(p.pack(fc) * p.pack(gc))
+    x = p.pack(fc)
+    return p.unpack(x * (x if g is f else p.pack(gc)))
 
 
 def geometric_mul_inplace(coeffs: list[int], step: int, sign: int) -> None:

@@ -10,7 +10,9 @@ one binomial-factor path, so they pin every status, mismatch index and
 annotation across that rewrite. The `expand` digests at 2896 and 5000 were
 computed before the packed double sums sized their slots from order^2 and
 before product quotients were squared from a root; they pin the widest
-slots, 3 bytes up to order 2896 and 4 bytes at 5000. A `verify` digest
+slots, 3 bytes up to order 2896 and 4 bytes at 5000. The `Y_DEF` digests
+at those orders were computed before its m-slices started at q^(3m) and
+its alternating runs became strided slices. A `verify` digest
 hashes the JSON rows with their `elapsed_ms` removed, re-dumped as the CLI
 prints them; an `expand` digest hashes the CLI's whole stdout.
 """
@@ -49,9 +51,11 @@ EXPAND = {
     "PHI": "6800d0d73fb8622504b86d8fe899eb5f906544f30c97de8ff732b24e7a343377",
 }
 
-# the six packed double sums and PHI where the packed slots are widest
+# the six packed double sums and PHI where the packed slots are widest,
+# and the list-built Y_DEF at the same orders
 WIDE_EXPAND = {
     2896: {
+        "Y_DEF": "d81a8a2a3f1ef20803ab16657ec848d313a373b8cca0cabbef819ee99fcbacae",
         "Y_EQ1": "450cf86a07311f4ca7571494015ec716cec7391910c42acb8b901767e45e9090",
         "Y_EQ2": "8baa7230187638adc5e185d5d31bb92e96d958b9c3905588de4b9f9f3d6349ee",
         "Z": "25b3bc763d6f2d7ce65ec5ccc44a6ff0834281505f89dbd4669eff7774ee9c52",
@@ -61,6 +65,7 @@ WIDE_EXPAND = {
         "PHI": "5ef6f207ecf63033582f4e9edab43721e608da096bf5a8fa3804e74f0104f9eb",
     },
     5000: {
+        "Y_DEF": "3eb41f5d52d78a68218e3f4bbf49a22a4683cec3bfb32ff998cefc8e3c8f53b4",
         "Y_EQ1": "336ef3dfd721e045e50ff4ae81365ff7c739c8778a895eddfc21311139554891",
         "Y_EQ2": "d889f6ec95deddd9a251e408884e6cd6f95f8c02b1fc33e71113cbf21d89897d",
         "Z": "9bcb360aef917f40b2da088397b8339bd2f1055c097170d1597251256598eef6",

@@ -1,7 +1,9 @@
 """Constructor tests against hand-expanded vectors and independent re-summation."""
 
 import dataclasses
+import random
 from collections import Counter
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
@@ -323,6 +325,70 @@ def b1_by_lists(order):
     return out
 
 
+def y_def_by_lists(order):
+    # Sum_{m,n>=1} (-1)^m q^(2mn+m) / ((1+q^n)(1-q^(2m-1))), the builder
+    # before its m-slices started at q^(3m): full-length slices, one
+    # alternating run per (m, n) term
+    out = [0] * order
+    m = 1
+    while 3 * m < order:
+        h = [0] * order
+        n = 1
+        while 2 * m * n + m < order:
+            add_geometric(h, 2 * m * n + m, n, -1)
+            n += 1
+        geometric_mul_inplace(h, 2 * m - 1, 1)
+        add_slice(out, h, 3 * m, -1 if m % 2 else 1)
+        m += 1
+    return out
+
+
+def expand_by_full_passes(num, den, g, n):
+    """Reference `_expand`: from 1, each numerator factor and then each
+    denominator factor in ascending exponent, every one a pass over the
+    whole list, as the kernel ran before it tracked its live slots."""
+    coeffs = [1] + [0] * (n - 1)
+    for s, k in sorted(num.elements(), key=lambda f: f[1]):
+        e = k // g
+        coeffs[e:] = map(sub if s == 1 else add, coeffs[e:], coeffs[: n - e])
+    for s, k in sorted(den.elements(), key=lambda f: f[1]):
+        geometric_mul_inplace(coeffs, k // g, s)
+    return coeffs
+
+
+def expand_cases(n):
+    """(num, den) multisets {(s, e): m} of factors (1 - s*q^e), 1 <= e < n,
+    for `_expand` at n terms: ties above and below the bar and across
+    signs, multiplicities up to 5, the exponent n - 1, a division where
+    e + live == n (no slot can change) and one where e + live == n - 1
+    (one slot can), and seeded random mixes of the exponents near those."""
+    top, half = n - 1, n // 2
+    cases = [
+        ({(1, 1): 5}, {}),
+        ({}, {(1, 1): 5, (-1, 1): 5}),
+        ({(1, 1): 2, (-1, 1): 3}, {(1, 1): 1, (-1, 1): 4}),
+        ({(1, top): 2, (-1, top): 1}, {(1, top): 1, (-1, top): 3}),
+        ({(1, n - half): 1}, {(-1, half): 2}),
+        ({(-1, n - half): 1}, {(1, half - 1): 1, (-1, 1): 1}),
+        ({}, {(1, n - half): 1, (-1, half - 1): 5}),
+        ({(1, 2): 3, (-1, 3): 4}, {(1, 1): 2, (-1, 2): 5, (1, 3): 1}),
+    ]
+    rng = random.Random(n)
+    pool = sorted({e for e in (1, 2, 3, half - 1, half, half + 1, n - half, top - 1, top) if 1 <= e})
+    for _ in range(4):
+        cases.append(
+            tuple(
+                {(rng.choice((1, -1)), e): rng.randint(1, 5) for e in rng.sample(pool, min(3, len(pool)))}
+                for _ in range(2)
+            )
+        )
+    return [tuple({f: m for f, m in side.items() if 1 <= f[1] < n} for side in case) for case in cases]
+
+
+# the steps k < 40 of (q;q^3)(q^2;q^3), in ascending order
+Q3_STEPS = [k for k in range(1, 40) if k % 3]
+
+
 LIST_REFERENCES = {
     SeriesId.Y_EQ1: y_eq1_by_lists,
     SeriesId.Y_EQ2: y_eq2_by_lists,
@@ -557,12 +623,18 @@ class TestQuotientsByDivision:
     @pytest.mark.parametrize(
         "build,divisions",
         [
-            # (q^2;q^4)^2 in q^2 at order 20: its root (q^2;q^4) divides once
-            # by each step 1, 3, ..., 19, and `mul` squares it
-            (lambda: entry29_rhs(*ENTRY29_TRIPLES[0], 40), {(20, k, 1): 1 for k in range(1, 20, 2)}),
-            (lambda: phi(40), {(20, k, 1): 1 for k in range(1, 20, 2)}),
-            # (q;q^3)(q^2;q^3) keeps g = 1
-            (lambda: entry29_rhs(*ENTRY29_TRIPLES[2], 40), {(40, k, 1): 1 for k in range(1, 40) if k % 3}),
+            # in q^2 at order 20 the root (q^4;q^4)/(q^2;q^4) is expanded in
+            # descending exponent, and `mul` squares it; each step e = 1, 3,
+            # ..., 19 below the bar follows e + 1 above it, so only the tail
+            # [e + 1, 20) is divided, and not at all once e + (e + 1) >= 20
+            (lambda: entry29_rhs(*ENTRY29_TRIPLES[0], 40), {(19 - e, e, 1): 1 for e in range(1, 10, 2)}),
+            (lambda: phi(40), {(19 - e, e, 1): 1 for e in range(1, 10, 2)}),
+            # the odd part 1/((q;q^3)(q^2;q^3)) keeps g = 1: each step divides
+            # the tail from the step before it, the next k with 3 not dividing k
+            (
+                lambda: entry29_rhs(*ENTRY29_TRIPLES[2], 40),
+                {(40 - up, e, 1): 1 for e, up in zip(Q3_STEPS, Q3_STEPS[1:]) if e + up < 40},
+            ),
         ],
         ids=["2phi-triple", "phi", "q-q-3"],
     )
@@ -583,7 +655,8 @@ class TestQuotientsByDivision:
             # the roots (q^4;q^4)/(q^2;q^4) in q^2, (q^3;q^3) and (q^2;q^2)/(q;q^2)
             (lambda: phi(40), [20]),
             (lambda: entry29_rhs(*ENTRY29_TRIPLES[0], 40), [20]),
-            (lambda: entry29_rhs(*ENTRY29_TRIPLES[2], 40), [40]),
+            # (q, q, 3) also has an odd part, 1/((q;q^3)(q^2;q^3)), joined by one more `mul`
+            (lambda: entry29_rhs(*ENTRY29_TRIPLES[2], 40), [40, ("join", 40, 40)]),
             (lambda: entry29_rhs(*ENTRY29_TRIPLES[4], 40), [40]),
             # no factor repeats: the root is 1 and nothing is squared
             (lambda: pochhammer(Q, 1, 40), []),
@@ -594,13 +667,20 @@ class TestQuotientsByDivision:
         seen = []
 
         def recording(f, g):
-            assert f is g
-            seen.append(f.order)
+            seen.append(f.order if f is g else ("join", f.order, g.order))
             return mul(f, g)
 
         monkeypatch.setattr(constructors, "mul", recording)
         build()
         assert seen == squared
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_expand_matches_full_passes(self, g):
+        for n in [*range(1, 41), 300]:
+            for num, den in expand_cases(n):
+                num_k, den_k = (Counter({(s, g * e): m for (s, e), m in side.items()}) for side in (num, den))
+                expected = expand_by_full_passes(num_k, den_k, g, n)
+                assert constructors._expand(num_k, den_k, g, n) == expected, (n, num, den)
 
     @pytest.mark.parametrize("num,den", list(QUOTIENT_CASES.values()), ids=list(QUOTIENT_CASES))
     def test_quotient_matches_one_factor_at_a_time(self, num, den):
@@ -727,6 +807,10 @@ class TestPartitionOracle:
 
 
 class TestNamedSeries:
+    def test_y_def_matches_full_slices(self):
+        for order in [*range(1, 41), 97, 300, 1000, 2000]:
+            assert list(named_series(SeriesId.Y_DEF, order)) == y_def_by_lists(order), order
+
     def test_every_id_dispatches(self):
         for sid in SeriesId:
             f = named_series(sid, 10)

@@ -15,6 +15,8 @@ from lambertq import (
     oracle_expand,
     oracle_partition_count,
     oracle_partitions,
+    oracle_phi,
+    phi,
     pochhammer,
 )
 from lambertq.constructors import SignedMonomial
@@ -128,3 +130,23 @@ class TestDivisorLambert:
             oracle_divisor_lambert(2, 1, 5)
         with pytest.raises(ValueError):
             oracle_divisor_lambert(1, 0, 5)
+
+
+class TestPhiOracle:
+    """`oracle_phi` counts m(m+1) + n(n+1) = k; Gauss's identity makes that PHI."""
+
+    def test_hand_counted_vector(self):
+        # q^12: (3, 0), (0, 3) and (2, 2)
+        assert list(oracle_phi(16)) == [1, 0, 2, 0, 1, 0, 2, 0, 2, 0, 0, 0, 3, 0, 2, 0]
+
+    def test_matches_phi_at_every_small_order(self):
+        for order in range(1, 301):
+            assert oracle_phi(order) == phi(order), order
+
+    def test_matches_phi_at_2000(self):
+        assert oracle_phi(2000) == phi(2000)
+
+    def test_is_not_an_oracle_expand_series(self):
+        # a cross-check of PHI, not an expansion of its display
+        with pytest.raises(UnsupportedSeries):
+            oracle_expand(SeriesId.PHI, 10)

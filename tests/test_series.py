@@ -215,6 +215,33 @@ class TestMul:
             assert mul(f, g) == schoolbook(f, g)
             assert mul(f, g).order == min(m, n)
 
+    @pytest.mark.parametrize("bits", [0, 1, 8, 64, 200, 300])
+    def test_square_matches_product_of_a_copy(self, bits):
+        # `mul(f, f)` packs once and squares; a copy is a second object
+        rng = random.Random(bits)
+        for n in (1, 2, 17, 130):
+            f = TruncatedSeries([rng.randint(-(2**bits), 2**bits) for _ in range(n)])
+            copy = TruncatedSeries(list(f.coefficients))
+            assert copy is not f
+            assert mul(f, f) == mul(f, copy) == schoolbook(f, copy)
+        top = TruncatedSeries([-(2**bits)] * 17)
+        assert mul(top, top)[16] == 17 * 2 ** (2 * bits)
+
+    def test_square_packs_once(self, monkeypatch):
+        packed = []
+        pack = _Packing.pack
+
+        def recording(self, coeffs):
+            packed.append(tuple(coeffs))
+            return pack(self, coeffs)
+
+        monkeypatch.setattr(_Packing, "pack", recording)
+        f = TruncatedSeries([1, -2, 3, 2**300])
+        mul(f, f)
+        assert packed == [f.coefficients]
+        mul(f, TruncatedSeries(list(f.coefficients)))
+        assert len(packed) == 3
+
     def test_phi_product_at_600(self):
         # the operands phi() multiplies: (q^4;q^4)^4 and 1/(q^2;q^2)^2
         p4 = pochhammer(SignedMonomial(1, 4), 4, 600)
