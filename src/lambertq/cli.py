@@ -1,4 +1,4 @@
-"""Command-line front end: expand series, verify identities, run benchmarks.
+"""Command-line front end: expand series, verify identities, time the suite.
 
 Orders are bounded: `--order` for `expand` and `verify`, and every
 `bench --sizes` entry, may not exceed MAX_ORDER = 100000; a larger one is a
@@ -209,7 +209,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for row in rows:
             print(f"{row['size']:>8} {row['elapsed_ms']:>12.3f}")
     elif fmt is OutputFormat.JSON:
-        print(json.dumps({"op": args.op, "rows": rows}, indent=2))
+        print(json.dumps({"op": "suite", "rows": rows}, indent=2))
     else:
         _print_csv(("size", "elapsed_ms"), [(r["size"], r["elapsed_ms"]) for r in rows])
     for line in errors:
@@ -260,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_bench = sub.add_parser("bench", help="time the full suite")
-    p_bench.add_argument("--op", choices=["suite"], required=True)
     p_bench.add_argument(
         "--sizes",
         required=True,

@@ -4,7 +4,8 @@ Everything here is built from three expansion moves: a geometric expansion
 of q^a/(1 - s*q^b) as Sum_j s^j q^(a+jb), a division by (1 - s*q^e), and a
 multiplication by a binomial factor (1 - s*q^e). The single sums, `Y_DEF`
 and the products make these moves on coefficient lists, where the division
-and the binomial factor are slice operations that run in CPython's C loops.
+and the binomial factor are slice operations that run in CPython's C loops,
+and `_add_geometric` is the one place a geometric run is added to a list.
 The double sums `Y_EQ1`, `Y_EQ2`, `Z`, `A`, `B` and `B1` make them on one
 Kronecker-packed integer (`series._Packing`), where each slice is a shift,
 a division and an add in CPython's bigint code. No rational-function
@@ -148,20 +149,32 @@ class SeriesId(Enum):
 # -- elementary expansions ----------------------------------------------------
 
 
+# A run of at least this many points goes in as strided slices, a shorter
+# one point by point: at order 2000 (CPython 3.11) slices broke even at ~20
+# points for s = +1 and ~32 for s = -1, a 1-point run took 0.3 us as a loop
+# against 1.0-1.6 us as slices, and a 128-point run 10-12 us against 7-9 us.
+_RUN_SLICE_MIN = 32
+
+
 def _add_geometric(coeffs: list[int], a: int, b: int, s: int, weight: int = 1) -> None:
     """Accumulate weight * q^a/(1 - s*q^b) = weight * Sum_j s^j q^(a+jb) in place."""
     n = len(coeffs)
-    e = a
-    w = weight
+    if a + (_RUN_SLICE_MIN - 1) * b < n:  # for s = -1, two runs of constant sign
+        if s == 1:
+            coeffs[a::b] = [c + weight for c in coeffs[a::b]]
+        else:
+            coeffs[a :: 2 * b] = [c + weight for c in coeffs[a :: 2 * b]]
+            coeffs[a + b :: 2 * b] = [c - weight for c in coeffs[a + b :: 2 * b]]
+        return
     if s == 1:
-        while e < n:
-            coeffs[e] += w
-            e += b
+        while a < n:
+            coeffs[a] += weight
+            a += b
     else:
-        while e < n:
-            coeffs[e] += w
-            w = -w
-            e += b
+        while a < n:
+            coeffs[a] += weight
+            weight = -weight
+            a += b
 
 
 def lambert_term(a: int, b: int, s: int, order: int) -> TruncatedSeries:
@@ -238,7 +251,7 @@ def _expand(num: Counter, den: Counter, g: int, n: int) -> list[int]:
     (1 - s*q^e), the list 1 + t (t zero below `live`) becomes
     t/(1 - s*q^e) + Sum_j s^j q^(je): the tail [live, n) is divided in
     place, which leaves it unchanged when e + live >= n, and the series
-    Sum_{j>=1} s^j q^(je) goes in as strided slices. Either way the list is
+    Sum_{j>=1} s^j q^(je) goes in by `_add_geometric`. Either way the list is
     then zero on (0, e), so `live` becomes e, and a factor with e >= n/2
     costs O(n/e).
     """
@@ -258,11 +271,7 @@ def _expand(num: Counter, den: Counter, g: int, n: int) -> list[int]:
                 tail = coeffs[live:]
                 geometric_mul_inplace(tail, e, s)
                 coeffs[live:] = tail
-            if s == 1:
-                coeffs[e::e] = [c + 1 for c in coeffs[e::e]]
-            else:
-                coeffs[e :: 2 * e] = [c - 1 for c in coeffs[e :: 2 * e]]
-                coeffs[2 * e :: 2 * e] = [c + 1 for c in coeffs[2 * e :: 2 * e]]
+            _add_geometric(coeffs, e, e, s, s)
         live = e
     return coeffs
 
@@ -330,9 +339,8 @@ def _build_y_def(order: int) -> TruncatedSeries:
     # The 1/(1+q^n) factor is tied to n, so expand it per (m, n) pair;
     # 1/(1-q^(2m-1)) distributes over the n-sum and is divided out once
     # per m-slice. The slice h holds the m-slice from q^(3m) on, where its
-    # (m, n) term q^(2mn+m) - q^(2mn+m+n) + ... starts at h[2m(n-1)]: two
-    # strided runs of constant sign, +1 every 2n slots and -1 every 2n
-    # slots from n further on. This stays on lists: packed, each of the
+    # (m, n) term q^(2mn+m) - q^(2mn+m+n) + ... is the geometric run
+    # h[2m(n-1)]/(1 + q^n). This stays on lists: packed, each of the
     # ~order*ln(order) pair terms would cost a full-width operation, which
     # measured slower.
     out = [0] * order
@@ -342,9 +350,7 @@ def _build_y_def(order: int) -> TruncatedSeries:
         h = [0] * (order - lo)
         n = 1
         while 2 * m * n + m < order:  # leading exponent of the (m, n) term
-            a = 2 * m * (n - 1)
-            h[a :: 2 * n] = [c + 1 for c in h[a :: 2 * n]]
-            h[a + n :: 2 * n] = [c - 1 for c in h[a + n :: 2 * n]]
+            _add_geometric(h, 2 * m * (n - 1), n, -1)
             n += 1
         geometric_mul_inplace(h, 2 * m - 1, 1)
         out[lo:] = map(sub if m % 2 else add, out[lo:], h)

@@ -203,14 +203,6 @@ _PASS_NOTES = {
 }
 
 
-def _first_nonzero(f: TruncatedSeries, g: TruncatedSeries) -> Optional[int]:
-    fc, gc = f.coefficients, g.coefficients
-    for i in range(min(len(fc), len(gc))):
-        if fc[i] or gc[i]:
-            return i
-    return None
-
-
 # -- checkers --------------------------------------------------------------------
 
 
@@ -284,12 +276,13 @@ def sign_resolve(
     if order < 8:
         raise OrderTooSmall(f"sign resolution needs order >= 8, got {order}")
     [(_, lhs, rhs)] = _ROWS[ident](order, builder)
-    witness = _first_nonzero(lhs, rhs)
-    if witness is None:
-        raise NoConsistentSign("both sides vanish; no witness coefficient exists")
     for sign in (1, -1):
         if compare(lhs, sign * rhs, order).equal:
-            return SignResolution(ident, sign, witness, order)
+            # where lhs = +-rhs, the first nonzero of lhs is that of either side
+            witness = compare(lhs, TruncatedSeries.zero(order), order).first_mismatch
+            if witness is None:
+                raise NoConsistentSign("both sides vanish; no witness coefficient exists")
+            return SignResolution(ident, sign, witness.index, order)
     raise NoConsistentSign(
         f"{ident.value}: neither printed nor negated form holds; "
         "this indicates a constructor bug"

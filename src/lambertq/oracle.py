@@ -12,7 +12,7 @@ theorem, so it is a cross-check of PHI rather than of its display.
 from __future__ import annotations
 
 from .constructors import SeriesId
-from .errors import UnsupportedSeries
+from .errors import OrderTooSmall, UnsupportedSeries
 from .series import TruncatedSeries
 
 __all__ = [
@@ -163,6 +163,8 @@ def oracle_partitions(colors: int, part_modulus: int, order: int) -> TruncatedSe
         raise ValueError(f"colors must be >= 1, got {colors}")
     if part_modulus < 1:
         raise ValueError(f"part_modulus must be >= 1, got {part_modulus}")
+    if order < 1:
+        raise OrderTooSmall(f"a series needs order >= 1, got {order}")
     c = [0] * order
     c[0] = 1
     for part in range(part_modulus, order, part_modulus):

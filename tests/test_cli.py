@@ -101,7 +101,7 @@ class TestOrderBudget:
         "sizes", [f"16,{cli.MAX_ORDER + 1}", f"{10**12}", f"{cli.MAX_ORDER + 1},8"]
     )
     def test_bench_size_above_the_budget_is_a_usage_error(self, capsys, sizes):
-        code, out, err = run_cli(capsys, "bench", "--op", "suite", "--sizes", sizes)
+        code, out, err = run_cli(capsys, "bench", "--sizes", sizes)
         assert code == 2
         assert out == ""
         assert err == f"error: every bench size must lie in [8, {cli.MAX_ORDER}]\n"
@@ -111,7 +111,7 @@ class TestOrderBudget:
         [
             ["expand", "PHI", "--order", str(cli.MAX_ORDER)],
             ["verify", "--all", "--order", str(cli.MAX_ORDER)],
-            ["bench", "--op", "suite", "--sizes", str(cli.MAX_ORDER)],
+            ["bench", "--sizes", str(cli.MAX_ORDER)],
         ],
         ids=["expand", "verify-all", "bench"],
     )
@@ -245,9 +245,7 @@ class TestVerify:
 
 class TestBench:
     def test_suite_rows(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bench", "--op", "suite", "--sizes", "8", "--format", "json"
-        )
+        code, out, _ = run_cli(capsys, "bench", "--sizes", "8", "--format", "json")
         assert code == 0
         doc = json.loads(out)
         assert doc["op"] == "suite"
@@ -262,9 +260,7 @@ class TestBench:
             return original(ident, order, *args, **kwargs)
 
         monkeypatch.setattr(harness, "check_identity", check_identity)
-        code, out, err = run_cli(
-            capsys, "bench", "--op", "suite", "--sizes", "8,12,16", "--format", "json"
-        )
+        code, out, err = run_cli(capsys, "bench", "--sizes", "8,12,16", "--format", "json")
         assert code == 3
         assert err == "error: size 12: I9_LEMMA2: RuntimeError: injected fault\n"
         assert "Traceback" not in err
@@ -272,7 +268,7 @@ class TestBench:
         assert [r["size"] for r in json.loads(out)["rows"]] == [8, 16]
 
     def test_csv(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--op", "suite", "--sizes", "16", "--format", "csv")
+        code, out, _ = run_cli(capsys, "bench", "--sizes", "16", "--format", "csv")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "size,elapsed_ms"
@@ -280,26 +276,14 @@ class TestBench:
 
     @pytest.mark.parametrize("sizes", ["", "abc", "16,xyz", "4", "16,4"])
     def test_bad_sizes_rejected(self, capsys, sizes):
-        code, _, err = run_cli(capsys, "bench", "--op", "suite", "--sizes", sizes)
+        code, _, err = run_cli(capsys, "bench", "--sizes", sizes)
         assert code == 2
         assert err.startswith("error:")
 
-    def test_op_is_required(self, capsys):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["bench", "--sizes", "16"])
-        assert exc_info.value.code == 2
-
     def test_order_is_not_a_bench_option(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
-            main(["bench", "--op", "suite", "--sizes", "16", "--order", "5"])
+            main(["bench", "--sizes", "16", "--order", "5"])
         assert exc_info.value.code == 2
-
-    def test_mul_is_not_an_op(self, capsys):
-        # random +-9 vectors say nothing about the real operands; only the suite is timed
-        with pytest.raises(SystemExit) as exc_info:
-            main(["bench", "--op", "mul", "--sizes", "16"])
-        assert exc_info.value.code == 2
-        assert "invalid choice: 'mul'" in capsys.readouterr().err
 
 
 def test_module_entry_point():

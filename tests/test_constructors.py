@@ -429,6 +429,29 @@ class TestLambertTerm:
     def test_numerator_past_order_is_zero(self):
         assert lambert_term(12, 1, 1, 5) == TruncatedSeries.zero(5)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 50, 301])
+    def test_add_geometric_matches_term_by_term(self, n):
+        # every a in 0..n+2 and b in 1..n+1 covers every run length from 0
+        # to n, so both sides of the loop/slice crossover are met
+        rng = random.Random(n)
+        base = [rng.randint(-5, 5) for _ in range(n)]
+        k = constructors._RUN_SLICE_MIN
+        lengths = set()
+        for a in range(n + 3):
+            for b in range(1, n + 2):
+                run = range(a, n, b)
+                lengths.add(len(run))
+                for s in (1, -1):
+                    for weight in (1, -1, 3, -(2**70)):
+                        expected = base[:]
+                        for j, e in enumerate(run):
+                            expected[e] += weight * s**j
+                        got = base[:]
+                        constructors._add_geometric(got, a, b, s, weight)
+                        assert got == expected, (n, a, b, s, weight)
+        if n > k:
+            assert {k - 1, k, k + 1} <= lengths
+
     def test_validation(self):
         with pytest.raises(InvalidExponent):
             lambert_term(1, 0, 1, 5)

@@ -195,6 +195,27 @@ class TestSignResolution:
         with pytest.raises(NoConsistentSign):
             sign_resolve(IdentityId.I7_S_EQ_QPHI, 50, builder=junk_s)
 
+    def test_both_sides_vanish(self):
+        def zero(sid, order):
+            return TruncatedSeries.zero(order)
+
+        with pytest.raises(NoConsistentSign) as exc_info:
+            sign_resolve(IdentityId.I7_S_EQ_QPHI, 50, builder=zero)
+        assert str(exc_info.value) == "both sides vanish; no witness coefficient exists"
+
+    def test_zero_left_side_against_a_nonzero_right_side(self):
+        def zero_s(sid, order):
+            if sid is SeriesId.S:
+                return TruncatedSeries.zero(order)
+            return named_series(sid, order)
+
+        with pytest.raises(NoConsistentSign) as exc_info:
+            sign_resolve(IdentityId.I7_S_EQ_QPHI, 50, builder=zero_s)
+        assert str(exc_info.value) == (
+            "I7_S_EQ_QPHI: neither printed nor negated form holds; "
+            "this indicates a constructor bug"
+        )
+
 
 class TestFaultInjection:
     def test_parity_violation_is_located(self):

@@ -8,6 +8,7 @@ itself rather than echoing it.
 import pytest
 
 from lambertq import (
+    OrderTooSmall,
     SeriesId,
     UnsupportedSeries,
     named_series,
@@ -97,6 +98,9 @@ class TestPartitions:
             oracle_partitions(0, 1, 5)
         with pytest.raises(ValueError):
             oracle_partitions(1, 0, 5)
+        for order in (0, -2):
+            with pytest.raises(OrderTooSmall):
+                oracle_partitions(1, 1, order)
 
     def test_counting_function_matches_series(self):
         for n, expected in enumerate(PARTITION_COUNTS):
