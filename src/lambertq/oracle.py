@@ -1,15 +1,20 @@
 """Brute-force ground truth.
 
-Every function here enumerates integer lattice points of a defining
-multi-sum and accumulates +1 or -1 into a coefficient array, one tuple at
-a time. Nothing is shared with the constructors module: no geometric
-tricks, no incremental state, no products of series. Slow on purpose;
-meant for cross-checking at moderate orders. `oracle_phi` alone counts
-the lattice points of another series, equal to PHI by a classical
-theorem, so it is a cross-check of PHI rather than of its display.
+`oracle_expand` restates the display of each named series but PHI as a row
+of `_DISPLAYS`: index ranges, and one term w*q^a/((1 - s1*q^b)(1 - s2*q^c))
+per index tuple, the second factor optional. One enumerator, `_enumerate`,
+adds the lattice points Sum_{u,v>=0} w * s1^u * s2^v * q^(a+ub+vc) of every
+term to a coefficient list, one point at a time. Nothing is shared with the
+constructors but the `SeriesId` names: no `LambertSpec` constant, slot
+bound, geometric kernel or product of series. Slow on purpose; meant for
+cross-checking at moderate orders. `oracle_phi` alone counts the lattice
+points of another series, equal to PHI by a classical theorem, so it is a
+cross-check of PHI rather than of its display.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Iterable, Iterator
 
 from .constructors import SeriesId
 from .errors import OrderTooSmall, UnsupportedSeries
@@ -23,134 +28,130 @@ __all__ = [
     "oracle_phi",
 ]
 
-def _y_def(order: int) -> list[int]:
-    # quadruple sum with exponent m + 2mn + nk + l(2m-1), sign (-1)^(m+k),
-    # over m, n >= 1 and k, l >= 0
-    c = [0] * order
-    m = 1
-    while m + 2 * m < order:
-        n = 1
-        while m + 2 * m * n < order:
-            k = 0
-            while m + 2 * m * n + n * k < order:
-                base = m + 2 * m * n + n * k
-                sign = 1 if (m + k) % 2 == 0 else -1
-                e = base
+# (w, a, s1, b, s2, c) stands for w*q^a/((1 - s1*q^b)(1 - s2*q^c)); c may be None
+_Term = tuple[int, int, int, int, int, "int | None"]
+
+
+def _zeros(order: int) -> list[int]:
+    """The zero coefficient list of every oracle series, once `order` is checked."""
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise TypeError(f"order must be an int, got {order!r}")
+    if order < 1:
+        raise OrderTooSmall(f"a series needs order >= 1, got {order}")
+    return [0] * order
+
+
+def _enumerate(coeffs: list[int], terms: Iterable[_Term]) -> list[int]:
+    """Add every lattice point of every term to `coeffs`, one point at a time.
+
+    The outer loop steps by the larger of b and c and the inner loop by the
+    smaller, each with its own sign, so the per-run overhead is paid least
+    often. A missing c is order: 1/(1 - s2*q^order) is 1 mod q^order. An
+    inner sign +1 adds a constant weight and -1 flips it at every point; the
+    outer weight flips only for an outer sign -1.
+    """
+    order = len(coeffs)
+    for w, a, s1, b, s2, c in terms:
+        if c is None:
+            c = order
+        if b < c:  # from here on (s1, b) is the outer step, (s2, c) the inner
+            s1, b, s2, c = s2, c, s1, b
+        if s2 == 1:
+            while a < order:
+                e = a
                 while e < order:
-                    c[e] += sign
-                    e += 2 * m - 1
-                k += 1
-            n += 1
-        m += 1
-    return c
-
-
-def _z(order: int) -> list[int]:
-    # Sum_{m>=1} Sum_{k=1}^{2m-1} (-1)^(m+k) q^(m+k) expanded against both
-    # denominators 1-q^(2m-1) and 1-q^k
-    c = [0] * order
-    m = 1
-    while m + 1 < order:
-        for k in range(1, 2 * m):
-            if m + k >= order:
-                break
-            sign = 1 if (m + k) % 2 == 0 else -1
-            eu = m + k
-            while eu < order:
-                e = eu
+                    coeffs[e] += w
+                    e += c
+                if s1 == -1:
+                    w = -w
+                a += b
+        else:
+            while a < order:
+                e, wv = a, w
                 while e < order:
-                    c[e] += sign
-                    e += k
-                eu += 2 * m - 1
-        m += 1
-    return c
+                    coeffs[e] += wv
+                    wv = -wv
+                    e += c
+                if s1 == -1:
+                    w = -w
+                a += b
+    return coeffs
 
 
-def _a(order: int) -> list[int]:
+def _lattice(t: int) -> Callable[[int], Iterator[_Term]]:
+    # Sum_{k,l>=1} (-1)^(k+l) q^(k+l) / ((1-q^(2k-1))(1-q^(tl))), the double
+    # lattice of S times L1 (t = 1) or L2 (t = 2), with no product of series
+    return lambda top: (
+        ((-1) ** (k + l), k + l, 1, 2 * k - 1, 1, t * l)
+        for k in range(1, top)
+        for l in range(1, top - k + 1)
+    )
+
+
+# Each row maps the top exponent `top` = order - 1 to the terms of the
+# display whose leading exponent a is at most `top`.
+_DISPLAYS: dict[SeriesId, Callable[[int], Iterator[_Term]]] = {
+    # Sum_{m,n>=1} (-1)^m q^(2mn+m) / ((1+q^n)(1-q^(2m-1)))
+    SeriesId.Y_DEF: lambda top: (
+        ((-1) ** m, 2 * m * n + m, -1, n, 1, 2 * m - 1)
+        for m in range(1, top // 3 + 1)
+        for n in range(1, (top - m) // (2 * m) + 1)
+    ),
+    # Sum_{m>=1,k>=0} (-1)^(m+k) q^(3m+k) / ((1-q^(2m-1))(1-q^(2m+k)))
+    SeriesId.Y_EQ1: lambda top: (
+        ((-1) ** (m + k), 3 * m + k, 1, 2 * m - 1, 1, 2 * m + k)
+        for m in range(1, top // 3 + 1)
+        for k in range(top - 3 * m + 1)
+    ),
+    # -Sum_{k>=2} Sum_{n=1}^{k-1} q^(k+n) / ((1+q^(2k-1))(1+q^n))
+    SeriesId.Y_EQ2: lambda top: (
+        (-1, k + n, -1, 2 * k - 1, -1, n)
+        for k in range(2, top)
+        for n in range(1, min(k - 1, top - k) + 1)
+    ),
+    # Sum_{m>=1} Sum_{k=1}^{2m-1} (-1)^(m+k) q^(m+k) / ((1-q^(2m-1))(1-q^k))
+    SeriesId.Z: lambda top: (
+        ((-1) ** (m + k), m + k, 1, 2 * m - 1, 1, k)
+        for m in range(1, top)
+        for k in range(1, min(2 * m - 1, top - m) + 1)
+    ),
     # Sum_{i>=0} Sum_{j>i} q^(j+1) / ((1+q^(2i+1))(1+q^(2j+1)))
-    c = [0] * order
-    i = 0
-    while i + 2 < order:
-        j = i + 1
-        while j + 1 < order:
-            eu = j + 1
-            u = 0
-            while eu < order:
-                e = eu
-                v = 0
-                while e < order:
-                    c[e] += 1 if (u + v) % 2 == 0 else -1
-                    e += 2 * j + 1
-                    v += 1
-                eu += 2 * i + 1
-                u += 1
-            j += 1
-        i += 1
-    return c
-
-
-def _b(order: int) -> list[int]:
+    SeriesId.A: lambda top: (
+        (1, j + 1, -1, 2 * i + 1, -1, 2 * j + 1) for i in range(top - 1) for j in range(i + 1, top)
+    ),
     # Sum_{i>=0} Sum_{j>i} q^(i+2j+2) / ((1+q^(2i+1))(1+q^(2j+1)))
-    c = [0] * order
-    i = 0
-    while 3 * i + 4 < order:
-        j = i + 1
-        while i + 2 * j + 2 < order:
-            eu = i + 2 * j + 2
-            u = 0
-            while eu < order:
-                e = eu
-                v = 0
-                while e < order:
-                    c[e] += 1 if (u + v) % 2 == 0 else -1
-                    e += 2 * j + 1
-                    v += 1
-                eu += 2 * i + 1
-                u += 1
-            j += 1
-        i += 1
-    return c
-
-
-def _b1(order: int) -> list[int]:
+    SeriesId.B: lambda top: (
+        (1, i + 2 * j + 2, -1, 2 * i + 1, -1, 2 * j + 1)
+        for i in range(top // 3)
+        for j in range(i + 1, (top - i - 2) // 2 + 1)
+    ),
     # Sum_{i>=0} Sum_{j=0}^{i} q^(i+2j+2) / ((1+q^(2i+1))(1+q^(2j+1)))
-    c = [0] * order
-    i = 0
-    while i + 2 < order:
-        for j in range(0, i + 1):
-            if i + 2 * j + 2 >= order:
-                break
-            eu = i + 2 * j + 2
-            u = 0
-            while eu < order:
-                e = eu
-                v = 0
-                while e < order:
-                    c[e] += 1 if (u + v) % 2 == 0 else -1
-                    e += 2 * j + 1
-                    v += 1
-                eu += 2 * i + 1
-                u += 1
-        i += 1
-    return c
-
-
-_EXPANDERS = {
-    SeriesId.Y_DEF: _y_def,
-    SeriesId.Z: _z,
-    SeriesId.A: _a,
-    SeriesId.B: _b,
-    SeriesId.B1: _b1,
+    SeriesId.B1: lambda top: (
+        (1, i + 2 * j + 2, -1, 2 * i + 1, -1, 2 * j + 1)
+        for i in range(top - 1)
+        for j in range(min(i, (top - i - 2) // 2) + 1)
+    ),
+    SeriesId.D1: _lattice(1),
+    SeriesId.D2: _lattice(2),
+    # the single sums over k >= 1: S is (-1)^k q^k/(1-q^(2k-1)), L1 is
+    # (-1)^k q^k/(1-q^k), L2 is (-1)^k q^k/(1-q^(2k)), L3 is (-1)^(k+1) q^(2k)/(1-q^(2k))
+    SeriesId.S: lambda top: (((-1) ** k, k, 1, 2 * k - 1, 1, None) for k in range(1, top + 1)),
+    SeriesId.L1: lambda top: (((-1) ** k, k, 1, k, 1, None) for k in range(1, top + 1)),
+    SeriesId.L2: lambda top: (((-1) ** k, k, 1, 2 * k, 1, None) for k in range(1, top + 1)),
+    SeriesId.L3: lambda top: (((-1) ** (k + 1), 2 * k, 1, 2 * k, 1, None) for k in range(1, top // 2 + 1)),
 }
 
 
 def oracle_expand(sid: SeriesId, order: int) -> TruncatedSeries:
-    """Expand one of the double-sum series by raw lattice enumeration."""
-    if sid not in _EXPANDERS:
-        raise UnsupportedSeries(
-            f"oracle supports {sorted(s.value for s in _EXPANDERS)}, not {sid.value}"
-        )
-    return TruncatedSeries(_EXPANDERS[sid](order))
+    """Expand a named series by raw lattice enumeration of its display.
+
+    `PHI` and anything not a `SeriesId` raise `UnsupportedSeries`; a non-int
+    order raises `TypeError`, one below 1 `OrderTooSmall`.
+    """
+    if not isinstance(sid, SeriesId) or sid not in _DISPLAYS:
+        name = sid.value if isinstance(sid, SeriesId) else repr(sid)
+        raise UnsupportedSeries(f"oracle supports {sorted(s.value for s in _DISPLAYS)}, not {name}")
+    return TruncatedSeries(_enumerate(_zeros(order), _DISPLAYS[sid](order - 1)))
 
 
 def oracle_partitions(colors: int, part_modulus: int, order: int) -> TruncatedSeries:
@@ -163,9 +164,7 @@ def oracle_partitions(colors: int, part_modulus: int, order: int) -> TruncatedSe
         raise ValueError(f"colors must be >= 1, got {colors}")
     if part_modulus < 1:
         raise ValueError(f"part_modulus must be >= 1, got {part_modulus}")
-    if order < 1:
-        raise OrderTooSmall(f"a series needs order >= 1, got {order}")
-    c = [0] * order
+    c = _zeros(order)
     c[0] = 1
     for part in range(part_modulus, order, part_modulus):
         for _ in range(colors):
@@ -182,7 +181,7 @@ def oracle_divisor_lambert(sigma: int, t: int, order: int) -> TruncatedSeries:
         raise ValueError(f"sigma must be +1 or -1, got {sigma}")
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    c = [0] * order
+    c = _zeros(order)
     n = 1
     while t * n < order:
         acc = 0
@@ -223,7 +222,7 @@ def oracle_phi(order: int) -> TruncatedSeries:
     (q^4;q^4)^4/(q^2;q^2)^2 by Gauss's identity
     psi(q) = (q^2;q^2)/(q;q^2), a classical theorem.
     """
-    c = [0] * order
+    c = _zeros(order)
     m = 0
     while m * (m + 1) < order:
         n = 0

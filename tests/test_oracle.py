@@ -21,9 +21,10 @@ from lambertq import (
     pochhammer,
 )
 from lambertq.constructors import SignedMonomial
+from lambertq.oracle import _enumerate
 
-# the five multi-sums the oracle enumerates, in SeriesId value order
-ORACLE_SERIES = (SeriesId.A, SeriesId.B, SeriesId.B1, SeriesId.Y_DEF, SeriesId.Z)
+# every named series but PHI has a display the oracle enumerates
+ORACLE_SERIES = tuple(sid for sid in SeriesId if sid is not SeriesId.PHI)
 
 HAND_EXPANDED = {
     SeriesId.Y_DEF: [0, 0, 0, -1, 0, -2, 0, -3, 0, -5, 0, -4],
@@ -36,12 +37,12 @@ HAND_EXPANDED = {
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176]
 
 
-@pytest.mark.parametrize("sid", ORACLE_SERIES)
+@pytest.mark.parametrize("sid", list(HAND_EXPANDED))
 def test_hand_expanded_vectors(sid):
     assert list(oracle_expand(sid, 12)) == HAND_EXPANDED[sid]
 
 
-def test_supported_ids_are_exactly_the_multi_sums():
+def test_supported_ids_are_every_display_but_phi():
     supported = set()
     for sid in SeriesId:
         try:
@@ -53,10 +54,46 @@ def test_supported_ids_are_exactly_the_multi_sums():
     assert supported == set(ORACLE_SERIES)
 
 
-@pytest.mark.parametrize("sid", [SeriesId.D1, SeriesId.PHI, SeriesId.L1])
+@pytest.mark.parametrize("sid", [SeriesId.PHI, "Z", None, ["Z"]])
 def test_unsupported_ids_rejected(sid):
     with pytest.raises(UnsupportedSeries):
         oracle_expand(sid, 10)
+
+
+# Single terms w*q^a/((1 - s1*q^b)(1 - s2*q^c)) expanded by hand as
+# Sum_{u,v>=0} w * s1^u * s2^v * q^(a+ub+vc), keyed by (w, a, s1, b, s2, c).
+HAND_EXPANDED_TERMS = {
+    # b < c: q^1, q^3 s1, q^4 s2, q^5, q^6 s1*s2, q^7 (s1 + 1), q^8 s2, q^9 (1 + s1)
+    (1, 1, 1, 2, 1, 3): [0, 1, 0, 1, 1, 1, 1, 2, 1, 2],
+    (1, 1, 1, 2, -1, 3): [0, 1, 0, 1, -1, 1, -1, 2, -1, 2],
+    (1, 1, -1, 2, 1, 3): [0, 1, 0, -1, 1, 1, -1, 0, 1, 0],
+    (1, 1, -1, 2, -1, 3): [0, 1, 0, -1, -1, 1, 1, 0, -1, 0],
+    # b > c: the same lattices with the factors written the other way round
+    (1, 1, 1, 3, -1, 2): [0, 1, 0, -1, 1, 1, -1, 0, 1, 0],
+    (-2, 1, -1, 3, 1, 2): [0, -2, 0, -2, 2, -2, 2, -4, 2, -4],
+    # b == c: q^(2n) gets Sum_{u+v=n} s1^u s2^v
+    (1, 0, 1, 2, 1, 2): [1, 0, 2, 0, 3, 0, 4, 0, 5, 0],
+    (1, 0, 1, 2, -1, 2): [1, 0, 0, 0, 1, 0, 0, 0, 1, 0],
+    (1, 0, -1, 2, -1, 2): [1, 0, -2, 0, 3, 0, -4, 0, 5, 0],
+    # no second factor, whatever its sign says
+    (3, 2, -1, 3, 1, None): [0, 0, 3, 0, 0, -3, 0, 0, 3, 0],
+    (1, 1, 1, 4, -1, None): [0, 1, 0, 0, 0, 1, 0, 0, 0, 1],
+    # a term that starts on the last kept exponent, and one past it
+    (5, 9, -1, 1, -1, 1): [0, 0, 0, 0, 0, 0, 0, 0, 0, 5],
+    (5, 10, 1, 1, 1, 1): [0] * 10,
+}
+
+
+@pytest.mark.parametrize("term", list(HAND_EXPANDED_TERMS))
+def test_enumerate_single_terms(term):
+    assert _enumerate([0] * 10, [term]) == HAND_EXPANDED_TERMS[term]
+
+
+def test_enumerate_adds_terms_onto_the_list():
+    terms = list(HAND_EXPANDED_TERMS)
+    expected = [sum(col) for col in zip(*HAND_EXPANDED_TERMS.values())]
+    assert _enumerate([0] * 10, terms) == expected
+    assert _enumerate([7] * 10, terms[:1]) == [7 + x for x in HAND_EXPANDED_TERMS[terms[0]]]
 
 
 def test_z_equals_a_plus_b_in_the_oracle():
@@ -69,8 +106,35 @@ def test_z_equals_a_plus_b_in_the_oracle():
 
 @pytest.mark.parametrize("sid", ORACLE_SERIES)
 def test_oracle_agrees_with_constructor(sid):
-    # cheap version of the full acceptance run, which goes to order 300
-    assert oracle_expand(sid, 120) == named_series(sid, 120)
+    for order in [*range(1, 61), 300]:
+        assert oracle_expand(sid, order) == named_series(sid, order), order
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda order: oracle_expand(SeriesId.Z, order),
+        oracle_phi,
+        lambda order: oracle_partitions(1, 1, order),
+        lambda order: oracle_divisor_lambert(-1, 1, order),
+    ],
+    ids=["expand", "phi", "partitions", "divisor_lambert"],
+)
+class TestOrderChecks:
+    """Every oracle checks its order once, in the helper that makes the zero list."""
+
+    @pytest.mark.parametrize("order", [5.0, True, False, "5", None])
+    def test_non_int_order_is_a_type_error(self, call, order):
+        with pytest.raises(TypeError, match=f"order must be an int, got {order!r}"):
+            call(order)
+
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_small_order_is_too_small(self, call, order):
+        with pytest.raises(OrderTooSmall, match=f"got {order}$"):
+            call(order)
+
+    def test_order_one_is_the_constant_term(self, call):
+        assert len(call(1)) == 1
 
 
 class TestPartitions:
@@ -128,6 +192,10 @@ class TestDivisorLambert:
         f = oracle_divisor_lambert(-1, 2, 16)
         assert all(f[j] == 0 for j in range(1, 16, 2))
         assert f[6] == -2
+
+    def test_is_a_second_check_of_l1(self):
+        for order in (1, 2, 17, 300):
+            assert oracle_divisor_lambert(-1, 1, order) == oracle_expand(SeriesId.L1, order)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
