@@ -12,26 +12,37 @@ a division and an add in CPython's bigint code. No rational-function
 arithmetic exists anywhere; each display is expanded exactly through the
 truncation order.
 
-Every product (`pochhammer`, `phi`, `entry29_rhs`) is one `_quotient` of
-binomial factors, first rewritten by exact ring identities alone, then
-expanded as the square of its root times the factors left over.
+Every product (`pochhammer`, `phi`, `entry29_rhs`) starts from its binomial
+factors and their signature: by exact ring identities alone it equals
+const * Prod_d E(q^d)^c(d) mod q^order, E = (q;q)_inf. When every d with
+c(d) != 0 divides twice the product's Pochhammer step, as for every product
+of the suite, it is expanded from E: a positive c(d) is a `mul` power of E,
+a negative one exact divisions by E(q^d) over E's few nonzero terms.
+Within one run (`_product_run`), E is built once, by `_expand` over its
+factors, and each expansion is kept by its primitive signature c/g, so
+products that differ only by q -> q^g share one. Any other product is a
+`_quotient`, expanded factor by factor as the square of its root times the
+factors left over.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
 from math import gcd
 from operator import add, sub
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
     DivergentSpec,
     InvalidExponent,
     OrderTooSmall,
     ParameterOutOfRange,
+    UnsupportedSeries,
     ZeroFactor,
 )
 from .series import TruncatedSeries, _Packing, geometric_mul_inplace, mul
@@ -146,6 +157,19 @@ class SeriesId(Enum):
     PHI = "PHI"
 
 
+# -- argument checks ------------------------------------------------------------
+
+
+def _check_args(order: int, **params: int) -> None:
+    """Reject an order, or a named int parameter (a step, a base), that is
+    not an int or is a bool, by a TypeError naming it, and an order below 1."""
+    for name, value in {"order": order, **params}.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+    if order < 1:
+        raise OrderTooSmall(f"a series needs order >= 1, got {order}")
+
+
 # -- elementary expansions ----------------------------------------------------
 
 
@@ -185,6 +209,7 @@ def lambert_term(a: int, b: int, s: int, order: int) -> TruncatedSeries:
         raise InvalidExponent(f"numerator exponent must be >= 0, got {a}")
     if s not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {s}")
+    _check_args(order)
     coeffs = [0] * order
     _add_geometric(coeffs, a, b, s)
     return TruncatedSeries._trusted(coeffs)
@@ -195,6 +220,7 @@ def lambert_sum(spec: LambertSpec, order: int) -> TruncatedSeries:
     # re-assert the invariants: `dataclasses.replace` re-runs __post_init__,
     # but a spec mutated through object.__setattr__ skips it
     LambertSpec(spec.scalar, spec.num_sign, spec.a0, spec.a1, spec.den_sign, spec.b0, spec.b1)
+    _check_args(order)
     coeffs = [0] * order
     k = 1
     w = spec.scalar * spec.num_sign
@@ -277,7 +303,8 @@ def _expand(num: Counter, den: Counter, g: int, n: int) -> list[int]:
 
 
 def _quotient(num: Counter, den: Counter, order: int) -> TruncatedSeries:
-    """Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) through q^(order-1).
+    """Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) through q^(order-1),
+    factor by factor: the route for a product that is no narrow eta quotient.
 
     In normal form it is expanded in q^g through ceil(order/g) terms, then
     spread out (q -> q^g is a ring homomorphism). A factor f of multiplicity
@@ -285,12 +312,8 @@ def _quotient(num: Counter, den: Counter, order: int) -> TruncatedSeries:
     const * root^2 * odd: the root, Prod f^(m//2) above and below the bar,
     and the odd part, Prod f^(m%2), are each expanded from 1 by `_expand`;
     one `mul` squares the root and one more joins it to the odd part when
-    both are more than 1. The split only regroups factors, so it is exact;
-    a Pochhammer symbol has no repeated factor and `PHI` no odd one, so
-    neither makes a join.
+    both are more than 1. The split only regroups factors, so it is exact.
     """
-    if order < 1:
-        raise OrderTooSmall(f"a series needs order >= 1, got {order}")
     const, g, num, den = _normal_form(num, den, order)
     n = -(-order // g)
     root_num, root_den = (
@@ -304,9 +327,159 @@ def _quotient(num: Counter, den: Counter, order: int) -> TruncatedSeries:
         if odd_num or odd_den:
             square = mul(square, TruncatedSeries._trusted(coeffs))
         coeffs = square.coefficients
+    return _spread(const, coeffs, g, order)
+
+
+def _spread(const: int, coeffs: Sequence[int], g: int, order: int) -> TruncatedSeries:
+    """const times the series in q^g whose first ceil(order/g) coefficients
+    are `coeffs`, as a series in q (q -> q^g is a ring homomorphism)."""
     out = [0] * order
-    out[::g] = coeffs if const == 1 else [const * c for c in coeffs]
+    n = -(-order // g)
+    out[::g] = coeffs[:n] if const == 1 else [const * c for c in coeffs[:n]]
     return TruncatedSeries._trusted(out)
+
+
+def _signature(num: Counter, den: Counter, order: int) -> tuple[int, dict[int, int]]:
+    """(const, c) with Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) equal to
+    const * Prod_d E(q^d)^c(d) mod q^order, E = (q;q)_inf, for Counters as
+    in `_normal_form` (left unchanged).
+
+    Exact ring algebra only: (1 + q^0) = 2 goes into `const`, and
+    1 + q^k = (1 - q^(2k))/(1 - q^k), dropping 1 - q^(2k) once 2k >= order,
+    gives the exponent m(k) of each 1 - q^k. Since E(q^d) is the product of
+    1 - q^k over the multiples k of d, m = Sum_{d | k} c(d), so c = mu * m,
+    found by a divisor sieve over d < order; E(q^d) = 1 mod q^order for
+    d >= order.
+    """
+    const, m = 1, [0] * order
+    for side, sign in ((num, 1), (den, -1)):
+        for (s, k), mult in side.items():
+            if k == 0:  # (1 + q^0), above the bar only
+                const *= 2**mult
+            elif s == 1:
+                m[k] += sign * mult
+            else:
+                m[k] -= sign * mult
+                if 2 * k < order:
+                    m[2 * k] += sign * mult
+    for d in range(1, (order + 1) // 2):  # m[d] is c(d) once every proper divisor is taken out
+        if m[d]:
+            cd = m[d]
+            m[2 * d :: d] = [e - cd for e in m[2 * d :: d]]
+    return const, {d: e for d, e in enumerate(m) if e}
+
+
+# The run open in this context: the least number of terms its E is built
+# through, and its expansions by primitive signature; None outside a run.
+_RUN: ContextVar[Optional[tuple[int, dict]]] = ContextVar("lambertq_products", default=None)
+
+# the primitive signature of E itself
+_E = ((1, 1),)
+
+
+@contextmanager
+def _product_run(e_terms: int = 1) -> Iterator[None]:
+    """Share one E and every eta-quotient expansion among the products built
+    inside, unless an enclosing run shares them already.
+
+    E is built through what the product that first needs it needs, and
+    again when a later one needs more; a caller that knows some product will
+    need E through `e_terms` terms passes it, so that E is built once.
+    """
+    if _RUN.get() is not None:
+        yield
+        return
+    token = _RUN.set((e_terms, {}))
+    try:
+        yield
+    finally:
+        _RUN.reset(token)
+
+
+def _euler(n: int) -> list[int]:
+    """E = (q;q)_inf through n terms, as a product: `_expand` over its factors."""
+    return _expand(Counter({(1, k): 1 for k in range(1, n)}), Counter(), 1, n)
+
+
+def _divide_sparse(coeffs: list[int], terms: list[tuple[int, int]]) -> None:
+    """Divide a coefficient list in place by 1 + Sum w*q^j over the terms
+    (j, w), ascending in j >= 1: c[i] -= Sum w*c[i-j] over the terms with
+    j <= i, so each coefficient loops only over the divisor's nonzero terms."""
+    live: list[tuple[int, int]] = []
+    ahead = iter(terms)
+    nxt = next(ahead, None)
+    for i in range(1, len(coeffs)):
+        while nxt is not None and nxt[0] <= i:
+            live.append(nxt)
+            nxt = next(ahead, None)
+        coeffs[i] -= sum([w * coeffs[i - j] for j, w in live])
+
+
+def _power(f: TruncatedSeries, e: int) -> TruncatedSeries:
+    """f^e for e >= 1 by repeated squaring; `mul` packs a square once."""
+    out = None
+    while True:
+        if e & 1:
+            out = f if out is None else mul(out, f)
+        e >>= 1
+        if not e:
+            return out
+        f = mul(f, f)
+
+
+def _eta_expand(sig: tuple[tuple[int, int], ...], n: int) -> list[int]:
+    """Prod_d E(q^d)^c(d) through n terms, for a signature ((d, c(d)), ...)
+    ascending in d.
+
+    In a run, every expansion is kept, and one at least n long serves by its
+    prefix. Each positive c(d) is E^c(d), by `mul`, spread to q^d; the spread
+    powers are joined by `mul`. Each negative c(d) is -c(d) exact divisions
+    by the spread E(q^d), over E's nonzero terms as found.
+    """
+    e_terms, kept = _RUN.get() or (1, None)
+    if kept is not None and len(kept.get(sig, ())) >= n:
+        return kept[sig]
+    if sig == _E:
+        coeffs = _euler(max(n, e_terms))
+    else:
+        euler = _eta_expand(_E, -(-n // sig[0][0])) if sig else []
+        joined = None
+        for d, c in sig:
+            if c > 0:
+                power = _power(TruncatedSeries._trusted(euler[: -(-n // d)]), c)
+                spread = _spread(1, power.coefficients, d, n)
+                joined = spread if joined is None else mul(joined, spread)
+        coeffs = [1] + [0] * (n - 1) if joined is None else list(joined.coefficients)
+        for d, c in sig:
+            if c < 0:
+                terms = [(d * j, w) for j, w in enumerate(euler[: -(-n // d)]) if j and w]
+                for _ in range(-c):
+                    _divide_sparse(coeffs, terms)
+    if kept is not None:
+        kept[sig] = coeffs
+    return coeffs
+
+
+def _eta_quotient(const: int, c: dict[int, int], order: int) -> TruncatedSeries:
+    """const * Prod_d E(q^d)^c(d) through q^(order-1): expanded in q^g,
+    g = gcd(supp c), by its primitive signature c/g, then spread out."""
+    g = gcd(*c) or order
+    sig = tuple(sorted((d // g, e) for d, e in c.items()))
+    return _spread(const, _eta_expand(sig, -(-order // g)), g, order)
+
+
+def _product(num: Counter, den: Counter, order: int, step: int) -> TruncatedSeries:
+    """Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) through q^(order-1), for
+    factors of Pochhammer symbols with step `step`.
+
+    A quotient whose signature c has every d in its support dividing
+    2*step goes through E; any other (a wide c, such as (q;q^3)'s) through
+    `_quotient`, factor by factor, where it is cheaper.
+    """
+    const, c = _signature(num, den, order)
+    if all(2 * step % d == 0 for d in c):
+        return _eta_quotient(const, c, order)
+    return _quotient(num, den, order)
 
 
 def _symbols(symbols: list[tuple[int, int]], step: int, order: int) -> Counter:
@@ -319,16 +492,23 @@ def pochhammer(arg: SignedMonomial, step: int, order: int) -> TruncatedSeries:
 
     Factors whose exponent reaches the order contribute nothing mod q^order.
     """
+    _check_args(order, step=step)
     if step < 1:
         raise ValueError(f"Pochhammer step must be >= 1, got {step}")
     if arg.sign == 1 and arg.exponent == 0:
         raise ZeroFactor("(q^0; .)_inf contains the factor 1 - 1 = 0")
-    return _quotient(_symbols([(arg.sign, arg.exponent)], step, order), Counter(), order)
+    return _product(_symbols([(arg.sign, arg.exponent)], step, order), Counter(), order, step)
+
+
+def _phi_factors(order: int) -> tuple[Counter, Counter]:
+    """The binomial factors of (q^4;q^4)^4 above and (q^2;q^2)^2 below the bar."""
+    return _symbols([(1, 4)] * 4, 4, order), _symbols([(1, 2)] * 2, 2, order)
 
 
 def phi(order: int) -> TruncatedSeries:
     """The even quotient (q^4;q^4)_inf^4 / (q^2;q^2)_inf^2."""
-    return _quotient(_symbols([(1, 4)] * 4, 4, order), _symbols([(1, 2)] * 2, 2, order), order)
+    _check_args(order)
+    return _product(*_phi_factors(order), order, 4)
 
 
 # -- the named series ---------------------------------------------------------
@@ -466,6 +646,7 @@ def d2_split_product(order: int) -> TruncatedSeries:
 
         (Sum_{i>=0} q^i/(1+q^(2i+1))) * (Sum_{j>=0} q^(2j+2)/(1+q^(2j+1))).
     """
+    _check_args(order)
     left = [0] * order
     for i in range(0, order):
         _add_geometric(left, i, 2 * i + 1, -1)
@@ -497,6 +678,9 @@ _BUILDERS: dict[SeriesId, Callable[[int], TruncatedSeries]] = {
 
 def named_series(sid: SeriesId, order: int) -> TruncatedSeries:
     """Build any named series exactly through q^(order-1)."""
+    if not isinstance(sid, SeriesId):
+        raise UnsupportedSeries(f"named series are {[s.value for s in SeriesId]}, not {sid!r}")
+    _check_args(order)
     return _BUILDERS[sid](order)
 
 
@@ -531,6 +715,7 @@ def bilateral_sum(x: SignedMonomial, y: SignedMonomial, base: int, order: int) -
     as -y^(-1)Q^(-n) / (1 - y^(-1)Q^(-n)), which clears all negative
     exponents under the admissibility bounds.
     """
+    _check_args(order, base=base)
     _check_bilateral_bounds(x, y, base)
     coeffs = [0] * order
     sx, ex = x.sign, x.exponent
@@ -564,18 +749,26 @@ def entry29_rhs(x: SignedMonomial, y: SignedMonomial, base: int, order: int) -> 
 
     all Pochhammer symbols with step = base, x and y signed monomials.
     """
+    _check_args(order, base=base)
     _check_bilateral_bounds(x, y, base)
-    sx, ex = x.sign, x.exponent
-    sy, ey = y.sign, y.exponent
-    sxy = sx * sy
-    if ex + ey == base and sxy == 1:
+    if x.exponent + y.exponent == base and x.sign * y.sign == 1:
         raise ZeroFactor(
             "the (Q/xy; Q) factor starts 1 - q^0 = 0 when "
             "x.exponent + y.exponent = base with x.sign*y.sign = +1"
         )
+    return _product(*_entry29_factors(x, y, base, order), order, base)
+
+
+def _entry29_factors(
+    x: SignedMonomial, y: SignedMonomial, base: int, order: int
+) -> tuple[Counter, Counter]:
+    """The binomial factors of `entry29_rhs` above and below the bar."""
+    sx, ex = x.sign, x.exponent
+    sy, ey = y.sign, y.exponent
+    sxy = sx * sy
     num = [(1, base), (1, base), (sxy, ex + ey), (sxy, base - ex - ey)]
     den = [(sx, ex), (sx, base - ex), (sy, ey), (sy, base - ey)]
-    return _quotient(_symbols(num, base, order), _symbols(den, base, order), order)
+    return _symbols(num, base, order), _symbols(den, base, order)
 
 
 def _add_s_term(coeffs: list[int], m: int) -> None:
@@ -596,6 +789,7 @@ def s_window(lo: int, hi: int, order: int) -> TruncatedSeries:
 
     The full bilateral sum is the limit lo -> -inf, hi -> +inf.
     """
+    _check_args(order, lo=lo, hi=hi)
     if lo > hi:
         raise ValueError(f"empty window: lo={lo} > hi={hi}")
     coeffs = [0] * order
@@ -610,6 +804,7 @@ def halving_windows(count: int, order: int) -> Iterator[tuple[TruncatedSeries, T
     Both windows grow as running sums: each step adds the terms 1 - m and m
     to the first and the term m to the second.
     """
+    _check_args(order, count=count)
     full = [0] * order
     half = [0] * order
     for m in range(1, count + 1):

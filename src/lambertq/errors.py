@@ -42,7 +42,7 @@ class ParameterOutOfRange(LambertQError):
 
 
 class UnsupportedSeries(LambertQError):
-    """The lattice oracle has no expansion for the requested series."""
+    """No builder or lattice oracle exists for the requested series."""
 
 
 class NoConsistentSign(LambertQError):

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Optional
 from .constructors import (
     SeriesId,
     SignedMonomial,
+    _product_run,
     bilateral_sum,
     d2_split_product,
     entry29_rhs,
@@ -163,15 +164,12 @@ def _halving_rows(n: int, b: Builder) -> Iterable[Pair]:
 
 
 def _entry29_rows(n: int, b: Builder) -> Iterable[Pair]:
-    rhs: dict[tuple[frozenset[SignedMonomial], int], TruncatedSeries] = {}
+    # sides with one primitive eta signature, the swapped triple among them,
+    # share one expansion through the run's product cache
     for x, y, base in ENTRY29_TRIPLES:
         label = f"triple x={x}, y={y}, base={base}"
         lhs = bilateral_sum(x, y, base, n)
-        # the product form is symmetric in x and y: a swapped triple reuses it
-        key = (frozenset((x, y)), base)
-        if key not in rhs:
-            rhs[key] = entry29_rhs(x, y, base, n)
-        yield label, lhs, rhs[key]
+        yield label, lhs, entry29_rhs(x, y, base, n)
         if (x, y, base) == ENTRY29_TRIPLES[0]:
             yield label, lhs, 2 * b(S.PHI, n)
 
@@ -206,11 +204,14 @@ _PASS_NOTES = {
 # -- checkers --------------------------------------------------------------------
 
 
+@_product_run()
 def check_identity(ident: IdentityId, order: int, builder: Builder = named_series) -> IdentityReport:
     """Check one identity coefficient-exactly through q^(order-1).
 
     `builder` supplies the named series: `run_suite` passes its per-run
-    cache, and tests pass builders that inject faults.
+    cache, and tests pass builders that inject faults. The products a check
+    builds share E and their expansions (see `_product_run`), and so do
+    all the checks of one `run_suite`.
     """
     if order < 8:
         raise OrderTooSmall(f"identity checks need order >= 8, got {order}")
@@ -256,11 +257,12 @@ def run_suite(order: int, builder: Builder = named_series) -> list[IdentityRepor
     builder = functools.cache(builder)  # each named series is built once per run
     reports: list[IdentityReport] = []
     errors: list[tuple[IdentityId, Exception]] = []
-    for ident in IdentityId:
-        try:
-            reports.append(check_identity(ident, order, builder))
-        except Exception as exc:  # noqa: BLE001 - aggregation point
-            errors.append((ident, exc))
+    with _product_run(order):  # and E once, through the order I13's q-sides need
+        for ident in IdentityId:
+            try:
+                reports.append(check_identity(ident, order, builder))
+            except Exception as exc:  # noqa: BLE001 - aggregation point
+                errors.append((ident, exc))
     if errors:
         raise SuiteError(reports, errors)
     return reports

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lambertq import (
     ENTRY29_TRIPLES,
     DivergentSpec,
+    IdentityId,
     InvalidExponent,
     L1_SPEC,
     L2_SPEC,
@@ -23,8 +24,10 @@ from lambertq import (
     SeriesId,
     SignedMonomial,
     TruncatedSeries,
+    UnsupportedSeries,
     ZeroFactor,
     bilateral_sum,
+    check_identity,
     d2_split_product,
     entry29_rhs,
     halving_windows,
@@ -34,6 +37,7 @@ from lambertq import (
     named_series,
     phi,
     pochhammer,
+    run_suite,
     s_window,
 )
 from lambertq import constructors
@@ -122,39 +126,53 @@ def factors(symbols, order):
     )
 
 
-# Admissible triples beyond ENTRY29_TRIPLES, each with the normal form
-# (const, g, numerator symbols, denominator symbols) that `_normal_form`
-# gives its product side at order 40, symbols as in `factors`.
+# Admissible triples beyond ENTRY29_TRIPLES, each with what its product side
+# builds at order 40: an eta quotient's (const, {d: c(d)}), the product
+# const * Prod_d E(q^d)^c(d), E = (q;q)_inf; or, for a wide signature, the
+# normal form (const, g, numerator symbols, denominator symbols) that
+# `_normal_form` gives `_quotient`, symbols as in `factors`.
 MORE_TRIPLES = {
     # (q, q^2, 4) swapped: y's pair cancels, leaving (Q;Q)^2/(q^2;Q)^2 = PHI
-    (SignedMonomial(1, 2), Q, 4): (1, 2, [(1, 4, 4, 2)], [(1, 2, 4, 2)]),
+    (SignedMonomial(1, 2), Q, 4): (1, {2: -2, 4: 4}),
     # base = 2*x.exponent + y.exponent with y.sign = +1: x's pair cancels,
-    # for (-q, q, 3) before (1 - q^k)(1 + q^k) could pair in the denominator
-    (SignedMonomial(-1, 1), Q, 3): (1, 1, [(1, 3, 3, 2)], [(1, 1, 3, 1), (1, 2, 3, 1)]),
+    # leaving (Q;Q)^2/((q;Q)(q^2;Q)) = E(q^3)^3/E(q), the 3-core product
+    (SignedMonomial(-1, 1), Q, 3): (1, {1: -1, 3: 3}),
+    # (Q;Q)^2/((q^3;Q)(q^4;Q)) with Q = q^7: c has 24 d below 40, most not
+    # dividing 14, so it stays on `_quotient`
     (SignedMonomial(1, 2), SignedMonomial(1, 3), 7): (1, 1, [(1, 7, 7, 2)], [(1, 3, 7, 1), (1, 4, 7, 1)]),
-    # the first of the two above, swapped
-    (Q, SignedMonomial(-1, 1), 3): (1, 1, [(1, 3, 3, 2)], [(1, 1, 3, 1), (1, 2, 3, 1)]),
+    # (-q, q, 3) swapped
+    (Q, SignedMonomial(-1, 1), 3): (1, {1: -1, 3: 3}),
     # exponents as in (q, q, 3), but the signs keep every factor
-    (SignedMonomial(-1, 1), SignedMonomial(-1, 1), 3): (
-        1,
-        1,
-        [(1, 3, 3, 2), (1, 1, 3, 1), (1, 2, 3, 1)],
-        [(-1, 1, 3, 2), (-1, 2, 3, 2)],
-    ),
+    (SignedMonomial(-1, 1), SignedMonomial(-1, 1), 3): (1, {1: 3, 2: -2, 3: -1, 6: 2}),
     # (Q/xy; Q) = (-1; Q) gives the constant 2; then (Q;Q)^2 (-Q;Q)^2 pairs
     # into (q^10;q^10)^2 and the denominator into (q^4;q^10)(q^6;q^10)
     (SignedMonomial(-1, 2), SignedMonomial(1, 3), 5): (2, 2, [(1, 10, 10, 2)], [(1, 4, 10, 1), (1, 6, 10, 1)]),
 }
 
-NORMAL_FORMS_AT_40 = [
-    # 2 (q^4;q^4)^2/(q^2;q^4)^2: 2*PHI, all in q^2
-    (*ENTRY29_TRIPLES[0], (2, 2, [(1, 4, 4, 2)], [(1, 2, 4, 2)])),
-    # (Q;Q)^2 / ((q;Q)(q^2;Q)), nothing to pair
-    (*ENTRY29_TRIPLES[2], (1, 1, [(1, 3, 3, 2)], [(1, 1, 3, 1), (1, 2, 3, 1)])),
-    # (Q;Q)^2 / (q^2;Q)^2 with Q = q^4, in q^2
-    (*ENTRY29_TRIPLES[5], (1, 2, [(1, 4, 4, 2)], [(1, 2, 4, 2)])),
+BUILT_AT_40 = [
+    # 2 (q^4;q^4)^2/(q^2;q^4)^2 = 2 E(q^4)^4/E(q^2)^2: 2*PHI
+    (*ENTRY29_TRIPLES[0], (2, {2: -2, 4: 4})),
+    # (Q;Q)^2 / ((q;Q)(q^2;Q)) = E(q^3)^3/E(q)
+    (*ENTRY29_TRIPLES[2], (1, {1: -1, 3: 3})),
+    # (Q;Q)^2 / (q^2;Q)^2 with Q = q^4, PHI again
+    (*ENTRY29_TRIPLES[5], (1, {2: -2, 4: 4})),
     *((*t, form) for t, form in MORE_TRIPLES.items()),
 ]
+
+# every product the suite builds, as (const, c)
+SUITE_SIGNATURES = [
+    (*ENTRY29_TRIPLES[0], (2, {2: -2, 4: 4})),
+    (*ENTRY29_TRIPLES[1], (2, {2: -2, 4: 4})),
+    (*ENTRY29_TRIPLES[2], (1, {1: -1, 3: 3})),
+    (*ENTRY29_TRIPLES[3], (2, {2: -1, 6: 3})),
+    (*ENTRY29_TRIPLES[4], (1, {1: -2, 2: 4})),
+    (*ENTRY29_TRIPLES[5], (1, {2: -2, 4: 4})),
+    (*ENTRY29_TRIPLES[6], (2, {4: -2, 8: 4})),
+]
+
+# (q^2, q^3, 7) and (q, q^2, 5): wide signatures, expanded by `_quotient`
+WIDE_TRIPLES = [(Q2, SignedMonomial(1, 3), 7), (Q, Q2, 5)]
+MORE_TRIPLES_WIDE_5 = (SignedMonomial(-1, 2), SignedMonomial(1, 3), 5)
 
 
 def quotient_by_factors(num, den, order):
@@ -612,20 +630,28 @@ class TestQuotientsByDivision:
     def test_swapped_triple_gives_the_same_series(self, x, y, base):
         assert entry29_rhs(x, y, base, 300) == entry29_rhs(y, x, base, 300)
 
-    @pytest.mark.parametrize("x,y,base,built", NORMAL_FORMS_AT_40)
+    @pytest.mark.parametrize("x,y,base,built", BUILT_AT_40)
     def test_cancelled_symbols_are_not_built(self, monkeypatch, x, y, base, built):
-        # what is left to expand once the quotient is in normal form
+        # what is left to expand: an eta signature, or `_quotient`'s normal form
         seen = []
-        normal_form = constructors._normal_form
+        normal_form, eta_quotient = constructors._normal_form, constructors._eta_quotient
 
-        def recording(num, den, order):
+        def recording_form(num, den, order):
             seen.append(normal_form(num, den, order))
             return seen[-1]
 
-        monkeypatch.setattr(constructors, "_normal_form", recording)
+        def recording_eta(const, c, order):
+            seen.append((const, c))
+            return eta_quotient(const, c, order)
+
+        monkeypatch.setattr(constructors, "_normal_form", recording_form)
+        monkeypatch.setattr(constructors, "_eta_quotient", recording_eta)
         entry29_rhs(x, y, base, 40)
-        const, g, num, den = built
-        assert seen == [(const, g, factors(num, 40), factors(den, 40))]
+        if len(built) == 2:
+            assert seen == [built]
+        else:
+            const, g, num, den = built
+            assert seen == [(const, g, factors(num, 40), factors(den, 40))]
 
     @pytest.mark.parametrize(
         "num,den,form",
@@ -646,22 +672,44 @@ class TestQuotientsByDivision:
     @pytest.mark.parametrize(
         "build,divisions",
         [
-            # in q^2 at order 20 the root (q^4;q^4)/(q^2;q^4) is expanded in
-            # descending exponent, and `mul` squares it; each step e = 1, 3,
-            # ..., 19 below the bar follows e + 1 above it, so only the tail
-            # [e + 1, 20) is divided, and not at all once e + (e + 1) >= 20
-            (lambda: entry29_rhs(*ENTRY29_TRIPLES[0], 40), {(19 - e, e, 1): 1 for e in range(1, 10, 2)}),
-            (lambda: phi(40), {(19 - e, e, 1): 1 for e in range(1, 10, 2)}),
-            # the odd part 1/((q;q^3)(q^2;q^3)) keeps g = 1: each step divides
-            # the tail from the step before it, the next k with 3 not dividing k
-            (
-                lambda: entry29_rhs(*ENTRY29_TRIPLES[2], 40),
-                {(40 - up, e, 1): 1 for e, up in zip(Q3_STEPS, Q3_STEPS[1:]) if e + up < 40},
-            ),
+            # 2 E(q^4)^4/E(q^2)^2 and PHI are E(q^2)^4/E(q)^2 in q^2: at order
+            # 40, two sparse divisions of 20 terms by E, whose nonzero terms
+            # below q^20 sit at 1, 2, 5, 7, 12, 15
+            (lambda: entry29_rhs(*ENTRY29_TRIPLES[0], 40), {(20, 1, 6): 2}),
+            (lambda: phi(40), {(20, 1, 6): 2}),
+            # E(q^3)^3/E(q) keeps g = 1: one division by E's terms below q^40,
+            # at 1, 2, 5, 7, 12, 15, 22, 26, 35
+            (lambda: entry29_rhs(*ENTRY29_TRIPLES[2], 40), {(40, 1, 9): 1}),
         ],
         ids=["2phi-triple", "phi", "q-q-3"],
     )
     def test_divisions_run_in_q_to_the_g(self, monkeypatch, build, divisions):
+        # (terms divided, first exponent of the divisor, its nonzero terms)
+        seen = Counter()
+        divide_sparse = constructors._divide_sparse
+
+        def recording(coeffs, terms):
+            seen[len(coeffs), terms[0][0], len(terms)] += 1
+            divide_sparse(coeffs, terms)
+
+        monkeypatch.setattr(constructors, "_divide_sparse", recording)
+        monkeypatch.setattr(constructors, "geometric_mul_inplace", None)  # no factor route
+        build()
+        assert seen == divisions
+
+    @pytest.mark.parametrize(
+        "build,steps,n",
+        [
+            # 1/((q^3;q^7)(q^4;q^7)) is expanded in descending exponent: each
+            # step divides the tail from the step before it, and not at all
+            # once the two add up to n
+            (lambda: entry29_rhs(*WIDE_TRIPLES[0], 40), [k for k in range(1, 40) if k % 7 in (3, 4)], 40),
+            # 2 (q^10;q^10)^2/((q^4;q^10)(q^6;q^10)) in q^2, 20 terms
+            (lambda: entry29_rhs(*MORE_TRIPLES_WIDE_5, 40), [k for k in range(1, 20) if k % 5 in (2, 3)], 20),
+        ],
+        ids=["q2-q3-7", "mq2-q3-5"],
+    )
+    def test_wide_quotients_divide_tails_in_q_to_the_g(self, monkeypatch, build, steps, n):
         seen = Counter()
 
         def recording(coeffs, step, sign):
@@ -670,21 +718,28 @@ class TestQuotientsByDivision:
 
         monkeypatch.setattr(constructors, "geometric_mul_inplace", recording)
         build()
-        assert seen == divisions
+        assert seen == {(n - up, e, 1): 1 for e, up in zip(steps, steps[1:]) if e + up < n}
 
     @pytest.mark.parametrize(
         "build,squared",
         [
-            # the roots (q^4;q^4)/(q^2;q^4) in q^2, (q^3;q^3) and (q^2;q^2)/(q;q^2)
-            (lambda: phi(40), [20]),
-            (lambda: entry29_rhs(*ENTRY29_TRIPLES[0], 40), [20]),
-            # (q, q, 3) also has an odd part, 1/((q;q^3)(q^2;q^3)), joined by one more `mul`
-            (lambda: entry29_rhs(*ENTRY29_TRIPLES[2], 40), [40, ("join", 40, 40)]),
-            (lambda: entry29_rhs(*ENTRY29_TRIPLES[4], 40), [40]),
-            # no factor repeats: the root is 1 and nothing is squared
+            # on the E route each positive c(d) raises E by squaring: E^4 is
+            # E^2 squared, in PHI from E through 10 terms (20 in q^2, / 2)
+            (lambda: phi(40), [10, 10]),
+            (lambda: entry29_rhs(*ENTRY29_TRIPLES[0], 40), [10, 10]),
+            # E(q^3)^3: E through 14 terms squared, joined to E by one more `mul`
+            (lambda: entry29_rhs(*ENTRY29_TRIPLES[2], 40), [14, ("join", 14, 14)]),
+            # E(q^2)^4/E(q)^2
+            (lambda: entry29_rhs(*ENTRY29_TRIPLES[4], 40), [20, 20]),
+            # (q;q) is E itself: nothing is squared
             (lambda: pochhammer(Q, 1, 40), []),
+            # on `_quotient`, the root (q^7;q^7) is squared and joined to the
+            # odd part 1/((q^3;q^7)(q^4;q^7))
+            (lambda: entry29_rhs(*WIDE_TRIPLES[0], 40), [40, ("join", 40, 40)]),
+            # no factor of (q;q^3) repeats: the root is 1 and nothing is squared
+            (lambda: pochhammer(Q, 3, 40), []),
         ],
-        ids=["phi", "2phi-triple", "q-q-3", "q-q-4", "pochhammer"],
+        ids=["phi", "2phi-triple", "q-q-3", "q-q-4", "pochhammer", "q2-q3-7", "pochhammer-step-3"],
     )
     def test_the_root_is_squared_by_one_mul(self, monkeypatch, build, squared):
         seen = []
@@ -734,6 +789,200 @@ class TestQuotientsByDivision:
     def test_order_below_one_rejected(self, build, order):
         with pytest.raises(OrderTooSmall):
             build(order)
+
+
+def factor_route(num, den, order):
+    """The product of binomial factors by `_quotient`, on copies it may consume."""
+    return constructors._quotient(Counter(num), Counter(den), order)
+
+
+def eta_route(num, den, order):
+    """The product of binomial factors forced through E, whatever its signature."""
+    return constructors._eta_quotient(*constructors._signature(num, den, order), order)
+
+
+def routed_to_eta(num, den, order, step):
+    _, c = constructors._signature(num, den, order)
+    return all(2 * step % d == 0 for d in c)
+
+
+# (s*q^a; q^step) for both signs, a = 0..3 (but the zero factor) and steps 1..6
+POCHHAMMER_CASES = [
+    (SignedMonomial(s, a), step)
+    for s in (1, -1)
+    for a in range(4)
+    for step in range(1, 7)
+    if (s, a) != (1, 0)
+]
+
+
+class TestEtaRoute:
+    """Products whose signature divides twice their step go through one E;
+    the rest stay on `_quotient`, the factor route, which is the reference."""
+
+    @pytest.mark.parametrize("x,y,base", admissible_triples(6))
+    def test_every_triple_up_to_base_6_matches_the_factor_route(self, x, y, base):
+        for order in [*range(1, 61), 300]:
+            factors_ = constructors._entry29_factors(x, y, base, order)
+            assert eta_route(*factors_, order) == factor_route(*factors_, order), order
+        factors_ = constructors._entry29_factors(x, y, base, 2000)
+        if routed_to_eta(*factors_, 2000, base):
+            assert entry29_rhs(x, y, base, 2000) == factor_route(*factors_, 2000)
+
+    def test_phi_matches_the_factor_route(self):
+        for order in [*range(1, 61), 300, 2000]:
+            factors_ = constructors._phi_factors(order)
+            assert phi(order) == factor_route(*factors_, order), order
+            assert eta_route(*factors_, order) == factor_route(*factors_, order), order
+
+    @pytest.mark.parametrize("arg,step", POCHHAMMER_CASES, ids=str)
+    def test_pochhammer_matches_the_factor_route(self, arg, step):
+        for order in [*range(1, 61), 300]:
+            num = constructors._symbols([(arg.sign, arg.exponent)], step, order)
+            assert eta_route(num, Counter(), order) == factor_route(num, Counter(), order), order
+        num = constructors._symbols([(arg.sign, arg.exponent)], step, 2000)
+        if routed_to_eta(num, Counter(), 2000, step):
+            assert pochhammer(arg, step, 2000) == factor_route(num, Counter(), 2000)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: pochhammer(Q, 3, n),
+            *(lambda n, t=t: entry29_rhs(*t, n) for t in WIDE_TRIPLES),
+        ],
+        ids=["pochhammer-q-3", "q2-q3-7", "q-q2-5"],
+    )
+    def test_wide_signatures_stay_on_the_factor_route(self, monkeypatch, build):
+        monkeypatch.setattr(constructors, "_eta_quotient", None)
+        build(300)
+
+    @pytest.mark.parametrize(
+        "build",
+        [phi, *(lambda n, t=t: entry29_rhs(*t, n) for t in ENTRY29_TRIPLES)],
+        ids=["phi", *(f"triple-{i}" for i in range(len(ENTRY29_TRIPLES)))],
+    )
+    def test_suite_products_take_the_eta_route(self, monkeypatch, build):
+        monkeypatch.setattr(constructors, "_quotient", None)
+        build(300)
+
+    @pytest.mark.parametrize("x,y,base,signature", SUITE_SIGNATURES)
+    def test_suite_side_signatures(self, x, y, base, signature):
+        for order in (40, 300):
+            assert constructors._signature(*constructors._entry29_factors(x, y, base, order), order) == signature
+
+    def test_phi_signature(self):
+        assert constructors._signature(*constructors._phi_factors(300), 300) == (1, {2: -2, 4: 4})
+
+    def test_signature_drops_what_reaches_the_order(self):
+        # (-q^3; q^3) = E(q^6)/E(q^3); below q^6, E(q^6) is 1
+        for order, c in [(4, {3: -1}), (6, {3: -1}), (7, {3: -1, 6: 1}), (13, {3: -1, 6: 1})]:
+            num = constructors._symbols([(-1, 3)], 3, order)
+            assert constructors._signature(num, Counter(), order) == (1, c), order
+        # (-1; q) = 2 (-q; q): the constant leaves, and 1 + q^2 drops at order 4
+        num = constructors._symbols([(-1, 0)], 1, 4)
+        assert constructors._signature(num, Counter(), 4) == (2, {1: -1, 2: 1})
+
+    @pytest.fixture
+    def euler_builds(self, monkeypatch):
+        """The term counts of every E built, through the package's one builder."""
+        built = []
+        euler = constructors._euler
+
+        def counting(n):
+            built.append(n)
+            return euler(n)
+
+        monkeypatch.setattr(constructors, "_euler", counting)
+        return built
+
+    def test_one_e_per_suite_run(self, euler_builds):
+        run_suite(120)
+        assert euler_builds == [120]
+        run_suite(120)
+        assert euler_builds == [120, 120]
+
+    def test_a_standalone_check_builds_e_as_its_products_need_it(self, euler_builds):
+        # PHI is E(q^2)^4/E(q)^2 in q^2: I7 needs E only through 60 terms
+        assert check_identity(IdentityId.I7_S_EQ_QPHI, 120).passed
+        assert euler_builds == [60]
+        # I13's first side is 2*PHI; E through 120 terms then serves every
+        # later side
+        assert check_identity(IdentityId.I13_ENTRY29_INSTANCE, 120).passed
+        assert euler_builds == [60, 60, 120]
+
+    def test_a_run_sized_for_e_builds_it_once(self, euler_builds):
+        with constructors._product_run(120):
+            phi(120)
+            entry29_rhs(*ENTRY29_TRIPLES[2], 120)
+            pochhammer(Q, 1, 120)
+        assert euler_builds == [120]
+
+    def test_a_standalone_product_builds_only_what_it_needs(self, euler_builds):
+        # PHI is E(q^2)^4/E(q)^2 in q^2: E through 60 terms serves it at 120
+        phi(120)
+        entry29_rhs(*ENTRY29_TRIPLES[2], 120)
+        assert euler_builds == [60, 120]
+
+
+class TestConstructorArguments:
+    """Degenerate orders, steps, bases and series names raise structured errors."""
+
+    @pytest.mark.parametrize(
+        "build,name",
+        [
+            (lambda: phi(True), "order"),
+            (lambda: phi(2.0), "order"),
+            (lambda: entry29_rhs(*ENTRY29_TRIPLES[2], order=True), "order"),
+            (lambda: entry29_rhs(Q, Q, 3.0, 10), "base"),
+            (lambda: pochhammer(Q, 1, order=True), "order"),
+            (lambda: pochhammer(Q, step=True, order=10), "step"),
+            (lambda: pochhammer(Q, 2.0, 10), "step"),
+            (lambda: named_series(SeriesId.Z, 2.0), "order"),
+            (lambda: bilateral_sum(Q, Q, 3, 10.0), "order"),
+            (lambda: lambert_sum(L1_SPEC, True), "order"),
+            (lambda: s_window(1, 2.0, 10), "hi"),
+        ],
+        ids=[
+            "phi-bool",
+            "phi-float",
+            "entry29-bool-order",
+            "entry29-float-base",
+            "pochhammer-bool-order",
+            "pochhammer-bool-step",
+            "pochhammer-float-step",
+            "named-float-order",
+            "bilateral-float-order",
+            "lambert-bool-order",
+            "window-float-bound",
+        ],
+    )
+    def test_non_int_is_a_type_error_naming_the_argument(self, build, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            phi,
+            lambda n: pochhammer(Q, 1, n),
+            lambda n: entry29_rhs(*ENTRY29_TRIPLES[0], n),
+            lambda n: named_series(SeriesId.Y_DEF, n),
+            lambda n: named_series(SeriesId.Z, n),
+            lambda n: lambert_term(1, 1, 1, n),
+            lambda n: bilateral_sum(Q, Q, 3, n),
+            d2_split_product,
+        ],
+        ids=["phi", "pochhammer", "entry29_rhs", "Y_DEF", "Z", "lambert_term", "bilateral_sum", "d2_split"],
+    )
+    def test_order_below_one_has_one_message(self, build):
+        for order in (0, -2):
+            with pytest.raises(OrderTooSmall, match=rf"^a series needs order >= 1, got {order}$"):
+                build(order)
+
+    @pytest.mark.parametrize("sid", ["Z", None, 3])
+    def test_named_series_needs_a_series_id(self, sid):
+        with pytest.raises(UnsupportedSeries):
+            named_series(sid, 5)
 
 
 class TestPackedBuilders:

@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 import lambertq.harness
+from lambertq import constructors
 from lambertq import (
     ENTRY29_TRIPLES,
     IdentityId,
@@ -345,10 +346,23 @@ class TestBilateralRows:
             calls.append(args[:3])
             return original(*args)
 
+        divided = []
+        divide_sparse = constructors._divide_sparse
+
+        def recording(coeffs, terms):
+            divided.append(len(coeffs))
+            divide_sparse(coeffs, terms)
+
         monkeypatch.setattr(lambertq.harness, "entry29_rhs", counting)
-        pairs = list(_ROWS[IdentityId.I13_ENTRY29_INSTANCE](120, named_series))
-        # triples 0 and 1 swap x and y, so the second reuses the first's right side
-        assert calls == [ENTRY29_TRIPLES[0], *ENTRY29_TRIPLES[2:]]
+        monkeypatch.setattr(constructors, "_divide_sparse", recording)
+        with constructors._product_run():
+            pairs = list(_ROWS[IdentityId.I13_ENTRY29_INSTANCE](120, named_series))
+        assert calls == list(ENTRY29_TRIPLES)
+        # the run's cache shares each expansion: E(q^2)^4/E(q)^2 in 60 terms
+        # serves triples 0 and 1 (which swap x and y), 2*PHI and, in q^2 or
+        # q^4, triples 5 and 6; E(q^3)^3/E(q) in 120 terms serves triples 2
+        # and 3; only triple 4 needs the first through 120 terms
+        assert divided == [60, 60, 120, 120, 120]
         by_triple = [pairs[0], *pairs[2:]]
         flagship = bilateral_sum(*ENTRY29_TRIPLES[0], 120)
         assert pairs[1][1:] == (flagship, 2 * named_series(SeriesId.PHI, 120))
