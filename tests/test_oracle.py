@@ -5,6 +5,10 @@ multi-sums before the oracle existed, so they pin down the enumeration
 itself rather than echoing it.
 """
 
+import ast
+import random
+from pathlib import Path
+
 import pytest
 
 from lambertq import (
@@ -21,6 +25,7 @@ from lambertq import (
     pochhammer,
 )
 from lambertq.constructors import SignedMonomial
+from lambertq import oracle
 from lambertq.oracle import _enumerate
 
 # every named series but PHI has a display the oracle enumerates
@@ -87,6 +92,91 @@ HAND_EXPANDED_TERMS = {
 @pytest.mark.parametrize("term", list(HAND_EXPANDED_TERMS))
 def test_enumerate_single_terms(term):
     assert _enumerate([0] * 10, [term]) == HAND_EXPANDED_TERMS[term]
+
+
+@pytest.mark.parametrize("term", list(HAND_EXPANDED_TERMS))
+def test_enumerate_single_terms_through_stride_tables(term):
+    # at order 10 no step is short enough for a stride table; at order 80
+    # every step below 10 is, and the first ten coefficients are the same
+    assert _enumerate([0] * 80, [term])[:10] == HAND_EXPANDED_TERMS[term]
+
+
+def _reference(coeffs, terms):
+    """Add w * s1^u * s2^v to q^(a+ub+vc) for every u, v >= 0, in that order."""
+    order = len(coeffs)
+    for w, a, s1, b, s2, c in terms:
+        c = order if c is None else c
+        u = 0
+        while a + u * b < order:
+            v = 0
+            while a + u * b + v * c < order:
+                coeffs[a + u * b + v * c] += w * s1**u * s2**v
+                v += 1
+            u += 1
+    return coeffs
+
+
+# (order, term) pairs on the edges of the stride tables, where order // 8
+# is the first step walked point by point
+EDGE_TERMS = [
+    *((40, (1, 0, s1, 3, s2, 1)) for s1 in (1, -1) for s2 in (1, -1)),  # c = 1
+    *((40, (-2, 1, s1, 3, s2, 3)) for s1 in (1, -1) for s2 in (1, -1)),  # b == c
+    *((64, (3, 2, s1, 9, s2, 7)) for s1 in (1, -1) for s2 in (1, -1)),  # c on order // 8 - 1
+    *((64, (3, 2, s1, 11, s2, 8)) for s1 in (1, -1) for s2 in (1, -1)),  # c on order // 8
+    (40, (1, 37, 1, 50, -1, 4)),  # a + c >= order: the second mark falls off
+    (40, (1, 35, -1, 2, -1, 4)),  # and falls off on the later outer steps
+    (40, (7, 39, -1, 1, -1, 1)),  # a = order - 1
+    (40, (7, 40, -1, 1, -1, 1)),  # a >= order
+    (40, (7, 45, 1, 2, 1, 1)),
+    (40, (5, 3, -1, 2, 1, None)),  # no second factor
+    (40, (5, 3, 1, 60, -1, None)),
+    (120, (10**40, 1, -1, 2, -1, 3)),
+    (120, (-(10**40), 4, 1, 9, -1, 2)),
+]
+
+
+@pytest.mark.parametrize("order,term", EDGE_TERMS)
+def test_enumerate_matches_reference_on_edge_terms(order, term):
+    assert _enumerate([0] * order, [term]) == _reference([0] * order, [term])
+
+
+def _random_term(rng, order):
+    w = rng.choice([1, -1, rng.randint(-9, 9), 10**40, -(10**40)])
+    a = rng.choice([0, 1, rng.randrange(order), order - 1, order, order + 3])
+    b = rng.choice([1, rng.randint(1, order // 4 + 1), rng.randint(1, order + 4)])
+    c = rng.choice([None, 1, b, rng.randint(1, order // 8 + 2), rng.randint(1, order + 4)])
+    return (w, a, rng.choice([1, -1]), b, rng.choice([1, -1]), c)
+
+
+@pytest.mark.parametrize("order", [16, 17, 23, 40, 63, 64, 65, 97, 120])
+def test_enumerate_matches_reference_on_random_terms(order):
+    rng = random.Random(order)
+    for _ in range(60):
+        term = _random_term(rng, order)
+        assert _enumerate([0] * order, [term]) == _reference([0] * order, [term]), term
+    for _ in range(30):
+        terms = [_random_term(rng, order) for _ in range(rng.randint(2, 12))]
+        start = [rng.randint(-5, 5) for _ in range(order)]
+        assert _enumerate(start[:], terms) == _reference(start[:], terms), terms
+
+
+def test_oracle_imports_nothing_else_from_the_package():
+    """The oracle shares only names with the rest of lambertq, no code."""
+    allowed = {"constructors": {"SeriesId"}, "series": {"TruncatedSeries"}, "errors": None}
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    seen = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "lambertq" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                assert node.module.split(".")[0] != "lambertq", node.module
+                continue
+            assert node.level == 1 and node.module in allowed, node.module
+            if allowed[node.module] is not None:
+                assert {alias.name for alias in node.names} == allowed[node.module]
+            seen.add(node.module)
+    assert seen == set(allowed)
 
 
 def test_enumerate_adds_terms_onto_the_list():
@@ -166,6 +256,13 @@ class TestPartitions:
             with pytest.raises(OrderTooSmall):
                 oracle_partitions(1, 1, order)
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, False, "2", None])
+    def test_non_int_parameters_are_type_errors(self, value):
+        with pytest.raises(TypeError, match=f"colors must be an int, got {value!r}"):
+            oracle_partitions(value, 1, 6)
+        with pytest.raises(TypeError, match=f"part_modulus must be an int, got {value!r}"):
+            oracle_partitions(2, value, 6)
+
     def test_counting_function_matches_series(self):
         for n, expected in enumerate(PARTITION_COUNTS):
             assert oracle_partition_count(n) == expected
@@ -173,6 +270,11 @@ class TestPartitions:
     def test_counting_function_rejects_negative(self):
         with pytest.raises(ValueError):
             oracle_partition_count(-1)
+
+    @pytest.mark.parametrize("n", [1.5, True, "3", None])
+    def test_counting_function_rejects_non_int(self, n):
+        with pytest.raises(TypeError, match=f"n must be an int, got {n!r}"):
+            oracle_partition_count(n)
 
 
 class TestDivisorLambert:
@@ -202,6 +304,13 @@ class TestDivisorLambert:
             oracle_divisor_lambert(2, 1, 5)
         with pytest.raises(ValueError):
             oracle_divisor_lambert(1, 0, 5)
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, -1.0, True, False, "1", None])
+    def test_non_int_parameters_are_type_errors(self, value):
+        with pytest.raises(TypeError, match=f"sigma must be an int, got {value!r}"):
+            oracle_divisor_lambert(value, 1, 6)
+        with pytest.raises(TypeError, match=f"t must be an int, got {value!r}"):
+            oracle_divisor_lambert(1, value, 6)
 
 
 class TestPhiOracle:
