@@ -6,7 +6,10 @@ multiplication by a binomial factor (1 - s*q^e). The single sums, `Y_DEF`
 and the products make these moves on coefficient lists, where the division
 and the binomial factor are slice operations that run in CPython's C loops,
 and `_add_geometric` is the one place a geometric run is added to a list.
-The double sums `Y_EQ1`, `Y_EQ2`, `Z`, `A`, `B` and `B1` make them on one
+`Y_DEF` adds each (m, n) term as a run along the smaller of its two steps
+into the group of that step, and divides each group once by the other
+factor its terms share, so about 1.5*sqrt(order) divisions are made. The
+double sums `Y_EQ1`, `Y_EQ2`, `Z`, `A`, `B` and `B1` make them on one
 Kronecker-packed integer (`series._Packing`), where each slice is a shift,
 a division and an add in CPython's bigint code. No rational-function
 arithmetic exists anywhere; each display is expanded exactly through the
@@ -203,13 +206,13 @@ def _add_geometric(coeffs: list[int], a: int, b: int, s: int, weight: int = 1) -
 
 def lambert_term(a: int, b: int, s: int, order: int) -> TruncatedSeries:
     """The single term q^a / (1 - s*q^b), expanded geometrically."""
+    _check_args(order, a=a, b=b, s=s)
     if b < 1:
         raise InvalidExponent(f"denominator exponent must be >= 1, got {b}")
     if a < 0:
         raise InvalidExponent(f"numerator exponent must be >= 0, got {a}")
     if s not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {s}")
-    _check_args(order)
     coeffs = [0] * order
     _add_geometric(coeffs, a, b, s)
     return TruncatedSeries._trusted(coeffs)
@@ -516,25 +519,38 @@ def phi(order: int) -> TruncatedSeries:
 
 def _build_y_def(order: int) -> TruncatedSeries:
     # Sum_{m,n>=1} (-1)^m q^(2mn+m) / ((1+q^n)(1-q^(2m-1))).
-    # The 1/(1+q^n) factor is tied to n, so expand it per (m, n) pair;
-    # 1/(1-q^(2m-1)) distributes over the n-sum and is divided out once
-    # per m-slice. The slice h holds the m-slice from q^(3m) on, where its
-    # (m, n) term q^(2mn+m) - q^(2mn+m+n) + ... is the geometric run
-    # h[2m(n-1)]/(1 + q^n). This stays on lists: packed, each of the
-    # ~order*ln(order) pair terms would cost a full-width operation, which
-    # measured slower.
+    # Each (m, n) term is a geometric run along one of its two steps,
+    # divided by the other factor, and division is linear: the terms that
+    # share a divisor are summed first and divided once. A term goes into
+    # the group of its smaller step, a tie n = 2m-1 into the group of m.
+    # The group of m holds the runs along n >= 2m-1 (sign -1) and is
+    # divided by 1 - q^(2m-1); the group of n holds the runs along
+    # 2m-1 > n (sign +1) and is divided by 1 + q^n. Each group's list
+    # starts at its least exponent; about 1.5*sqrt(order) groups exist.
+    # Every term keeps its own factor 1/(1+q^n): re-indexing it into a tail
+    # of q^t/(1-q^t) would turn this display into Y_EQ1's. This stays
+    # on lists: packed, each of the ~order*ln(order) pair terms would cost
+    # a full-width operation, which measured slower.
     out = [0] * order
     m = 1
-    while 3 * m < order:
-        lo = 3 * m
+    while m * (4 * m - 1) < order:  # the tie n = 2m-1 leads the group of m
+        lo = m * (4 * m - 1)
         h = [0] * (order - lo)
-        n = 1
-        while 2 * m * n + m < order:  # leading exponent of the (m, n) term
-            _add_geometric(h, 2 * m * (n - 1), n, -1)
-            n += 1
+        w = -1 if m % 2 else 1
+        for n in range(2 * m - 1, (order - 1 - m) // (2 * m) + 1):
+            _add_geometric(h, m * (2 * n + 1) - lo, n, -1, w)
         geometric_mul_inplace(h, 2 * m - 1, 1)
-        out[lo:] = map(sub if m % 2 else add, out[lo:], h)
+        out[lo:] = map(add, out[lo:], h)
         m += 1
+    n = 1
+    while (n + 3) // 2 * (2 * n + 1) < order:  # the least m with 2m-1 > n leads the group of n
+        lo = (n + 3) // 2 * (2 * n + 1)
+        h = [0] * (order - lo)
+        for m in range((n + 3) // 2, (order - 1) // (2 * n + 1) + 1):
+            _add_geometric(h, m * (2 * n + 1) - lo, 2 * m - 1, 1, -1 if m % 2 else 1)
+        geometric_mul_inplace(h, n, -1)
+        out[lo:] = map(add, out[lo:], h)
+        n += 1
     return TruncatedSeries._trusted(out)
 
 
@@ -802,13 +818,18 @@ def halving_windows(count: int, order: int) -> Iterator[tuple[TruncatedSeries, T
     """The pairs (s_window(1 - m, m, order), s_window(1, m, order)) for m = 1..count.
 
     Both windows grow as running sums: each step adds the terms 1 - m and m
-    to the first and the term m to the second.
+    to the first and the term m to the second. The arguments are checked
+    when it is called, not at the first pair.
     """
     _check_args(order, count=count)
-    full = [0] * order
-    half = [0] * order
-    for m in range(1, count + 1):
-        _add_s_term(full, 1 - m)
-        _add_s_term(full, m)
-        _add_s_term(half, m)
-        yield TruncatedSeries._trusted(full), TruncatedSeries._trusted(half)
+
+    def pairs() -> Iterator[tuple[TruncatedSeries, TruncatedSeries]]:
+        full = [0] * order
+        half = [0] * order
+        for m in range(1, count + 1):
+            _add_s_term(full, 1 - m)
+            _add_s_term(full, m)
+            _add_s_term(half, m)
+            yield TruncatedSeries._trusted(full), TruncatedSeries._trusted(half)
+
+    return pairs()

@@ -4,14 +4,15 @@
 of `_DISPLAYS`: index ranges, and one term w*q^a/((1 - s1*q^b)(1 - s2*q^c))
 per index tuple, the second factor optional. One enumerator, `_enumerate`,
 adds the lattice points Sum_{u,v>=0} w * s1^u * s2^v * q^(a+ub+vc) of every
-term to a coefficient list: a run along a short step leaves one or two
-marks in a table for its stride, which one running sum per residue class
-spreads over the run's points, and a run along a long step is added point
-by point. Nothing is shared with the constructors but the `SeriesId` names:
-no `LambertSpec` constant, slot bound, geometric kernel or product of
-series. `oracle_phi` alone counts the lattice points of another series,
-equal to PHI by a classical theorem, so it is a cross-check of PHI rather
-than of its display.
+term to a coefficient list: a run along a short inner step leaves one or
+two marks in a table for its stride, which one running sum per residue
+class spreads over the run's points, and a run along a long step, or the
+one run of a term with no second factor, is added point by point. Nothing
+is shared with the constructors but the `SeriesId` names: no `LambertSpec`
+constant, slot bound, geometric kernel or product of series. `oracle_phi`
+alone counts the lattice points of another series, equal to PHI by a
+classical theorem, so it is a cross-check of PHI rather than of its
+display.
 """
 
 from __future__ import annotations
@@ -59,10 +60,10 @@ def _zeros(order: int) -> list[int]:
 def _enumerate(coeffs: list[int], terms: Iterable[_Term]) -> list[int]:
     """Add every lattice point of every term to `coeffs`.
 
-    The outer step u walks the larger of b and c and the inner step v the
-    smaller, each with its own sign; a missing c is order, since
-    1/(1 - s2*q^order) is 1 mod q^order. The outer weight flips only for an
-    outer sign -1. An inner run a, a+c, a+2c, ... with c below
+    A term with no second factor is one run along b, walked point by point.
+    Otherwise the outer step u walks the larger of b and c and the inner
+    step v the smaller, each with its own sign. The outer weight flips only
+    for an outer sign -1. An inner run a, a+c, a+2c, ... with c below
     order // _TABLE_DIVISOR is not walked: it leaves one mark, +w at a, in a
     table for stride c (s2 = +1), or two, +w at a and -w at a+c, in a table
     for stride 2c (s2 = -1). Once every term is read, a running sum of each
@@ -75,8 +76,13 @@ def _enumerate(coeffs: list[int], terms: Iterable[_Term]) -> list[int]:
     cut = order // _TABLE_DIVISOR
     tables: dict[int, list[int]] = {}  # stride -> marks
     for w, a, s1, b, s2, c in terms:
-        if c is None:
-            c = order
+        if c is None:  # one run: a table would cost O(order) for its order/b points
+            while a < order:
+                coeffs[a] += w
+                if s1 == -1:
+                    w = -w
+                a += b
+            continue
         if b < c:  # from here on (s1, b) is the outer step, (s2, c) the inner
             s1, b, s2, c = s2, c, s1, b
         if c < cut:

@@ -12,7 +12,8 @@ computed before the packed double sums sized their slots from order^2 and
 before product quotients were squared from a root; they pin the widest
 slots, 3 bytes up to order 2896 and 4 bytes at 5000. The `Y_DEF` digests
 at those orders were computed before its m-slices started at q^(3m) and
-its alternating runs became strided slices. A `verify` digest
+its alternating runs became strided slices, and so before its terms were
+grouped by their smaller step. A `verify` digest
 hashes the JSON rows with their `elapsed_ms` removed, re-dumped as the CLI
 prints them; an `expand` digest hashes the CLI's whole stdout.
 """

@@ -361,6 +361,33 @@ def y_def_by_lists(order):
     return out
 
 
+def y_def_by_slices(order):
+    # the builder before its terms were grouped by their smaller step: one
+    # m-slice from q^(3m) per m, each divided by 1 - q^(2m-1) and combined
+    out = [0] * order
+    m = 1
+    while 3 * m < order:
+        lo = 3 * m
+        h = [0] * (order - lo)
+        n = 1
+        while 2 * m * n + m < order:
+            constructors._add_geometric(h, 2 * m * (n - 1), n, -1)
+            n += 1
+        geometric_mul_inplace(h, 2 * m - 1, 1)
+        out[lo:] = map(sub if m % 2 else add, out[lo:], h)
+        m += 1
+    return out
+
+
+def y_def_group_leads(top):
+    """The least exponent of every `Y_DEF` group up to `top`: m(4m-1) for
+    the group of m (the tie n = 2m-1) and m(2n+1) for the group of n, m the
+    least index with 2m-1 > n."""
+    leads = {m * (4 * m - 1) for m in range(1, top)}
+    leads |= {(n + 3) // 2 * (2 * n + 1) for n in range(1, top)}
+    return sorted(lead for lead in leads if lead <= top)
+
+
 def expand_by_full_passes(num, den, g, n):
     """Reference `_expand`: from 1, each numerator factor and then each
     denominator factor in ascending exponent, every one a pass over the
@@ -941,6 +968,12 @@ class TestConstructorArguments:
             (lambda: bilateral_sum(Q, Q, 3, 10.0), "order"),
             (lambda: lambert_sum(L1_SPEC, True), "order"),
             (lambda: s_window(1, 2.0, 10), "hi"),
+            (lambda: lambert_term(0, 1.5, 1, 10), "b"),
+            (lambda: lambert_term(True, 1, 1, 10), "a"),
+            (lambda: lambert_term(0, 1, True, 10), "s"),
+            (lambda: lambert_term(0, 1, 1.0, 10), "s"),
+            (lambda: lambert_term(0, 1, 1, 10.0), "order"),
+            (lambda: halving_windows(1.5, 10), "count"),
         ],
         ids=[
             "phi-bool",
@@ -954,6 +987,12 @@ class TestConstructorArguments:
             "bilateral-float-order",
             "lambert-bool-order",
             "window-float-bound",
+            "lambert-term-float-step",
+            "lambert-term-bool-numerator",
+            "lambert-term-bool-sign",
+            "lambert-term-float-sign",
+            "lambert-term-float-order",
+            "halving-float-count",
         ],
     )
     def test_non_int_is_a_type_error_naming_the_argument(self, build, name):
@@ -1083,6 +1122,58 @@ class TestNamedSeries:
         for order in [*range(1, 41), 97, 300, 1000, 2000]:
             assert list(named_series(SeriesId.Y_DEF, order)) == y_def_by_lists(order), order
 
+    def test_y_def_matches_both_references_through_200(self):
+        for order in range(1, 201):
+            got = list(named_series(SeriesId.Y_DEF, order))
+            assert got == y_def_by_lists(order) == y_def_by_slices(order), order
+
+    def test_y_def_at_every_group_lead(self):
+        # a series through q^(N-1) is the prefix of the same series through
+        # any higher power, so one reference serves every order below it
+        reference = y_def_by_slices(2002)
+        orders = sorted({n for lead in y_def_group_leads(2000) for n in (lead - 1, lead, lead + 1)} - {0})
+        assert len(orders) > 150
+        for order in orders:
+            assert list(named_series(SeriesId.Y_DEF, order)) == reference[:order], order
+
+    def test_y_def_matches_the_m_slices_at_4000(self):
+        assert list(named_series(SeriesId.Y_DEF, 4000)) == y_def_by_slices(4000)
+
+    def test_y_def_takes_every_pair_once_in_the_group_of_its_smaller_step(self, monkeypatch):
+        run, divide = constructors._add_geometric, geometric_mul_inplace
+        for order in range(1, 201):
+            pending, taken, divisors = {}, Counter(), []
+
+            def recording_run(coeffs, a, b, s, weight=1):
+                # a group's list starts at q^(order - len): runs are kept by absolute exponent
+                runs = pending.setdefault(id(coeffs), (coeffs, []))[1]
+                runs.append((a + order - len(coeffs), b, s, weight))
+                run(coeffs, a, b, s, weight)
+
+            def recording_division(coeffs, step, sign):
+                _, runs = pending.pop(id(coeffs), (coeffs, []))
+                assert runs and min(a for a, *_ in runs) == order - len(coeffs), (order, step, sign)
+                divisors.append((step, sign))
+                taken.update((step, sign, *r) for r in runs)
+                divide(coeffs, step, sign)
+
+            monkeypatch.setattr(constructors, "_add_geometric", recording_run)
+            monkeypatch.setattr(constructors, "geometric_mul_inplace", recording_division)
+            named_series(SeriesId.Y_DEF, order)
+            assert not pending, order  # every run is divided
+            assert len(divisors) == len(set(divisors)), order  # each group once
+            expected = Counter()
+            for m in range(1, order):
+                for n in range(1, order):
+                    a, w = 2 * m * n + m, (-1) ** m
+                    if a >= order:
+                        break
+                    if n >= 2 * m - 1:  # a run along n in the group of m
+                        expected[2 * m - 1, 1, a, n, -1, w] += 1
+                    else:  # a run along 2m-1 in the group of n
+                        expected[n, -1, a, 2 * m - 1, 1, w] += 1
+            assert taken == expected, order
+
     def test_every_id_dispatches(self):
         for sid in SeriesId:
             f = named_series(sid, 10)
@@ -1198,3 +1289,11 @@ class TestHalvingWindows:
 
     def test_no_windows(self):
         assert list(halving_windows(0, 10)) == []
+
+    @pytest.mark.parametrize(
+        "count,order,error",
+        [(1.5, 10, TypeError), (True, 10, TypeError), (2, 0, OrderTooSmall), (2, 10.0, TypeError)],
+    )
+    def test_the_call_itself_checks_its_arguments(self, count, order, error):
+        with pytest.raises(error):
+            halving_windows(count, order)

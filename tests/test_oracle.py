@@ -140,6 +140,18 @@ def test_enumerate_matches_reference_on_edge_terms(order, term):
     assert _enumerate([0] * order, [term]) == _reference([0] * order, [term])
 
 
+@pytest.mark.parametrize("s1", [1, -1])
+@pytest.mark.parametrize("b", [1, 2, 7, 24])
+def test_enumerate_walks_a_single_run_below_the_table_cut(s1, b):
+    # at order 200 every b here is below order // 8 = 25, where a second
+    # factor's run would go through a stride table
+    order = 200
+    terms = [(3, 1, s1, b, 1, None), (-2, b, -s1, b + 1, -1, None)]
+    assert _enumerate([0] * order, terms) == _reference([0] * order, terms)
+    mixed = [*terms, (1, 2, s1, 30, -1, b)]  # and beside a run that is marked
+    assert _enumerate([0] * order, mixed) == _reference([0] * order, mixed)
+
+
 def _random_term(rng, order):
     w = rng.choice([1, -1, rng.randint(-9, 9), 10**40, -(10**40)])
     a = rng.choice([0, 1, rng.randrange(order), order - 1, order, order + 3])
