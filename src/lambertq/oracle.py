@@ -1,18 +1,21 @@
 """Lattice-enumeration ground truth.
 
 `oracle_expand` restates the display of each named series but PHI as a row
-of `_DISPLAYS`: index ranges, and one term w*q^a/((1 - s1*q^b)(1 - s2*q^c))
-per index tuple, the second factor optional. One enumerator, `_enumerate`,
-adds the lattice points Sum_{u,v>=0} w * s1^u * s2^v * q^(a+ub+vc) of every
-term to a coefficient list: a run along a short inner step leaves one or
-two marks in a table for its stride, which one running sum per residue
-class spreads over the run's points, and a run along a long step, or the
-one run of a term with no second factor, is added point by point. Nothing
-is shared with the constructors but the `SeriesId` names: no `LambertSpec`
-constant, slot bound, geometric kernel or product of series. `oracle_phi`
-alone counts the lattice points of another series, equal to PHI by a
-classical theorem, so it is a cross-check of PHI rather than of its
-display.
+of `_DISPLAYS`: families of terms w*ws^t * q^(a+t*da) / ((1 - s1*q^(b+t*db))
+(1 - s2*q^c)), t = 0..count-1, one index of the display held fixed and the
+other run as t, the second factor optional. One enumerator, `_enumerate`,
+adds the lattice points Sum_{u,v>=0} w * ws^t * s1^u * s2^v *
+q^(a+t*da+u*(b+t*db)+v*c) of every family to a coefficient list. For each
+outer step u the family's points lie on one progression, added by one
+strided slice; a run along a fixed step c below order // 8 leaves marks in a
+table for its stride, which one running sum per residue class spreads over
+the run's points, and a longer c, or none, is added straight. Once a row
+holds only a few terms, the rest of the family is those terms' own runs
+along u, one slice each. Nothing is shared with the constructors but the
+`SeriesId` names: no `LambertSpec` constant, slot bound, geometric kernel or
+product of series. `oracle_phi` alone counts the lattice points of another
+series, equal to PHI by a classical theorem, so it is a cross-check of PHI
+rather than of its display.
 """
 
 from __future__ import annotations
@@ -33,15 +36,24 @@ __all__ = [
     "oracle_phi",
 ]
 
-# (w, a, s1, b, s2, c) stands for w*q^a/((1 - s1*q^b)(1 - s2*q^c)); c may be None
-_Term = tuple[int, int, int, int, int, "int | None"]
+# (w, ws, a, da, s1, b, db, s2, c, count): the terms t = 0..count-1 of
+# w*ws^t * q^(a+t*da) / ((1 - s1*q^(b+t*db)) (1 - s2*q^c)); c may be None
+_Family = tuple[int, int, int, int, int, int, int, int, "int | None", int]
 
-# An inner run of step c < order // _TABLE_DIVISOR is marked in a stride
-# table; a longer step, about _TABLE_DIVISOR points or fewer, is walked. In
-# a sweep over the 13 displays at order 700 (best of 5, then of 9), divisors
-# 4 to 16 ran within noise of each other (0.89-1.02 s), 1 took 2.05 s and 32
-# took 1.30 s; the tables' peak was 1.29 MB at 4, 0.81 MB at 8, 0.49 at 16.
+# A run along a fixed step c < order // _TABLE_DIVISOR is marked in a stride
+# table; a longer step, about _TABLE_DIVISOR points or fewer, is added
+# straight. Swept over the family rows at orders 700 and 1500 (BENCH_15.json:
+# best of 9, each row against the term-by-term enumerator the families
+# replaced): divisors 4 and 16 ran up to 1.7x and 1.4x slower than 8 on a
+# double sum, 2 and 32 up to 3.7x and 2.3x.
 _TABLE_DIVISOR = 8
+# A run of fewer than _SHORT points is walked point by point, and a row of
+# fewer than _SHORT terms ends its family's rows: the rest is those terms'
+# own runs along u. In the same sweep the double sums ran within noise from
+# 8 to 32 (B1 21 % slower at 48 than at 24); below 16 Y_DEF and the single
+# sums slowed (at order 700 Y_DEF took 1.26x the term-by-term time at 4,
+# 1.05x at 8 and 0.86x at 24).
+_SHORT = 24
 
 
 def _check_int(name: str, value: object) -> None:
@@ -57,72 +69,82 @@ def _zeros(order: int) -> list[int]:
     return [0] * order
 
 
-def _enumerate(coeffs: list[int], terms: Iterable[_Term]) -> list[int]:
-    """Add every lattice point of every term to `coeffs`.
+def _add_run(target: list[int], p: int, step: int, n: int, w: int, ws: int) -> None:
+    """Add w * ws^j to target[p + j*step] for j < n: one strided slice, two
+    for ws = -1, or a walk for fewer than _SHORT points or a step of 0."""
+    if n < _SHORT or not step:
+        for _ in range(n):
+            target[p] += w
+            p += step
+            w *= ws
+    elif ws == 1:
+        stop = p + n * step
+        target[p:stop:step] = [x + w for x in target[p:stop:step]]
+    else:
+        stop, step2 = p + n * step, 2 * step
+        target[p:stop:step2] = [x + w for x in target[p:stop:step2]]
+        p += step
+        target[p:stop:step2] = [x - w for x in target[p:stop:step2]]
 
-    A term with no second factor is one run along b, walked point by point.
-    Otherwise the outer step u walks the larger of b and c and the inner
-    step v the smaller, each with its own sign. The outer weight flips only
-    for an outer sign -1. An inner run a, a+c, a+2c, ... with c below
-    order // _TABLE_DIVISOR is not walked: it leaves one mark, +w at a, in a
-    table for stride c (s2 = +1), or two, +w at a and -w at a+c, in a table
-    for stride 2c (s2 = -1). Once every term is read, a running sum of each
-    table along its stride, residue by residue, puts w on every point of
-    every run, and the table is added into `coeffs`. A longer step walks
-    its run point by point: the run has about _TABLE_DIVISOR points or
-    fewer, and a table would cost O(order).
+
+def _enumerate(coeffs: list[int], families: Iterable[_Family]) -> list[int]:
+    """Add every lattice point of every family of terms to `coeffs`.
+
+    Term t of a family has the points a + t*da + u*(b + t*db) + v*c,
+    u, v >= 0, weighted w * ws^t * s1^u * s2^v; the steps b and c are at
+    least 1 and da, db at least 0. The outer step u walks the step that
+    varies with t, and v the fixed step c. For each u the points with v = 0
+    of all the terms lie on one progression, start a + u*b and stride
+    da + u*db, and one strided slice adds them (`_add_run`). A c below
+    order // _TABLE_DIVISOR is not walked: the slice goes into a table for
+    stride c as marks +w (s2 = +1), or into one for stride 2c with second
+    marks -w at +c (s2 = -1). Once every family is read, a running sum of
+    each table along its stride, residue by residue, puts each mark on
+    every point of its run, and the table is added into `coeffs`. A longer
+    c, about _TABLE_DIVISOR points or fewer, or none (c is None: the run
+    along v is one point) adds the slice straight into `coeffs` once per v.
+    The points of a row only thin out as u grows, so once a row holds
+    fewer than _SHORT terms, no later row holds another: the rest of the
+    family is those terms' runs along u, stride b + t*db and sign s1, one
+    slice each, into the same table or straight.
     """
     order = len(coeffs)
+    top = order - 1
     cut = order // _TABLE_DIVISOR
     tables: dict[int, list[int]] = {}  # stride -> marks
-    for w, a, s1, b, s2, c in terms:
-        if c is None:  # one run: a table would cost O(order) for its order/b points
-            while a < order:
-                coeffs[a] += w
-                if s1 == -1:
-                    w = -w
-                a += b
-            continue
-        if b < c:  # from here on (s1, b) is the outer step, (s2, c) the inner
-            s1, b, s2, c = s2, c, s1, b
-        if c < cut:
-            stride = c if s2 == 1 else 2 * c
-            marks = tables.get(stride)
-            if marks is None:
-                marks = tables[stride] = [0] * order
-            if s2 == 1:
-                while a < order:
-                    marks[a] += w
-                    if s1 == -1:
-                        w = -w
-                    a += b
-            else:
-                while a < order:
-                    marks[a] += w
-                    if a + c < order:
-                        marks[a + c] -= w
-                    if s1 == -1:
-                        w = -w
-                    a += b
-        elif s2 == 1:
-            while a < order:
-                e = a
-                while e < order:
-                    coeffs[e] += w
-                    e += c
-                if s1 == -1:
-                    w = -w
-                a += b
-        else:
-            while a < order:
-                e, wv = a, w
-                while e < order:
-                    coeffs[e] += wv
-                    wv = -wv
-                    e += c
-                if s1 == -1:
-                    w = -w
-                a += b
+    for w, ws, a, da, s1, b, db, s2, c, count in families:
+        if c is None:  # the run along v is its first point
+            c = order
+        if c < cut:  # copies as (shift, sign): +w on each point, and -w at +c for s2 = -1
+            stride, copies = (c, ((0, 1),)) if s2 == 1 else (2 * c, ((0, 1), (c, -1)))
+            target = tables.get(stride)
+            if target is None:
+                target = tables[stride] = [0] * order
+        else:  # one copy per point of the run along v
+            target, copies = coeffs, [(v * c, s2**v) for v in range(top // c + 1)]
+        p, step = a, da
+        while p < order:
+            n = min(count, (top - p) // step + 1) if step else count  # the row's terms
+            for shift, sign in copies:
+                e = p + shift
+                if e >= order:
+                    break
+                if n < _SHORT:  # the rest of the family: each term's run along u
+                    f, bt, y = e, b, w * sign
+                    for _ in range(n):
+                        if f >= order:
+                            break
+                        _add_run(target, f, bt, (top - f) // bt + 1, y, s1)
+                        f += step
+                        bt += db
+                        y *= ws
+                else:
+                    _add_run(target, e, step, min(n, (top - e) // step + 1) if step else n, w * sign, ws)
+            if n < _SHORT:
+                break
+            p += b
+            step += db
+            w *= s1
     for stride, marks in tables.items():
         for r in range(stride):
             marks[r::stride] = accumulate(marks[r::stride])
@@ -130,67 +152,82 @@ def _enumerate(coeffs: list[int], terms: Iterable[_Term]) -> list[int]:
     return coeffs
 
 
-def _lattice(t: int) -> Callable[[int], Iterator[_Term]]:
+def _y_def(top: int) -> Iterator[_Family]:
+    # Sum_{m,n>=1} (-1)^m q^(2mn+m) / ((1+q^n)(1-q^(2m-1))): for fixed m the
+    # n >= 2m-1, ties included, then for fixed n the m >= (n+3)//2, where 2m-1 > n
+    m = 1
+    while m * (4 * m - 1) <= top:
+        yield ((-1) ** m, 1, m * (4 * m - 1), 2 * m, -1, 2 * m - 1, 1, 1, 2 * m - 1, (top - m) // (2 * m) - 2 * m + 2)
+        m += 1
+    n = 1
+    while (m0 := (n + 3) // 2) * (2 * n + 1) <= top:
+        yield ((-1) ** m0, -1, m0 * (2 * n + 1), 2 * n + 1, 1, 2 * m0 - 1, 2, -1, n, top // (2 * n + 1) - m0 + 1)
+        n += 1
+
+
+def _lattice(t: int) -> Callable[[int], Iterator[_Family]]:
     # Sum_{k,l>=1} (-1)^(k+l) q^(k+l) / ((1-q^(2k-1))(1-q^(tl))), the double
-    # lattice of S times L1 (t = 1) or L2 (t = 2), with no product of series
-    return lambda top: (
-        ((-1) ** (k + l), k + l, 1, 2 * k - 1, 1, t * l)
-        for k in range(1, top)
-        for l in range(1, top - k + 1)
-    )
+    # lattice of S times L1 (t = 1) or L2 (t = 2), with no product of series:
+    # for fixed k the l >= ceil((2k-1)/t), ties included, then for fixed l
+    # the k >= (tl+3)//2, where 2k-1 > tl
+    def families(top: int) -> Iterator[_Family]:
+        k = 1
+        while k + (l0 := -(-(2 * k - 1) // t)) <= top:
+            yield ((-1) ** (k + l0), -1, k + l0, 1, 1, t * l0, t, 1, 2 * k - 1, top - k - l0 + 1)
+            k += 1
+        l = 1
+        while (k0 := (t * l + 3) // 2) + l <= top:
+            yield ((-1) ** (k0 + l), -1, k0 + l, 1, 1, 2 * k0 - 1, 2, 1, t * l, top - l - k0 + 1)
+            l += 1
+
+    return families
 
 
-# Each row maps the top exponent `top` = order - 1 to the terms of the
-# display whose leading exponent a is at most `top`.
-_DISPLAYS: dict[SeriesId, Callable[[int], Iterator[_Term]]] = {
-    # Sum_{m,n>=1} (-1)^m q^(2mn+m) / ((1+q^n)(1-q^(2m-1)))
-    SeriesId.Y_DEF: lambda top: (
-        ((-1) ** m, 2 * m * n + m, -1, n, 1, 2 * m - 1)
-        for m in range(1, top // 3 + 1)
-        for n in range(1, (top - m) // (2 * m) + 1)
-    ),
-    # Sum_{m>=1,k>=0} (-1)^(m+k) q^(3m+k) / ((1-q^(2m-1))(1-q^(2m+k)))
+# Each row maps the top exponent `top` = order - 1 to the families of the
+# display, built when the row is called; a family holds the terms whose
+# leading exponent a + t*da is at most `top`. The index held fixed is the
+# one of the smaller step, which becomes c; a display whose smaller step
+# changes sides splits into two families at the tie, and the tie goes to
+# the first.
+_DISPLAYS: dict[SeriesId, Callable[[int], Iterable[_Family]]] = {
+    SeriesId.Y_DEF: _y_def,
+    # Sum_{m>=1,k>=0} (-1)^(m+k) q^(3m+k) / ((1-q^(2m-1))(1-q^(2m+k))), k run for fixed m
     SeriesId.Y_EQ1: lambda top: (
-        ((-1) ** (m + k), 3 * m + k, 1, 2 * m - 1, 1, 2 * m + k)
-        for m in range(1, top // 3 + 1)
-        for k in range(top - 3 * m + 1)
+        ((-1) ** m, -1, 3 * m, 1, 1, 2 * m, 1, 1, 2 * m - 1, top - 3 * m + 1) for m in range(1, top // 3 + 1)
     ),
-    # -Sum_{k>=2} Sum_{n=1}^{k-1} q^(k+n) / ((1+q^(2k-1))(1+q^n))
+    # -Sum_{k>=2} Sum_{n=1}^{k-1} q^(k+n) / ((1+q^(2k-1))(1+q^n)), k > n run for fixed n
     SeriesId.Y_EQ2: lambda top: (
-        (-1, k + n, -1, 2 * k - 1, -1, n)
-        for k in range(2, top)
-        for n in range(1, min(k - 1, top - k) + 1)
+        (-1, 1, 2 * n + 1, 1, -1, 2 * n + 1, 2, -1, n, top - 2 * n) for n in range(1, (top - 1) // 2 + 1)
     ),
-    # Sum_{m>=1} Sum_{k=1}^{2m-1} (-1)^(m+k) q^(m+k) / ((1-q^(2m-1))(1-q^k))
+    # Sum_{m>=1} Sum_{k=1}^{2m-1} (-1)^(m+k) q^(m+k) / ((1-q^(2m-1))(1-q^k)),
+    # m >= m0 = (k+2)//2 run for fixed k
     SeriesId.Z: lambda top: (
-        ((-1) ** (m + k), m + k, 1, 2 * m - 1, 1, k)
-        for m in range(1, top)
-        for k in range(1, min(2 * m - 1, top - m) + 1)
+        ((-1) ** (m0 + k), -1, m0 + k, 1, 1, 2 * m0 - 1, 2, 1, k, top - k - m0 + 1)
+        for k in range(1, top)
+        for m0 in ((k + 2) // 2,)
+        if m0 + k <= top
     ),
-    # Sum_{i>=0} Sum_{j>i} q^(j+1) / ((1+q^(2i+1))(1+q^(2j+1)))
+    # Sum_{i>=0} Sum_{j>i} q^(j+1) / ((1+q^(2i+1))(1+q^(2j+1))), j run for fixed i
     SeriesId.A: lambda top: (
-        (1, j + 1, -1, 2 * i + 1, -1, 2 * j + 1) for i in range(top - 1) for j in range(i + 1, top)
+        (1, 1, i + 2, 1, -1, 2 * i + 3, 2, -1, 2 * i + 1, top - 1 - i) for i in range(top - 1)
     ),
-    # Sum_{i>=0} Sum_{j>i} q^(i+2j+2) / ((1+q^(2i+1))(1+q^(2j+1)))
+    # Sum_{i>=0} Sum_{j>i} q^(i+2j+2) / ((1+q^(2i+1))(1+q^(2j+1))), j run for fixed i
     SeriesId.B: lambda top: (
-        (1, i + 2 * j + 2, -1, 2 * i + 1, -1, 2 * j + 1)
-        for i in range(top // 3)
-        for j in range(i + 1, (top - i - 2) // 2 + 1)
+        (1, 1, 3 * i + 4, 2, -1, 2 * i + 3, 2, -1, 2 * i + 1, (top - i - 2) // 2 - i)
+        for i in range((top - 4) // 3 + 1)
     ),
-    # Sum_{i>=0} Sum_{j=0}^{i} q^(i+2j+2) / ((1+q^(2i+1))(1+q^(2j+1)))
+    # Sum_{i>=0} Sum_{j=0}^{i} q^(i+2j+2) / ((1+q^(2i+1))(1+q^(2j+1))), i run for fixed j
     SeriesId.B1: lambda top: (
-        (1, i + 2 * j + 2, -1, 2 * i + 1, -1, 2 * j + 1)
-        for i in range(top - 1)
-        for j in range(min(i, (top - i - 2) // 2) + 1)
+        (1, 1, 3 * j + 2, 1, -1, 2 * j + 1, 2, -1, 2 * j + 1, top - 1 - 3 * j) for j in range((top - 2) // 3 + 1)
     ),
     SeriesId.D1: _lattice(1),
     SeriesId.D2: _lattice(2),
-    # the single sums over k >= 1: S is (-1)^k q^k/(1-q^(2k-1)), L1 is
+    # the single sums over k >= 1, one family each: S is (-1)^k q^k/(1-q^(2k-1)), L1 is
     # (-1)^k q^k/(1-q^k), L2 is (-1)^k q^k/(1-q^(2k)), L3 is (-1)^(k+1) q^(2k)/(1-q^(2k))
-    SeriesId.S: lambda top: (((-1) ** k, k, 1, 2 * k - 1, 1, None) for k in range(1, top + 1)),
-    SeriesId.L1: lambda top: (((-1) ** k, k, 1, k, 1, None) for k in range(1, top + 1)),
-    SeriesId.L2: lambda top: (((-1) ** k, k, 1, 2 * k, 1, None) for k in range(1, top + 1)),
-    SeriesId.L3: lambda top: (((-1) ** (k + 1), 2 * k, 1, 2 * k, 1, None) for k in range(1, top // 2 + 1)),
+    SeriesId.S: lambda top: ((-1, -1, 1, 1, 1, 1, 2, 1, None, top),),
+    SeriesId.L1: lambda top: ((-1, -1, 1, 1, 1, 1, 1, 1, None, top),),
+    SeriesId.L2: lambda top: ((-1, -1, 1, 1, 1, 2, 2, 1, None, top),),
+    SeriesId.L3: lambda top: ((1, -1, 2, 2, 1, 2, 2, 1, None, top // 2),),
 }
 
 

@@ -1,12 +1,14 @@
 """Checks for the brute-force oracle, plus oracle-vs-constructor agreement.
 
-The short expected vectors below were expanded by hand from the defining
-multi-sums before the oracle existed, so they pin down the enumeration
-itself rather than echoing it.
+The short expected vectors below were expanded term by term from the
+defining multi-sums, not by the oracle or the constructors, so they pin
+down the enumeration itself rather than echoing it. The displays written
+term by term are the reference the oracle's family rows must expand to.
 """
 
 import ast
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,7 @@ from lambertq import (
 )
 from lambertq.constructors import SignedMonomial
 from lambertq import oracle
-from lambertq.oracle import _enumerate
+from lambertq.oracle import _DISPLAYS, _SHORT, _enumerate
 
 # every named series but PHI has a display the oracle enumerates
 ORACLE_SERIES = tuple(sid for sid in SeriesId if sid is not SeriesId.PHI)
@@ -37,6 +39,20 @@ HAND_EXPANDED = {
     SeriesId.A: [0, 0, 1, 1, 3, 2, 5, 3, 6, 5, 9, 4],
     SeriesId.B: [0, 0, 0, 0, 1, -1, 2, -2, 4, -3, 6, -6],
     SeriesId.B1: [0, 0, 1, -1, 3, -2, 5, -3, 6, -5, 9, -4],
+    # Y_EQ1 and Y_EQ2 come out equal to Y_DEF (I1, I2), and D1, D2 equal the
+    # products of the vectors of S and L1, S and L2 below (I7, I8)
+    SeriesId.Y_EQ1: [0, 0, 0, -1, 0, -2, 0, -3, 0, -5, 0, -4],
+    SeriesId.Y_EQ2: [0, 0, 0, -1, 0, -2, 0, -3, 0, -5, 0, -4],
+    SeriesId.D1: [0, 0, 1, 0, 4, -1, 7, -2, 10, -3, 15, -6],
+    SeriesId.D2: [0, 0, 1, -1, 4, -3, 7, -5, 10, -8, 15, -10],
+    # S: -q/(1-q) + q^2/(1-q^3) - q^3/(1-q^5) + q^4/(1-q^7) - q^5 + ... - q^11,
+    # so q^11 gets -1 (k=1) + 1 (k=2) + 1 (k=4) - 1 (k=11)
+    SeriesId.S: [0, -1, 0, -2, 0, -1, 0, -2, 0, -2, 0, 0],
+    # L1 and L2: q^n gets Sum_{k|n} (-1)^k, over the k with n/k odd for L2
+    SeriesId.L1: [0, -1, 0, -2, 1, -2, 0, -2, 2, -3, 0, -2],
+    SeriesId.L2: [0, -1, 1, -2, 1, -2, 2, -2, 1, -3, 2, -2],
+    # L3: q^(2n) gets Sum_{k|n} (-1)^(k+1)
+    SeriesId.L3: [0, 0, 1, 0, 0, 0, 2, 0, -1, 0, 2, 0],
 }
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176]
@@ -65,8 +81,91 @@ def test_unsupported_ids_rejected(sid):
         oracle_expand(sid, 10)
 
 
+# Each display of the oracle written term by term: one term
+# (w, a, s1, b, s2, c), standing for w*q^a/((1 - s1*q^b)(1 - s2*q^c)), per
+# index tuple with a <= top. Every family row must expand to these terms.
+def _term_lattice(t):
+    return lambda top: (
+        ((-1) ** (k + l), k + l, 1, 2 * k - 1, 1, t * l)
+        for k in range(1, top)
+        for l in range(1, top - k + 1)
+    )
+
+
+TERM_DISPLAYS = {
+    SeriesId.Y_DEF: lambda top: (
+        ((-1) ** m, 2 * m * n + m, -1, n, 1, 2 * m - 1)
+        for m in range(1, top // 3 + 1)
+        for n in range(1, (top - m) // (2 * m) + 1)
+    ),
+    SeriesId.Y_EQ1: lambda top: (
+        ((-1) ** (m + k), 3 * m + k, 1, 2 * m - 1, 1, 2 * m + k)
+        for m in range(1, top // 3 + 1)
+        for k in range(top - 3 * m + 1)
+    ),
+    SeriesId.Y_EQ2: lambda top: (
+        (-1, k + n, -1, 2 * k - 1, -1, n)
+        for k in range(2, top)
+        for n in range(1, min(k - 1, top - k) + 1)
+    ),
+    SeriesId.Z: lambda top: (
+        ((-1) ** (m + k), m + k, 1, 2 * m - 1, 1, k)
+        for m in range(1, top)
+        for k in range(1, min(2 * m - 1, top - m) + 1)
+    ),
+    SeriesId.A: lambda top: (
+        (1, j + 1, -1, 2 * i + 1, -1, 2 * j + 1) for i in range(top - 1) for j in range(i + 1, top)
+    ),
+    SeriesId.B: lambda top: (
+        (1, i + 2 * j + 2, -1, 2 * i + 1, -1, 2 * j + 1)
+        for i in range(top // 3)
+        for j in range(i + 1, (top - i - 2) // 2 + 1)
+    ),
+    SeriesId.B1: lambda top: (
+        (1, i + 2 * j + 2, -1, 2 * i + 1, -1, 2 * j + 1)
+        for i in range(top - 1)
+        for j in range(min(i, (top - i - 2) // 2) + 1)
+    ),
+    SeriesId.D1: _term_lattice(1),
+    SeriesId.D2: _term_lattice(2),
+    SeriesId.S: lambda top: (((-1) ** k, k, 1, 2 * k - 1, 1, None) for k in range(1, top + 1)),
+    SeriesId.L1: lambda top: (((-1) ** k, k, 1, k, 1, None) for k in range(1, top + 1)),
+    SeriesId.L2: lambda top: (((-1) ** k, k, 1, 2 * k, 1, None) for k in range(1, top + 1)),
+    SeriesId.L3: lambda top: (((-1) ** (k + 1), 2 * k, 1, 2 * k, 1, None) for k in range(1, top // 2 + 1)),
+}
+
+
+def _family_terms(family):
+    """The terms (w, a, s1, b, s2, c) of a family, t = 0..count-1."""
+    w, ws, a, da, s1, b, db, s2, c, count = family
+    return [(w * ws**t, a + t * da, s1, b + t * db, s2, c) for t in range(count)]
+
+
+def _normal(term):
+    """A term with its two factors in one order: (1-x)(1-y) = (1-y)(1-x)."""
+    w, a, s1, b, s2, c = term
+    if c is not None and (c, s2) < (b, s1):
+        return (w, a, s2, c, s1, b)
+    return term
+
+
+def _single(term):
+    """The family of count 1 whose one term is `term`."""
+    w, a, s1, b, s2, c = term
+    return (w, 1, a, 0, s1, b, 0, s2, c, 1)
+
+
+@pytest.mark.parametrize("sid", ORACLE_SERIES)
+def test_family_rows_expand_to_the_term_displays(sid):
+    for order in [*range(1, 121), 300, 301]:
+        families = _DISPLAYS[sid](order - 1)
+        got = Counter(_normal(term) for family in families for term in _family_terms(family))
+        assert got == Counter(map(_normal, TERM_DISPLAYS[sid](order - 1))), order
+
+
 # Single terms w*q^a/((1 - s1*q^b)(1 - s2*q^c)) expanded by hand as
-# Sum_{u,v>=0} w * s1^u * s2^v * q^(a+ub+vc), keyed by (w, a, s1, b, s2, c).
+# Sum_{u,v>=0} w * s1^u * s2^v * q^(a+ub+vc), keyed by (w, a, s1, b, s2, c),
+# and each enumerated as the family of count 1 that holds it.
 HAND_EXPANDED_TERMS = {
     # b < c: q^1, q^3 s1, q^4 s2, q^5, q^6 s1*s2, q^7 (s1 + 1), q^8 s2, q^9 (1 + s1)
     (1, 1, 1, 2, 1, 3): [0, 1, 0, 1, 1, 1, 1, 2, 1, 2],
@@ -91,33 +190,35 @@ HAND_EXPANDED_TERMS = {
 
 @pytest.mark.parametrize("term", list(HAND_EXPANDED_TERMS))
 def test_enumerate_single_terms(term):
-    assert _enumerate([0] * 10, [term]) == HAND_EXPANDED_TERMS[term]
+    assert _enumerate([0] * 10, [_single(term)]) == HAND_EXPANDED_TERMS[term]
 
 
 @pytest.mark.parametrize("term", list(HAND_EXPANDED_TERMS))
 def test_enumerate_single_terms_through_stride_tables(term):
     # at order 10 no step is short enough for a stride table; at order 80
     # every step below 10 is, and the first ten coefficients are the same
-    assert _enumerate([0] * 80, [term])[:10] == HAND_EXPANDED_TERMS[term]
+    assert _enumerate([0] * 80, [_single(term)])[:10] == HAND_EXPANDED_TERMS[term]
 
 
-def _reference(coeffs, terms):
-    """Add w * s1^u * s2^v to q^(a+ub+vc) for every u, v >= 0, in that order."""
+def _reference(coeffs, families):
+    """Add w * ws^t * s1^u * s2^v to q^(a + t*da + u*(b + t*db) + v*c) for
+    every term t of every family and every u, v >= 0, one point at a time."""
     order = len(coeffs)
-    for w, a, s1, b, s2, c in terms:
-        c = order if c is None else c
-        u = 0
-        while a + u * b < order:
-            v = 0
-            while a + u * b + v * c < order:
-                coeffs[a + u * b + v * c] += w * s1**u * s2**v
-                v += 1
-            u += 1
+    for family in families:
+        for w, a, s1, b, s2, c in _family_terms(family):
+            c = order if c is None else c
+            u = 0
+            while a + u * b < order:
+                v = 0
+                while a + u * b + v * c < order:
+                    coeffs[a + u * b + v * c] += w * s1**u * s2**v
+                    v += 1
+                u += 1
     return coeffs
 
 
 # (order, term) pairs on the edges of the stride tables, where order // 8
-# is the first step walked point by point
+# is the first step walked point by point; each runs as a family of count 1
 EDGE_TERMS = [
     *((40, (1, 0, s1, 3, s2, 1)) for s1 in (1, -1) for s2 in (1, -1)),  # c = 1
     *((40, (-2, 1, s1, 3, s2, 3)) for s1 in (1, -1) for s2 in (1, -1)),  # b == c
@@ -137,7 +238,52 @@ EDGE_TERMS = [
 
 @pytest.mark.parametrize("order,term", EDGE_TERMS)
 def test_enumerate_matches_reference_on_edge_terms(order, term):
-    assert _enumerate([0] * order, [term]) == _reference([0] * order, [term])
+    assert _enumerate([0] * order, [_single(term)]) == _reference([0] * order, [_single(term)])
+
+
+# (order, family) pairs on the edges of the family walk: at order 200 the
+# table cut order // 8 is 25, and a row of fewer than _SHORT terms ends the rows
+EDGE_FAMILIES = [
+    pytest.param(200, (3, 1, 5, 2, -1, 7, 1, 1, 3, 1), id="count-1"),
+    pytest.param(200, (3, -1, 5, 2, -1, 7, 1, 1, 30, 1), id="count-1-long-c"),
+    pytest.param(200, (1, -1, 4, 0, 1, 5, 0, -1, 3, 3), id="da-db-0-few"),
+    pytest.param(200, (1, -1, 4, 0, 1, 5, 0, -1, 3, _SHORT + 7), id="da-db-0-odd"),
+    pytest.param(200, (2, 1, 4, 0, -1, 5, 0, 1, None, _SHORT + 6), id="da-db-0-no-c"),
+    pytest.param(200, (1, 1, 2, 0, -1, 3, 1, -1, 2, 40), id="da-0"),
+    pytest.param(200, (1, -1, 1, 1, 1, 2, 1, 1, 3, 61), id="ws-minus-odd"),
+    pytest.param(200, (1, -1, 1, 1, 1, 2, 1, 1, 3, 60), id="ws-minus-even"),
+    pytest.param(200, (-1, -1, 3, 2, -1, 3, 2, -1, 5, 47), id="ws-minus-odd-s-minus"),
+    pytest.param(200, (-1, -1, 3, 2, -1, 3, 2, -1, 5, 48), id="ws-minus-even-s-minus"),
+    *(
+        pytest.param(200, (2, ws, 1, 1, s1, 25, 1, s2, c, 80), id=f"c-{c}-ws{ws}-s1{s1}-s2{s2}")
+        for c in (24, 25, 26)
+        for ws in (1, -1)
+        for s1 in (1, -1)
+        for s2 in (1, -1)
+    ),
+    *(
+        pytest.param(200, (1, ws, 1, 1, s1, 1, 2, 1, None, 199), id=f"no-c-ws{ws}-s1{s1}")
+        for ws in (1, -1)
+        for s1 in (1, -1)
+    ),
+    pytest.param(200, (1, 1, 150, 1, 1, 60, 1, -1, 20, 40), id="second-mark-past-end"),
+    pytest.param(200, (1, -1, 170, 1, -1, 7, 1, -1, 24, 30), id="second-mark-past-end-later"),
+    pytest.param(200, (7, -1, 199, 1, -1, 1, 1, -1, 1, 5), id="first-point-order-1"),
+    pytest.param(200, (7, -1, 200, 1, -1, 1, 1, -1, 1, 5), id="first-point-order"),
+    pytest.param(200, (7, 1, 230, 1, 1, 1, 1, 1, 1, 5), id="first-point-past-order"),
+    *(
+        pytest.param(200, (1, ws, 0, 1, -1, 1, 1, 1, 4, count), id=f"count-{count}-ws{ws}")
+        for count in (_SHORT - 1, _SHORT, _SHORT + 1)
+        for ws in (1, -1)
+    ),
+    pytest.param(200, (10**40, -1, 1, 1, -1, 2, 1, -1, 3, 90), id="weight-1e40"),
+    pytest.param(200, (-(10**40), -1, 4, 3, 1, 9, 2, -1, 30, 50), id="weight-minus-1e40"),
+]
+
+
+@pytest.mark.parametrize("order,family", EDGE_FAMILIES)
+def test_enumerate_matches_reference_on_edge_families(order, family):
+    assert _enumerate([0] * order, [family]) == _reference([0] * order, [family])
 
 
 @pytest.mark.parametrize("s1", [1, -1])
@@ -147,8 +293,9 @@ def test_enumerate_walks_a_single_run_below_the_table_cut(s1, b):
     # factor's run would go through a stride table
     order = 200
     terms = [(3, 1, s1, b, 1, None), (-2, b, -s1, b + 1, -1, None)]
-    assert _enumerate([0] * order, terms) == _reference([0] * order, terms)
-    mixed = [*terms, (1, 2, s1, 30, -1, b)]  # and beside a run that is marked
+    families = list(map(_single, terms))
+    assert _enumerate([0] * order, families) == _reference([0] * order, families)
+    mixed = [*families, _single((1, 2, s1, 30, -1, b))]  # and beside a run that is marked
     assert _enumerate([0] * order, mixed) == _reference([0] * order, mixed)
 
 
@@ -164,12 +311,32 @@ def _random_term(rng, order):
 def test_enumerate_matches_reference_on_random_terms(order):
     rng = random.Random(order)
     for _ in range(60):
-        term = _random_term(rng, order)
-        assert _enumerate([0] * order, [term]) == _reference([0] * order, [term]), term
+        family = _single(_random_term(rng, order))
+        assert _enumerate([0] * order, [family]) == _reference([0] * order, [family]), family
     for _ in range(30):
-        terms = [_random_term(rng, order) for _ in range(rng.randint(2, 12))]
+        families = [_single(_random_term(rng, order)) for _ in range(rng.randint(2, 12))]
         start = [rng.randint(-5, 5) for _ in range(order)]
-        assert _enumerate(start[:], terms) == _reference(start[:], terms), terms
+        assert _enumerate(start[:], families) == _reference(start[:], families), families
+
+
+def _random_family(rng, order):
+    w, a, s1, b, s2, c = _random_term(rng, order)
+    da = rng.choice([0, 1, 2, rng.randint(1, order // 4 + 1), rng.randint(1, order + 4)])
+    db = rng.choice([0, 1, 2, rng.randint(1, order // 4 + 1)])
+    count = rng.choice([1, 2, _SHORT - 1, _SHORT, _SHORT + 1, rng.randint(1, order + 2)])
+    return (w, rng.choice([1, -1]), a, da, s1, b, db, s2, c, count)
+
+
+@pytest.mark.parametrize("order", [16, 23, 40, 64, 97, 120, 200, 257])
+def test_enumerate_matches_reference_on_random_families(order):
+    rng = random.Random(f"families {order}")
+    for _ in range(40):
+        family = _random_family(rng, order)
+        assert _enumerate([0] * order, [family]) == _reference([0] * order, [family]), family
+    for _ in range(15):
+        families = [_random_family(rng, order) for _ in range(rng.randint(2, 8))]
+        start = [rng.randint(-5, 5) for _ in range(order)]
+        assert _enumerate(start[:], families) == _reference(start[:], families), families
 
 
 def test_oracle_imports_nothing_else_from_the_package():
@@ -194,8 +361,8 @@ def test_oracle_imports_nothing_else_from_the_package():
 def test_enumerate_adds_terms_onto_the_list():
     terms = list(HAND_EXPANDED_TERMS)
     expected = [sum(col) for col in zip(*HAND_EXPANDED_TERMS.values())]
-    assert _enumerate([0] * 10, terms) == expected
-    assert _enumerate([7] * 10, terms[:1]) == [7 + x for x in HAND_EXPANDED_TERMS[terms[0]]]
+    assert _enumerate([0] * 10, map(_single, terms)) == expected
+    assert _enumerate([7] * 10, [_single(terms[0])]) == [7 + x for x in HAND_EXPANDED_TERMS[terms[0]]]
 
 
 def test_z_equals_a_plus_b_in_the_oracle():
