@@ -9,9 +9,13 @@ and `_add_geometric` is the one place a geometric run is added to a list.
 `Y_DEF` adds each (m, n) term as a run along the smaller of its two steps
 into the group of that step, and divides each group once by the other
 factor its terms share, so about 1.5*sqrt(order) divisions are made. The
-double sums `Y_EQ1`, `Y_EQ2`, `Z`, `A`, `B` and `B1` make them on one
-Kronecker-packed integer (`series._Packing`), where each slice is a shift,
-a division and an add in CPython's bigint code. No rational-function
+double sums `Y_EQ1`, `Y_EQ2`, `Z`, `A`, `B` and `B1` make them on
+Kronecker-packed integers (`series._Packing`) in CPython's bigint code.
+Each is summed with its tail (the inner sum) inside, in descending order:
+the tail, held over its own lead, gains its new terms as `comb`s by one
+shift and add, each slice is one `divide` of the tail through the window
+q^(order - lead) it can reach, and the slices go into one accumulator
+Horner-style, with no mask until `unpack`. No rational-function
 arithmetic exists anywhere; each display is expanded exactly through the
 truncation order.
 
@@ -565,88 +569,123 @@ def _build_y_def(order: int) -> TruncatedSeries:
 # Sum_{j<e} (e+j)/2 < 3/4*e^2; grouped by M, the other five stay below it.
 # With the floor A's sum, the largest, stays below 0.62*order^2
 # (tests/test_constructors.py counts every display's pairs).
+#
+# Each display is summed as Sum_outer prefactor * tail, the tail being the
+# inner sum, with the outer index walking down so that the tail gains one
+# or two terms per step. Evaluation at 2^w is a ring homomorphism
+# Z[q]/q^L -> Z/2^(wL) for every L, so a value whose least exponent (its
+# lead) is l is needed only mod q^(order - l), its window:
+# - The tail is held over its own lead. A step is tail = tail*q^d + comb,
+#   the comb being the new term's Sum s^u q^(ub) through the tail's window,
+#   which the smallest prefactor sets. Any integer congruent to the tail
+#   mod its window stands for it, so it is never masked.
+# - A slice, the prefactor times the tail, is one windowed `divide` of the
+#   tail, below 2^(wL) for its window L = order - lead.
+# - The slices come with descending leads and are summed Horner-style,
+#   acc = acc*q^(step between leads) + slice. acc needs no mask between
+#   steps: every slice is below 2^(wL), so every term of acc is below
+#   2^(w*(order - lead of acc)), and acc stays within log2(order) bits of
+#   it; `unpack` masks once at the end.
+# Only the order of the finite sum changes, never a term.
 
 
 def _build_y_eq1(order: int) -> TruncatedSeries:
     # Sum_{m>=1,k>=0} (-1)^(m+k) q^(3m+k) / ((1-q^(2m-1))(1-q^(2m+k))),
-    # summed by j = 2m+k as
-    # Sum_{j>=2} (-1)^j q^j/(1-q^j) * Sum_{m=1}^{j//2} (-1)^m q^m/(1-q^(2m-1)).
-    # The inner sum gains the term m = j/2 at each even j.
+    # summed with j = 2m+k inside as
+    # Sum_{m>=1} (-1)^m q^m/(1-q^(2m-1)) * Sum_{j>=2m} (-1)^j q^j/(1-q^j).
+    # The tail over j >= 2m, held over q^(2m), gains j = 2m, 2m+1 at each m
+    # and is needed through q^(order-2m-2); the m-slice leads at q^(3m).
     p = _Packing(order, order**2)
-    out = inner = 0
-    for j in range(2, order - 1):  # the j-slice starts at q^(j+1)
-        if j % 2 == 0:
-            m = j // 2
-            term = p.divide(p.shift(1, m), 2 * m - 1, 1)
-            inner = inner - term if m % 2 else inner + term
-        part = p.shift(p.divide(inner, j, 1), j)
-        out = out - part if j % 2 else out + part
-    return p.unpack(out)
+    w = p.width
+    acc = tail = 0
+    for m in range((order - 2) // 2, 0, -1):
+        window = order - 2 * m - 1
+        tail = (tail << 2 * w) + p.comb(2 * m, 1, window) - (p.comb(2 * m + 1, 1, window - 1) << w)
+        if 3 * m < order:
+            part = p.divide(tail, 2 * m - 1, 1, order - 3 * m)
+            acc = (acc << 3 * w) + (-part if m % 2 else part)
+    return p.unpack(acc << 3 * w)
 
 
 def _build_y_eq2(order: int) -> TruncatedSeries:
-    # -Sum_{k>=2} q^k/(1+q^(2k-1)) * Sum_{n=1}^{k-1} q^n/(1+q^n).
-    # The inner partial sum gains one term per k.
+    # -Sum_{k>=2} q^k/(1+q^(2k-1)) * Sum_{n=1}^{k-1} q^n/(1+q^n), summed
+    # with k inside as -Sum_{n>=1} q^n/(1+q^n) * Sum_{k>n} q^k/(1+q^(2k-1)).
+    # The tail over k > n, held over q^(n+1), gains k = n+1 at each n and is
+    # needed through q^(order-n-3); the n-slice leads at q^(2n+1).
     p = _Packing(order, order**2)
-    out = inner = 0
-    for k in range(2, order - 1):  # the k-slice starts at q^(k+1)
-        inner += p.divide(p.shift(1, k - 1), k - 1, -1)
-        out -= p.shift(p.divide(inner, 2 * k - 1, -1), k)
-    return p.unpack(out)
+    w = p.width
+    acc = tail = 0
+    for n in range(order - 3, 0, -1):
+        tail = (tail << w) + p.comb(2 * n + 1, -1, order - n - 2)
+        if 2 * n + 1 < order:
+            acc = (acc << 2 * w) + p.divide(tail, n, -1, order - 2 * n - 1)
+    return p.unpack(-(acc << 3 * w))
 
 
 def _build_z(order: int) -> TruncatedSeries:
-    # Sum_{m>=1} (-1)^m q^m/(1-q^(2m-1)) * Sum_{k=1}^{2m-1} (-1)^k q^k/(1-q^k).
-    # The inner sum gains the terms k = 2m-2, 2m-1 when m steps up.
+    # Sum_{m>=1} (-1)^m q^m/(1-q^(2m-1)) * Sum_{k=1}^{2m-1} (-1)^k q^k/(1-q^k),
+    # summed with m inside as
+    # Sum_{k>=1} (-1)^k q^k/(1-q^k) * Sum_{2m-1>=k} (-1)^m q^m/(1-q^(2m-1)).
+    # The tail over m, held over q^m, gains one term at each m and is needed
+    # through q^(order-m-2); it serves the slices k = 2m-1 and k = 2m-2,
+    # which lead at q^(3m-1) and q^(3m-2).
     p = _Packing(order, order**2)
-    out = inner = 0
-    for m in range(1, order - 1):  # the m-slice starts at q^(m+1)
-        for k in (2 * m - 2, 2 * m - 1):
-            if 1 <= k < order:
-                term = p.divide(p.shift(1, k), k, 1)
-                inner = inner - term if k % 2 else inner + term
-        part = p.shift(p.divide(inner, 2 * m - 1, 1), m)
-        out = out - part if m % 2 else out + part
-    return p.unpack(out)
+    w = p.width
+    acc = tail = 0
+    top = order  # acc holds the slices so far over q^top
+    for m in range(order - 2, 0, -1):
+        term = p.comb(2 * m - 1, 1, order - m - 1)
+        tail = (tail << w) + (-term if m % 2 else term)
+        for k in (2 * m - 1, 2 * m - 2):
+            if k and k + m < order:
+                part = p.divide(tail, k, 1, order - k - m)
+                acc = (acc << (top - k - m) * w) + (-part if k % 2 else part)
+                top = k + m
+    return p.unpack(acc << top * w)
 
 
 def _build_a(order: int) -> TruncatedSeries:
     # Sum_{i>=0} Sum_{j>i} q^(j+1)/((1+q^(2i+1))(1+q^(2j+1))).
-    # Walk i downward keeping the tail sum over j > i, then divide the
-    # tail by (1+q^(2i+1)) for each i.
+    # The tail over j > i, held over q^(i+2), gains j = i+1 at each i; the
+    # i-slice, the tail divided by (1+q^(2i+1)), leads at q^(i+2) too.
     p = _Packing(order, order**2)
-    out = tail = 0
-    for i in range(order - 3, -1, -1):  # the (i, i+1) term starts at q^(i+2)
-        tail += p.divide(p.shift(1, i + 2), 2 * i + 3, -1)
-        out += p.divide(tail, 2 * i + 1, -1)
-    return p.unpack(out)
+    w = p.width
+    acc = tail = 0
+    for i in range(order - 3, -1, -1):
+        window = order - i - 2
+        tail = (tail << w) + p.comb(2 * i + 3, -1, window)
+        acc = (acc << w) + p.divide(tail, 2 * i + 1, -1, window)
+    return p.unpack(acc << 2 * w)
 
 
 def _build_b(order: int) -> TruncatedSeries:
     # Sum_{i>=0} Sum_{j>i} q^(i+2j+2)/((1+q^(2i+1))(1+q^(2j+1))).
-    # Same walk as A, but the tail collects q^(2j+2)-led terms and each
-    # i-slice is shifted by q^i after the division.
+    # The tail over j > i of q^(2j+2)/(1+q^(2j+1)), held over q^(2i+4),
+    # gains j = i+1 at each i; the i-slice, q^i times the tail divided by
+    # (1+q^(2i+1)), leads at q^(3i+4).
     p = _Packing(order, order**2)
-    out = tail = 0
-    j = (order - 3) // 2  # terms need 2j+2 < order
-    for i in range((order - 5) // 3, -1, -1):  # the (i, i+1) term starts at q^(3i+4)
-        while j > i:
-            tail += p.divide(p.shift(1, 2 * j + 2), 2 * j + 1, -1)
-            j -= 1
-        out += p.shift(p.divide(tail, 2 * i + 1, -1), i)
-    return p.unpack(out)
+    w = p.width
+    acc = tail = 0
+    for i in range((order - 5) // 2, -1, -1):
+        tail = (tail << 2 * w) + p.comb(2 * i + 3, -1, order - 2 * i - 4)
+        if 3 * i + 4 < order:
+            acc = (acc << 3 * w) + p.divide(tail, 2 * i + 1, -1, order - 3 * i - 4)
+    return p.unpack(acc << 4 * w)
 
 
 def _build_b1(order: int) -> TruncatedSeries:
-    # Sum_{i>=0} Sum_{j<=i} q^(i+2j+2)/((1+q^(2i+1))(1+q^(2j+1))).
-    # Here j runs below i, so the inner sum grows forward with i.
+    # Sum_{i>=0} Sum_{j<=i} q^(i+2j+2)/((1+q^(2i+1))(1+q^(2j+1))), summed
+    # with i inside as Sum_{j>=0} q^(2j+2)/(1+q^(2j+1)) * Sum_{i>=j} q^i/(1+q^(2i+1)).
+    # The tail over i >= j, held over q^j, gains i = j at each j and is
+    # needed through q^(order-j-3); the j-slice leads at q^(3j+2).
     p = _Packing(order, order**2)
-    out = inner = 0
-    for i in range(order - 2):  # the (i, 0) term starts at q^(i+2)
-        if 2 * i + 2 < order:
-            inner += p.divide(p.shift(1, 2 * i + 2), 2 * i + 1, -1)
-        out += p.shift(p.divide(inner, 2 * i + 1, -1), i)
-    return p.unpack(out)
+    w = p.width
+    acc = tail = 0
+    for j in range(order - 3, -1, -1):
+        tail = (tail << w) + p.comb(2 * j + 1, -1, order - j - 2)
+        if 3 * j + 2 < order:
+            acc = (acc << 3 * w) + p.divide(tail, 2 * j + 1, -1, order - 3 * j - 2)
+    return p.unpack(acc << 2 * w)
 
 
 def _build_d1(order: int) -> TruncatedSeries:

@@ -1027,8 +1027,10 @@ class TestConstructorArguments:
 class TestPackedBuilders:
     @pytest.mark.parametrize("sid", list(LIST_REFERENCES), ids=lambda sid: sid.value)
     def test_matches_list_reference(self, sid):
-        # at 11/12 and 181/182 the order^2 slot grows from 1 to 2 to 3 bytes
-        for order in [*range(1, 41), 97, 181, 182, 256, 1000, 2000]:
+        # at 11/12 and 181/182 the order^2 slot grows from 1 to 2 to 3 bytes;
+        # 1-160 meets every residue of the Horner steps 2 and 3 and every
+        # order at which a slice or tail window first empties
+        for order in [*range(1, 161), 181, 182, 256, 1000, 2000]:
             assert list(named_series(sid, order)) == LIST_REFERENCES[sid](order), order
 
     @pytest.mark.parametrize("sid", list(LIST_REFERENCES), ids=lambda sid: sid.value)
