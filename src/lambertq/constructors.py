@@ -1,11 +1,10 @@
 """Builders for every named series in the study, plus the generic pieces.
 
-Everything here is built from three expansion moves: a geometric expansion
-of q^a/(1 - s*q^b) as Sum_j s^j q^(a+jb), a division by (1 - s*q^e), and a
-multiplication by a binomial factor (1 - s*q^e). The single sums, `Y_DEF`
-and the products make these moves on coefficient lists, where the division
-and the binomial factor are slice operations that run in CPython's C loops,
-and `_add_geometric` is the one place a geometric run is added to a list.
+The sums here are built from two expansion moves: a geometric expansion
+of q^a/(1 - s*q^b) as Sum_j s^j q^(a+jb), and a division by (1 - s*q^e).
+The single sums and `Y_DEF` make these moves on coefficient lists, where
+the division is a slice operation that runs in CPython's C loops, and
+`_add_geometric` is the one place a geometric run is added to a list.
 `Y_DEF` adds each (m, n) term as a run along the smaller of its two steps
 into the group of that step, and divides each group once by the other
 factor its terms share, so about 1.5*sqrt(order) divisions are made. The
@@ -25,11 +24,11 @@ const * Prod_d E(q^d)^c(d) mod q^order, E = (q;q)_inf. When every d with
 c(d) != 0 divides twice the product's Pochhammer step, as for every product
 of the suite, it is expanded from E: a positive c(d) is a `mul` power of E,
 a negative one exact divisions by E(q^d) over E's few nonzero terms.
-Within one run (`_product_run`), E is built once, by `_expand` over its
-factors, and each expansion is kept by its primitive signature c/g, so
-products that differ only by q -> q^g share one. Any other product is a
-`_quotient`, expanded factor by factor as the square of its root times the
-factors left over.
+Within one run (`_product_run`), each expansion is kept by its primitive
+signature c/g, so products that differ only by q -> q^g share one. E and
+every other product P = const * p are solved from the log-derivative
+a = q d/dq log p, which their factors give as geometric runs: n*p_n =
+Sum_j a_j p_(n-j), by divide and conquer over `mul` (`_solve`).
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
 from math import gcd
-from operator import add, sub
+from operator import add
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -244,97 +243,64 @@ def lambert_sum(spec: LambertSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries._trusted(coeffs)
 
 
-def _normal_form(num: Counter, den: Counter, order: int) -> tuple[int, int, Counter, Counter]:
-    """Rewrite Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) as (const, g, num, den).
+# A block of at most this many terms is solved by direct sums, a longer
+# one split in two halves joined by one `mul`.
+_SOLVE_LEAF = 32
+
+
+def _log_derivative(num: Counter, den: Counter, order: int) -> tuple[int, list[int]]:
+    """(const, a) with Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) equal to
+    const * P mod q^order, P = 1 + O(q), and a = q d/dq log P through
+    q^(order-1).
 
     The Counters hold binomial factors (s, k), s = +-1 and 0 <= k < order,
-    with multiplicity, and are consumed; only `num` may hold a k = 0 factor,
-    (-1, 0). Only exact ring identities are used, never one between series:
-    (1 + q^0) = 2 goes into `const`; a factor on both sides cancels (f*g/g = f;
-    each denominator factor, k >= 1, is a unit of Z[[q]]/q^order); on each
-    side (1 - q^k)(1 + q^k) = 1 - q^(2k) in ascending k, dropped once
-    2k >= order (pairing makes only (1, 2k), so the (-1, k) exponents meet
-    every pair); then what stands on both sides cancels again. g is the gcd
-    of the surviving exponents (1 if none). No factor is ever added, so no
-    more survive than after cancelling whole Pochhammer symbols. PHI and half
-    the Entry 29 side of (-q, q, 2) both become (q^4;q^4)^2/(q^2;q^4)^2, g = 2,
-    a perfect square, as are five of the seven Entry 29 sides of the suite.
+    with multiplicity; only `num` may hold a k = 0 factor, (-1, 0), and
+    (1 + q^0) = 2 goes into `const`. q d/dq is a derivation, so each other
+    factor adds q d/dq log(1 - s*q^k) = -k*Sum_{j>=1} s^j q^(jk), negated
+    below the bar, and a factor on both sides cancels exactly.
     """
-    const = 2 ** num.pop((-1, 0), 0)
-    num, den = num - den, den - num
-    for side in (num, den):
-        for k in sorted(k for s, k in side if s == -1):
-            n = min(side[1, k], side[-1, k])  # zero counts left here go at the next cancel
-            side[1, k] -= n
-            side[-1, k] -= n
-            if 2 * k < order:
-                side[1, 2 * k] += n
-    num, den = num - den, den - num
-    return const, gcd(*(k for _, k in num + den)) or 1, num, den
+    const, a = 1, [0] * order
+    for side, sign in ((num, -1), (den, 1)):
+        for (s, k), mult in side.items():
+            if k == 0:  # (1 + q^0), above the bar only
+                const *= 2**mult
+            else:
+                _add_geometric(a, k, k, s, sign * mult * k * s)
+    return const, a
 
 
-def _expand(num: Counter, den: Counter, g: int, n: int) -> list[int]:
-    """Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k), a series in q^g, through
-    n terms, for factors with g | k and 1 <= k//g < n.
+def _solve(a: list[int]) -> list[int]:
+    """The series p = 1 + O(q) with q d/dq log p = a, through len(a) terms:
+    n*p[n] = Sum_{j=1..n} a[j]*p[n-j], for a[0] = 0.
 
-    It starts from 1 and applies the factors above and below the bar
-    interleaved, in descending exponent e = k//g, keeping `live`: the list
-    is zero on (0, live). Times (1 - s*q^e), only the slots [e+live, n)
-    and e can change: one slice pass and `c[e] -= s`. Divided by
-    (1 - s*q^e), the list 1 + t (t zero below `live`) becomes
-    t/(1 - s*q^e) + Sum_j s^j q^(je): the tail [live, n) is divided in
-    place, which leaves it unchanged when e + live >= n, and the series
-    Sum_{j>=1} s^j q^(je) goes in by `_add_geometric`. Either way the list is
-    then zero on (0, e), so `live` becomes e, and a factor with e >= n/2
-    costs O(n/e).
+    Divide and conquer (relaxed multiplication; van der Hoeven, "Relax, but
+    don't be too lazy", 2002): once p is known on [lo, mid), one `mul` of
+    that block by a adds its share of the sums on [mid, hi), and a block of
+    at most `_SOLVE_LEAF` terms adds its own share directly. A sum that n
+    does not divide means a is no log-derivative of an integer series; it
+    raises ArithmeticError.
     """
-    coeffs = [1] + [0] * (n - 1)
-    live = n
-    for e, s, above in sorted(
-        [(k // g, s, True) for s, k in num.elements()]
-        + [(k // g, s, False) for s, k in den.elements()],
-        reverse=True,
-    ):
-        if above:  # both slices are copies of the old list
-            op = sub if s == 1 else add
-            coeffs[e + live :] = map(op, coeffs[e + live :], coeffs[live : n - e])
-            coeffs[e] -= s
-        else:
-            if e + live < n:
-                tail = coeffs[live:]
-                geometric_mul_inplace(tail, e, s)
-                coeffs[live:] = tail
-            _add_geometric(coeffs, e, e, s, s)
-        live = e
-    return coeffs
+    n = len(a)
+    p = [1] + [0] * (n - 1)
+    sums = [0] * n  # sums[i]: Sum a[i-j]*p[j] over the j of the blocks solved before i's
 
+    def block(lo: int, hi: int) -> None:
+        if hi - lo <= _SOLVE_LEAF:
+            for i in range(max(lo, 1), hi):
+                total = sums[i] + sum([a[i - j] * p[j] for j in range(lo, i)])
+                p[i], rest = divmod(total, i)
+                if rest:
+                    raise ArithmeticError(f"{total} at q^{i} is not a multiple of {i}")
+            return
+        mid = (lo + hi) // 2
+        block(lo, mid)
+        left = TruncatedSeries._trusted(p[lo:mid] + [0] * (hi - mid))
+        share = mul(left, TruncatedSeries._trusted(a[: hi - lo])).coefficients
+        sums[mid:hi] = map(add, sums[mid:hi], share[mid - lo :])
+        block(mid, hi)
 
-def _quotient(num: Counter, den: Counter, order: int) -> TruncatedSeries:
-    """Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) through q^(order-1),
-    factor by factor: the route for a product that is no narrow eta quotient.
-
-    In normal form it is expanded in q^g through ceil(order/g) terms, then
-    spread out (q -> q^g is a ring homomorphism). A factor f of multiplicity
-    m is split as (f^(m//2))^2 * f^(m%2), so the quotient is
-    const * root^2 * odd: the root, Prod f^(m//2) above and below the bar,
-    and the odd part, Prod f^(m%2), are each expanded from 1 by `_expand`;
-    one `mul` squares the root and one more joins it to the odd part when
-    both are more than 1. The split only regroups factors, so it is exact.
-    """
-    const, g, num, den = _normal_form(num, den, order)
-    n = -(-order // g)
-    root_num, root_den = (
-        Counter({f: m // 2 for f, m in side.items() if m > 1}) for side in (num, den)
-    )
-    odd_num, odd_den = num - root_num - root_num, den - root_den - root_den
-    coeffs = _expand(odd_num, odd_den, g, n)
-    if root_num or root_den:
-        root = TruncatedSeries._trusted(_expand(root_num, root_den, g, n))
-        square = mul(root, root)
-        if odd_num or odd_den:
-            square = mul(square, TruncatedSeries._trusted(coeffs))
-        coeffs = square.coefficients
-    return _spread(const, coeffs, g, order)
+    block(0, n)
+    return p
 
 
 def _spread(const: int, coeffs: Sequence[int], g: int, order: int) -> TruncatedSeries:
@@ -349,7 +315,7 @@ def _spread(const: int, coeffs: Sequence[int], g: int, order: int) -> TruncatedS
 def _signature(num: Counter, den: Counter, order: int) -> tuple[int, dict[int, int]]:
     """(const, c) with Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) equal to
     const * Prod_d E(q^d)^c(d) mod q^order, E = (q;q)_inf, for Counters as
-    in `_normal_form` (left unchanged).
+    in `_log_derivative` (left unchanged).
 
     Exact ring algebra only: (1 + q^0) = 2 goes into `const`, and
     1 + q^k = (1 - q^(2k))/(1 - q^k), dropping 1 - q^(2k) once 2k >= order,
@@ -376,27 +342,24 @@ def _signature(num: Counter, den: Counter, order: int) -> tuple[int, dict[int, i
     return const, {d: e for d, e in enumerate(m) if e}
 
 
-# The run open in this context: the least number of terms its E is built
-# through, and its expansions by primitive signature; None outside a run.
-_RUN: ContextVar[Optional[tuple[int, dict]]] = ContextVar("lambertq_products", default=None)
+# The expansions of the run open in this context, by primitive signature;
+# None outside a run.
+_RUN: ContextVar[Optional[dict]] = ContextVar("lambertq_products", default=None)
 
 # the primitive signature of E itself
 _E = ((1, 1),)
 
 
 @contextmanager
-def _product_run(e_terms: int = 1) -> Iterator[None]:
-    """Share one E and every eta-quotient expansion among the products built
-    inside, unless an enclosing run shares them already.
-
-    E is built through what the product that first needs it needs, and
-    again when a later one needs more; a caller that knows some product will
-    need E through `e_terms` terms passes it, so that E is built once.
-    """
+def _product_run() -> Iterator[None]:
+    """Share E and every eta-quotient expansion among the products built
+    inside, unless an enclosing run shares them already. E is built through
+    what the product that first needs it needs, and again when a later one
+    needs more."""
     if _RUN.get() is not None:
         yield
         return
-    token = _RUN.set((e_terms, {}))
+    token = _RUN.set({})
     try:
         yield
     finally:
@@ -404,8 +367,9 @@ def _product_run(e_terms: int = 1) -> Iterator[None]:
 
 
 def _euler(n: int) -> list[int]:
-    """E = (q;q)_inf through n terms, as a product: `_expand` over its factors."""
-    return _expand(Counter({(1, k): 1 for k in range(1, n)}), Counter(), 1, n)
+    """E = (q;q)_inf through n terms, solved from the log-derivative of its
+    factors, never from the pentagonal theorem."""
+    return _solve(_log_derivative(_symbols([(1, 1)], 1, n), Counter(), n)[1])
 
 
 def _divide_sparse(coeffs: list[int], terms: list[tuple[int, int]]) -> None:
@@ -443,11 +407,11 @@ def _eta_expand(sig: tuple[tuple[int, int], ...], n: int) -> list[int]:
     powers are joined by `mul`. Each negative c(d) is -c(d) exact divisions
     by the spread E(q^d), over E's nonzero terms as found.
     """
-    e_terms, kept = _RUN.get() or (1, None)
+    kept = _RUN.get()
     if kept is not None and len(kept.get(sig, ())) >= n:
         return kept[sig]
     if sig == _E:
-        coeffs = _euler(max(n, e_terms))
+        coeffs = _euler(n)
     else:
         euler = _eta_expand(_E, -(-n // sig[0][0])) if sig else []
         joined = None
@@ -480,13 +444,14 @@ def _product(num: Counter, den: Counter, order: int, step: int) -> TruncatedSeri
     factors of Pochhammer symbols with step `step`.
 
     A quotient whose signature c has every d in its support dividing
-    2*step goes through E; any other (a wide c, such as (q;q^3)'s) through
-    `_quotient`, factor by factor, where it is cheaper.
+    2*step goes through E, where the run shares its expansions; any other
+    (a wide c, such as (q;q^3)'s) is solved from its own log-derivative.
     """
     const, c = _signature(num, den, order)
     if all(2 * step % d == 0 for d in c):
         return _eta_quotient(const, c, order)
-    return _quotient(num, den, order)
+    const, a = _log_derivative(num, den, order)
+    return _spread(const, _solve(a), 1, order)
 
 
 def _symbols(symbols: list[tuple[int, int]], step: int, order: int) -> Counter:

@@ -257,7 +257,7 @@ def run_suite(order: int, builder: Builder = named_series) -> list[IdentityRepor
     builder = functools.cache(builder)  # each named series is built once per run
     reports: list[IdentityReport] = []
     errors: list[tuple[IdentityId, Exception]] = []
-    with _product_run(order):  # and E once, through the order I13's q-sides need
+    with _product_run():
         for ident in IdentityId:
             try:
                 reports.append(check_identity(ident, order, builder))

@@ -22,9 +22,7 @@ __all__ = [
     "Mismatch",
     "Parity",
     "ParityVerdict",
-    "linear_combine",
     "mul",
-    "geometric_mul",
     "compare",
     "parity_of",
     "format_polynomial",
@@ -242,13 +240,6 @@ def format_polynomial(f: TruncatedSeries, max_terms: Optional[int] = None) -> st
 # -- module-level operations --------------------------------------------------
 
 
-def linear_combine(c1: int, f: TruncatedSeries, c2: int, g: TruncatedSeries) -> TruncatedSeries:
-    """c1*f + c2*g, truncated to the smaller order."""
-    n = min(f.order, g.order)
-    fc, gc = f.coefficients, g.coefficients
-    return TruncatedSeries([c1 * fc[i] + c2 * gc[i] for i in range(n)])
-
-
 class _Packing:
     """Kronecker substitution: a series mod q^order as one integer.
 
@@ -387,13 +378,6 @@ def geometric_mul_inplace(coeffs: list[int], step: int, sign: int) -> None:
     else:
         for i in range(step, n, step):
             coeffs[i : i + step] = map(add, coeffs[i : i + step], coeffs[i - step : i])
-
-
-def geometric_mul(f: TruncatedSeries, step: int, sign: int) -> TruncatedSeries:
-    """f(q) / (1 - sign*q^step), exact through f.order, in O(order) time."""
-    cs = list(f.coefficients)
-    geometric_mul_inplace(cs, step, sign)
-    return TruncatedSeries._trusted(cs)
 
 
 # -- comparison and parity -----------------------------------------------------

@@ -74,6 +74,19 @@ def pochhammer_by_loop(arg, step, order):
     return TruncatedSeries(coeffs)
 
 
+def euler_by_pentagonal(n):
+    """Reference E = (q;q)_inf through n terms by Euler's pentagonal theorem:
+    Sum_k (-1)^k q^(k(3k-1)/2) over all integers k. No builder uses it."""
+    coeffs = [0] * n
+    k = 0
+    while k * (3 * k - 1) // 2 < n:
+        for j in {k, -k}:
+            if j * (3 * j - 1) // 2 < n:
+                coeffs[j * (3 * j - 1) // 2] += (-1) ** k
+        k += 1
+    return coeffs
+
+
 def phi_by_inversion(order):
     """Reference PHI: the numerator times the inverted denominator product."""
     p4 = pochhammer_by_loop(SignedMonomial(1, 4), 4, order)
@@ -128,9 +141,8 @@ def factors(symbols, order):
 
 # Admissible triples beyond ENTRY29_TRIPLES, each with what its product side
 # builds at order 40: an eta quotient's (const, {d: c(d)}), the product
-# const * Prod_d E(q^d)^c(d), E = (q;q)_inf; or, for a wide signature, the
-# normal form (const, g, numerator symbols, denominator symbols) that
-# `_normal_form` gives `_quotient`, symbols as in `factors`.
+# const * Prod_d E(q^d)^c(d), E = (q;q)_inf; or None for a wide signature,
+# which is solved from its log-derivative.
 MORE_TRIPLES = {
     # (q, q^2, 4) swapped: y's pair cancels, leaving (Q;Q)^2/(q^2;Q)^2 = PHI
     (SignedMonomial(1, 2), Q, 4): (1, {2: -2, 4: 4}),
@@ -138,25 +150,32 @@ MORE_TRIPLES = {
     # leaving (Q;Q)^2/((q;Q)(q^2;Q)) = E(q^3)^3/E(q), the 3-core product
     (SignedMonomial(-1, 1), Q, 3): (1, {1: -1, 3: 3}),
     # (Q;Q)^2/((q^3;Q)(q^4;Q)) with Q = q^7: c has 24 d below 40, most not
-    # dividing 14, so it stays on `_quotient`
-    (SignedMonomial(1, 2), SignedMonomial(1, 3), 7): (1, 1, [(1, 7, 7, 2)], [(1, 3, 7, 1), (1, 4, 7, 1)]),
+    # dividing 14
+    (SignedMonomial(1, 2), SignedMonomial(1, 3), 7): None,
     # (-q, q, 3) swapped
     (Q, SignedMonomial(-1, 1), 3): (1, {1: -1, 3: 3}),
     # exponents as in (q, q, 3), but the signs keep every factor
     (SignedMonomial(-1, 1), SignedMonomial(-1, 1), 3): (1, {1: 3, 2: -2, 3: -1, 6: 2}),
     # (Q/xy; Q) = (-1; Q) gives the constant 2; then (Q;Q)^2 (-Q;Q)^2 pairs
     # into (q^10;q^10)^2 and the denominator into (q^4;q^10)(q^6;q^10)
-    (SignedMonomial(-1, 2), SignedMonomial(1, 3), 5): (2, 2, [(1, 10, 10, 2)], [(1, 4, 10, 1), (1, 6, 10, 1)]),
+    (SignedMonomial(-1, 2), SignedMonomial(1, 3), 5): None,
 }
 
+# the eta rows, each with the id of its place among all the rows
 BUILT_AT_40 = [
-    # 2 (q^4;q^4)^2/(q^2;q^4)^2 = 2 E(q^4)^4/E(q^2)^2: 2*PHI
-    (*ENTRY29_TRIPLES[0], (2, {2: -2, 4: 4})),
-    # (Q;Q)^2 / ((q;Q)(q^2;Q)) = E(q^3)^3/E(q)
-    (*ENTRY29_TRIPLES[2], (1, {1: -1, 3: 3})),
-    # (Q;Q)^2 / (q^2;Q)^2 with Q = q^4, PHI again
-    (*ENTRY29_TRIPLES[5], (1, {2: -2, 4: 4})),
-    *((*t, form) for t, form in MORE_TRIPLES.items()),
+    pytest.param(*row, id=f"x{i}-y{i}-{row[2]}-built{i}")
+    for i, row in enumerate(
+        [
+            # 2 (q^4;q^4)^2/(q^2;q^4)^2 = 2 E(q^4)^4/E(q^2)^2: 2*PHI
+            (*ENTRY29_TRIPLES[0], (2, {2: -2, 4: 4})),
+            # (Q;Q)^2 / ((q;Q)(q^2;Q)) = E(q^3)^3/E(q)
+            (*ENTRY29_TRIPLES[2], (1, {1: -1, 3: 3})),
+            # (Q;Q)^2 / (q^2;Q)^2 with Q = q^4, PHI again
+            (*ENTRY29_TRIPLES[5], (1, {2: -2, 4: 4})),
+            *((*t, form) for t, form in MORE_TRIPLES.items()),
+        ]
+    )
+    if row[3] is not None
 ]
 
 # every product the suite builds, as (const, c)
@@ -170,9 +189,9 @@ SUITE_SIGNATURES = [
     (*ENTRY29_TRIPLES[6], (2, {4: -2, 8: 4})),
 ]
 
-# (q^2, q^3, 7) and (q, q^2, 5): wide signatures, expanded by `_quotient`
+# (q^2, q^3, 7) and (q, q^2, 5): wide signatures, solved from their
+# log-derivatives
 WIDE_TRIPLES = [(Q2, SignedMonomial(1, 3), 7), (Q, Q2, 5)]
-MORE_TRIPLES_WIDE_5 = (SignedMonomial(-1, 2), SignedMonomial(1, 3), 5)
 
 
 def quotient_by_factors(num, den, order):
@@ -192,7 +211,7 @@ def quotient_by_factors(num, den, order):
     return TruncatedSeries(coeffs)
 
 
-# Factor multisets for `_quotient`, multiplicities 0-5 on each side; each
+# Factor multisets for the solver, multiplicities 0-5 on each side; each
 # order keeps the factors below it.
 QUOTIENT_CASES = {
     "odd": (
@@ -386,52 +405,6 @@ def y_def_group_leads(top):
     leads = {m * (4 * m - 1) for m in range(1, top)}
     leads |= {(n + 3) // 2 * (2 * n + 1) for n in range(1, top)}
     return sorted(lead for lead in leads if lead <= top)
-
-
-def expand_by_full_passes(num, den, g, n):
-    """Reference `_expand`: from 1, each numerator factor and then each
-    denominator factor in ascending exponent, every one a pass over the
-    whole list, as the kernel ran before it tracked its live slots."""
-    coeffs = [1] + [0] * (n - 1)
-    for s, k in sorted(num.elements(), key=lambda f: f[1]):
-        e = k // g
-        coeffs[e:] = map(sub if s == 1 else add, coeffs[e:], coeffs[: n - e])
-    for s, k in sorted(den.elements(), key=lambda f: f[1]):
-        geometric_mul_inplace(coeffs, k // g, s)
-    return coeffs
-
-
-def expand_cases(n):
-    """(num, den) multisets {(s, e): m} of factors (1 - s*q^e), 1 <= e < n,
-    for `_expand` at n terms: ties above and below the bar and across
-    signs, multiplicities up to 5, the exponent n - 1, a division where
-    e + live == n (no slot can change) and one where e + live == n - 1
-    (one slot can), and seeded random mixes of the exponents near those."""
-    top, half = n - 1, n // 2
-    cases = [
-        ({(1, 1): 5}, {}),
-        ({}, {(1, 1): 5, (-1, 1): 5}),
-        ({(1, 1): 2, (-1, 1): 3}, {(1, 1): 1, (-1, 1): 4}),
-        ({(1, top): 2, (-1, top): 1}, {(1, top): 1, (-1, top): 3}),
-        ({(1, n - half): 1}, {(-1, half): 2}),
-        ({(-1, n - half): 1}, {(1, half - 1): 1, (-1, 1): 1}),
-        ({}, {(1, n - half): 1, (-1, half - 1): 5}),
-        ({(1, 2): 3, (-1, 3): 4}, {(1, 1): 2, (-1, 2): 5, (1, 3): 1}),
-    ]
-    rng = random.Random(n)
-    pool = sorted({e for e in (1, 2, 3, half - 1, half, half + 1, n - half, top - 1, top) if 1 <= e})
-    for _ in range(4):
-        cases.append(
-            tuple(
-                {(rng.choice((1, -1)), e): rng.randint(1, 5) for e in rng.sample(pool, min(3, len(pool)))}
-                for _ in range(2)
-            )
-        )
-    return [tuple({f: m for f, m in side.items() if 1 <= f[1] < n} for side in case) for case in cases]
-
-
-# the steps k < 40 of (q;q^3)(q^2;q^3), in ascending order
-Q3_STEPS = [k for k in range(1, 40) if k % 3]
 
 
 LIST_REFERENCES = {
@@ -659,42 +632,17 @@ class TestQuotientsByDivision:
 
     @pytest.mark.parametrize("x,y,base,built", BUILT_AT_40)
     def test_cancelled_symbols_are_not_built(self, monkeypatch, x, y, base, built):
-        # what is left to expand: an eta signature, or `_quotient`'s normal form
+        # what is left to expand: the eta signature
         seen = []
-        normal_form, eta_quotient = constructors._normal_form, constructors._eta_quotient
-
-        def recording_form(num, den, order):
-            seen.append(normal_form(num, den, order))
-            return seen[-1]
+        eta_quotient = constructors._eta_quotient
 
         def recording_eta(const, c, order):
             seen.append((const, c))
             return eta_quotient(const, c, order)
 
-        monkeypatch.setattr(constructors, "_normal_form", recording_form)
         monkeypatch.setattr(constructors, "_eta_quotient", recording_eta)
         entry29_rhs(x, y, base, 40)
-        if len(built) == 2:
-            assert seen == [built]
-        else:
-            const, g, num, den = built
-            assert seen == [(const, g, factors(num, 40), factors(den, 40))]
-
-    @pytest.mark.parametrize(
-        "num,den,form",
-        [
-            # (1 - q^3)(1 + q^3) / (1 - q^6): the pair cancels only after it forms
-            ({(1, 3): 1, (-1, 3): 1}, {(1, 6): 1}, (1, 1, {}, {})),
-            # (1 - q^3)(1 + q^3) / (1 - q^3): a cancel first leaves 1 + q^3
-            ({(1, 3): 1, (-1, 3): 1}, {(1, 3): 1}, (1, 3, {(-1, 3): 1}, {})),
-            # pairs chain upward and drop at q^order; (1 + q^0) leaves as 2
-            ({(-1, 0): 2, (1, 2): 1, (-1, 2): 1, (-1, 4): 1}, {(-1, 6): 1}, (4, 6, {}, {(-1, 6): 1})),
-        ],
-    )
-    def test_normal_form_by_hand(self, num, den, form):
-        const, g, num_form, den_form = form
-        got = constructors._normal_form(Counter(num), Counter(den), 8)
-        assert got == (const, g, Counter(num_form), Counter(den_form))
+        assert seen == [built]
 
     @pytest.mark.parametrize(
         "build,divisions",
@@ -720,32 +668,9 @@ class TestQuotientsByDivision:
             divide_sparse(coeffs, terms)
 
         monkeypatch.setattr(constructors, "_divide_sparse", recording)
-        monkeypatch.setattr(constructors, "geometric_mul_inplace", None)  # no factor route
+        monkeypatch.setattr(constructors, "geometric_mul_inplace", None)  # no geometric division
         build()
         assert seen == divisions
-
-    @pytest.mark.parametrize(
-        "build,steps,n",
-        [
-            # 1/((q^3;q^7)(q^4;q^7)) is expanded in descending exponent: each
-            # step divides the tail from the step before it, and not at all
-            # once the two add up to n
-            (lambda: entry29_rhs(*WIDE_TRIPLES[0], 40), [k for k in range(1, 40) if k % 7 in (3, 4)], 40),
-            # 2 (q^10;q^10)^2/((q^4;q^10)(q^6;q^10)) in q^2, 20 terms
-            (lambda: entry29_rhs(*MORE_TRIPLES_WIDE_5, 40), [k for k in range(1, 20) if k % 5 in (2, 3)], 20),
-        ],
-        ids=["q2-q3-7", "mq2-q3-5"],
-    )
-    def test_wide_quotients_divide_tails_in_q_to_the_g(self, monkeypatch, build, steps, n):
-        seen = Counter()
-
-        def recording(coeffs, step, sign):
-            seen[len(coeffs), step, sign] += 1
-            geometric_mul_inplace(coeffs, step, sign)
-
-        monkeypatch.setattr(constructors, "geometric_mul_inplace", recording)
-        build()
-        assert seen == {(n - up, e, 1): 1 for e, up in zip(steps, steps[1:]) if e + up < n}
 
     @pytest.mark.parametrize(
         "build,squared",
@@ -760,13 +685,8 @@ class TestQuotientsByDivision:
             (lambda: entry29_rhs(*ENTRY29_TRIPLES[4], 40), [20, 20]),
             # (q;q) is E itself: nothing is squared
             (lambda: pochhammer(Q, 1, 40), []),
-            # on `_quotient`, the root (q^7;q^7) is squared and joined to the
-            # odd part 1/((q^3;q^7)(q^4;q^7))
-            (lambda: entry29_rhs(*WIDE_TRIPLES[0], 40), [40, ("join", 40, 40)]),
-            # no factor of (q;q^3) repeats: the root is 1 and nothing is squared
-            (lambda: pochhammer(Q, 3, 40), []),
         ],
-        ids=["phi", "2phi-triple", "q-q-3", "q-q-4", "pochhammer", "q2-q3-7", "pochhammer-step-3"],
+        ids=["phi", "2phi-triple", "q-q-3", "q-q-4", "pochhammer"],
     )
     def test_the_root_is_squared_by_one_mul(self, monkeypatch, build, squared):
         seen = []
@@ -775,24 +695,24 @@ class TestQuotientsByDivision:
             seen.append(f.order if f is g else ("join", f.order, g.order))
             return mul(f, g)
 
-        monkeypatch.setattr(constructors, "mul", recording)
-        build()
+        with constructors._product_run():
+            pochhammer(Q, 1, 40)  # E, solved by its own `mul`s, serves every row from here
+            monkeypatch.setattr(constructors, "mul", recording)
+            build()
         assert seen == squared
-
-    @pytest.mark.parametrize("g", [1, 2, 3])
-    def test_expand_matches_full_passes(self, g):
-        for n in [*range(1, 41), 300]:
-            for num, den in expand_cases(n):
-                num_k, den_k = (Counter({(s, g * e): m for (s, e), m in side.items()}) for side in (num, den))
-                expected = expand_by_full_passes(num_k, den_k, g, n)
-                assert constructors._expand(num_k, den_k, g, n) == expected, (n, num, den)
 
     @pytest.mark.parametrize("num,den", list(QUOTIENT_CASES.values()), ids=list(QUOTIENT_CASES))
     def test_quotient_matches_one_factor_at_a_time(self, num, den):
-        for order in [*range(1, 41), 300]:
-            num_o, den_o = (Counter({f: m for f, m in c.items() if f[1] < order}) for c in (num, den))
-            expected = quotient_by_factors(num_o, den_o, order)
-            assert constructors._quotient(Counter(num_o), Counter(den_o), order) == expected, order
+        # every order through 140 crosses the solver's leaf of 32 terms and
+        # its splits at 64 and 128; a series through q^(N-1) is the prefix
+        # of the same series at 140
+        def below(order):
+            return [Counter({f: m for f, m in c.items() if f[1] < order}) for c in (num, den)]
+
+        reference = list(quotient_by_factors(*below(140), 140))
+        for order in range(1, 141):
+            assert list(factor_route(*below(order), order)) == reference[:order], order
+        assert factor_route(*below(300), 300) == quotient_by_factors(*below(300), 300)
 
     @pytest.mark.parametrize("x,y,base", admissible_triples(5))
     def test_every_small_triple_matches_inversion(self, x, y, base):
@@ -819,8 +739,10 @@ class TestQuotientsByDivision:
 
 
 def factor_route(num, den, order):
-    """The product of binomial factors by `_quotient`, on copies it may consume."""
-    return constructors._quotient(Counter(num), Counter(den), order)
+    """The product of binomial factors solved from the log-derivative of
+    the raw factors, whatever its signature."""
+    const, a = constructors._log_derivative(num, den, order)
+    return constructors._spread(const, constructors._solve(a), 1, order)
 
 
 def eta_route(num, den, order):
@@ -845,7 +767,8 @@ POCHHAMMER_CASES = [
 
 class TestEtaRoute:
     """Products whose signature divides twice their step go through one E;
-    the rest stay on `_quotient`, the factor route, which is the reference."""
+    the rest are solved from the log-derivative of their raw factors, the
+    factor route, which is the reference."""
 
     @pytest.mark.parametrize("x,y,base", admissible_triples(6))
     def test_every_triple_up_to_base_6_matches_the_factor_route(self, x, y, base):
@@ -889,7 +812,9 @@ class TestEtaRoute:
         ids=["phi", *(f"triple-{i}" for i in range(len(ENTRY29_TRIPLES)))],
     )
     def test_suite_products_take_the_eta_route(self, monkeypatch, build):
-        monkeypatch.setattr(constructors, "_quotient", None)
+        # E from the pentagonal theorem, so that no log-derivative is solved
+        monkeypatch.setattr(constructors, "_euler", euler_by_pentagonal)
+        monkeypatch.setattr(constructors, "_log_derivative", None)
         build(300)
 
     @pytest.mark.parametrize("x,y,base,signature", SUITE_SIGNATURES)
@@ -923,10 +848,11 @@ class TestEtaRoute:
         return built
 
     def test_one_e_per_suite_run(self, euler_builds):
+        # I7 needs E through 60 terms (PHI in q^2), I13 through 120
         run_suite(120)
-        assert euler_builds == [120]
+        assert euler_builds == [60, 120]
         run_suite(120)
-        assert euler_builds == [120, 120]
+        assert euler_builds == [60, 120, 60, 120]
 
     def test_a_standalone_check_builds_e_as_its_products_need_it(self, euler_builds):
         # PHI is E(q^2)^4/E(q)^2 in q^2: I7 needs E only through 60 terms
@@ -937,18 +863,36 @@ class TestEtaRoute:
         assert check_identity(IdentityId.I13_ENTRY29_INSTANCE, 120).passed
         assert euler_builds == [60, 60, 120]
 
-    def test_a_run_sized_for_e_builds_it_once(self, euler_builds):
-        with constructors._product_run(120):
-            phi(120)
-            entry29_rhs(*ENTRY29_TRIPLES[2], 120)
-            pochhammer(Q, 1, 120)
-        assert euler_builds == [120]
-
     def test_a_standalone_product_builds_only_what_it_needs(self, euler_builds):
         # PHI is E(q^2)^4/E(q)^2 in q^2: E through 60 terms serves it at 120
         phi(120)
         entry29_rhs(*ENTRY29_TRIPLES[2], 120)
         assert euler_builds == [60, 120]
+
+
+class TestSolve:
+    """`_solve` against references that share no code with it: the
+    pentagonal theorem and a product by `mul`. Every order through 140 is
+    checked one factor at a time in `test_quotient_matches_one_factor_at_a_time`."""
+
+    def test_coefficients_past_two_to_the_64(self):
+        # 1/(q;q)^5 at 2000, checked as the inverse of E^5 from the theorem
+        order = 2000
+        got = factor_route(Counter(), Counter({(1, k): 5 for k in range(1, order)}), order)
+        assert max(got).bit_length() > 64
+        e = TruncatedSeries(euler_by_pentagonal(order))
+        assert mul(got, mul(mul(e, e), mul(mul(e, e), e))) == TruncatedSeries.one(order)
+
+    def test_no_integer_series_has_log_derivative_q(self):
+        # p = exp(q): 2*p[2] = 1 has no integer solution
+        assert constructors._solve([0, 1]) == [1, 1]
+        for n in (3, 4, 40):
+            with pytest.raises(ArithmeticError):
+                constructors._solve([0, 1] + [0] * (n - 2))
+
+    def test_euler_matches_the_pentagonal_theorem(self):
+        for n in [*range(1, 301), 2000]:
+            assert constructors._euler(n) == euler_by_pentagonal(n), n
 
 
 class TestConstructorArguments:
@@ -1097,25 +1041,25 @@ class TestPackedSlotBound:
 
 
 class TestPartitionOracle:
-    """`oracle_partitions` counts by knapsack what `_quotient` expands as a
-    product: 1/(q^2;q^2)^2 only as a squared root, 1/(q;q) only as odd factors.
+    """`oracle_partitions` counts by knapsack what the factor route solves
+    from the log-derivative: 1/(q^2;q^2)^2 and 1/(q;q).
     `oracle_partition_count` counts 1/(q;q) a third way, one p(n) at a time."""
 
     def test_two_colored_even_parts(self):
         for order in range(1, 301):
             den = Counter({(1, k): 2 for k in range(2, order, 2)})
-            assert constructors._quotient(Counter(), den, order) == oracle_partitions(2, 2, order)
+            assert factor_route(Counter(), den, order) == oracle_partitions(2, 2, order)
 
     def test_partitions(self):
         for order in range(1, 301):
             den = Counter({(1, k): 1 for k in range(1, order)})
-            assert constructors._quotient(Counter(), den, order) == oracle_partitions(1, 1, order)
+            assert factor_route(Counter(), den, order) == oracle_partitions(1, 1, order)
 
     def test_partition_counts(self):
         # p(n) by descending-part recursion, which shares no code with the knapsack
         order = 40
         den = Counter({(1, k): 1 for k in range(1, order)})
-        partitions = constructors._quotient(Counter(), den, order)
+        partitions = factor_route(Counter(), den, order)
         assert list(partitions) == [oracle_partition_count(n) for n in range(order)]
 
 
