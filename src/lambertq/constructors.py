@@ -20,15 +20,12 @@ truncation order.
 
 Every product (`pochhammer`, `phi`, `entry29_rhs`) starts from its binomial
 factors and their signature: by exact ring identities alone it equals
-const * Prod_d E(q^d)^c(d) mod q^order, E = (q;q)_inf. When every d with
-c(d) != 0 divides twice the product's Pochhammer step, as for every product
-of the suite, it is expanded from E: a positive c(d) is a `mul` power of E,
-a negative one exact divisions by E(q^d) over E's few nonzero terms.
-Within one run (`_product_run`), each expansion is kept by its primitive
-signature c/g, so products that differ only by q -> q^g share one. E and
-every other product P = const * p are solved from the log-derivative
-a = q d/dq log p, which their factors give as geometric runs: n*p_n =
-Sum_j a_j p_(n-j), by divide and conquer over `mul` (`_solve`).
+const * Prod_d E(q^d)^c(d) mod q^order, E = (q;q)_inf. It is expanded in
+q^g, g = gcd(supp c), by its primitive signature c/g. That expansion p is
+solved from a = q d/dq log p, which divisor sums give (Euler): n*p_n =
+Sum_j a_j p_(n-j), by divide and conquer over `mul` (`_solve`). Within one
+run (`_product_run`), each expansion is kept by its primitive signature, so
+products that differ only by q -> q^g share one.
 """
 
 from __future__ import annotations
@@ -257,7 +254,8 @@ def _log_derivative(num: Counter, den: Counter, order: int) -> tuple[int, list[i
     with multiplicity; only `num` may hold a k = 0 factor, (-1, 0), and
     (1 + q^0) = 2 goes into `const`. q d/dq is a derivation, so each other
     factor adds q d/dq log(1 - s*q^k) = -k*Sum_{j>=1} s^j q^(jk), negated
-    below the bar, and a factor on both sides cancels exactly.
+    below the bar, and a factor on both sides cancels exactly. No builder
+    calls it: it is the factor-by-factor reference for `_eta_expand`.
     """
     const, a = 1, [0] * order
     for side, sign in ((num, -1), (den, 1)):
@@ -346,14 +344,11 @@ def _signature(num: Counter, den: Counter, order: int) -> tuple[int, dict[int, i
 # None outside a run.
 _RUN: ContextVar[Optional[dict]] = ContextVar("lambertq_products", default=None)
 
-# the primitive signature of E itself
-_E = ((1, 1),)
-
 
 @contextmanager
 def _product_run() -> Iterator[None]:
-    """Share E and every eta-quotient expansion among the products built
-    inside, unless an enclosing run shares them already. E is built through
+    """Share every eta-quotient expansion among the products built inside,
+    unless an enclosing run shares them already. Each is solved through
     what the product that first needs it needs, and again when a later one
     needs more."""
     if _RUN.get() is not None:
@@ -366,92 +361,39 @@ def _product_run() -> Iterator[None]:
         _RUN.reset(token)
 
 
-def _euler(n: int) -> list[int]:
-    """E = (q;q)_inf through n terms, solved from the log-derivative of its
-    factors, never from the pentagonal theorem."""
-    return _solve(_log_derivative(_symbols([(1, 1)], 1, n), Counter(), n)[1])
-
-
-def _divide_sparse(coeffs: list[int], terms: list[tuple[int, int]]) -> None:
-    """Divide a coefficient list in place by 1 + Sum w*q^j over the terms
-    (j, w), ascending in j >= 1: c[i] -= Sum w*c[i-j] over the terms with
-    j <= i, so each coefficient loops only over the divisor's nonzero terms."""
-    live: list[tuple[int, int]] = []
-    ahead = iter(terms)
-    nxt = next(ahead, None)
-    for i in range(1, len(coeffs)):
-        while nxt is not None and nxt[0] <= i:
-            live.append(nxt)
-            nxt = next(ahead, None)
-        coeffs[i] -= sum([w * coeffs[i - j] for j, w in live])
-
-
-def _power(f: TruncatedSeries, e: int) -> TruncatedSeries:
-    """f^e for e >= 1 by repeated squaring; `mul` packs a square once."""
-    out = None
-    while True:
-        if e & 1:
-            out = f if out is None else mul(out, f)
-        e >>= 1
-        if not e:
-            return out
-        f = mul(f, f)
-
-
 def _eta_expand(sig: tuple[tuple[int, int], ...], n: int) -> list[int]:
     """Prod_d E(q^d)^c(d) through n terms, for a signature ((d, c(d)), ...)
-    ascending in d.
+    ascending in d, solved from its log-derivative by `_solve`.
 
-    In a run, every expansion is kept, and one at least n long serves by its
-    prefix. Each positive c(d) is E^c(d), by `mul`, spread to q^d; the spread
-    powers are joined by `mul`. Each negative c(d) is -c(d) exact divisions
-    by the spread E(q^d), over E's nonzero terms as found.
+    q d/dq log E(q^d) = -d*Sum_{j>=1} sigma(j) q^(dj) (Euler), so the
+    log-derivative is -Sum_d c(d)*d*Sum_j sigma(j) q^(dj), with sigma from one
+    divisor-sum sieve. In a run, every expansion is kept, and one at least n
+    long serves by its prefix.
     """
     kept = _RUN.get()
     if kept is not None and len(kept.get(sig, ())) >= n:
         return kept[sig]
-    if sig == _E:
-        coeffs = _euler(n)
-    else:
-        euler = _eta_expand(_E, -(-n // sig[0][0])) if sig else []
-        joined = None
-        for d, c in sig:
-            if c > 0:
-                power = _power(TruncatedSeries._trusted(euler[: -(-n // d)]), c)
-                spread = _spread(1, power.coefficients, d, n)
-                joined = spread if joined is None else mul(joined, spread)
-        coeffs = [1] + [0] * (n - 1) if joined is None else list(joined.coefficients)
-        for d, c in sig:
-            if c < 0:
-                terms = [(d * j, w) for j, w in enumerate(euler[: -(-n // d)]) if j and w]
-                for _ in range(-c):
-                    _divide_sparse(coeffs, terms)
+    sigma = [0] * n
+    for d in range(1, n):
+        sigma[d::d] = [t + d for t in sigma[d::d]]
+    a = [0] * n
+    for d, c in sig:
+        w = c * d
+        a[d::d] = [t - w * u for t, u in zip(a[d::d], sigma[1 : (n - 1) // d + 1])]
+    coeffs = _solve(a)
     if kept is not None:
         kept[sig] = coeffs
     return coeffs
 
 
-def _eta_quotient(const: int, c: dict[int, int], order: int) -> TruncatedSeries:
-    """const * Prod_d E(q^d)^c(d) through q^(order-1): expanded in q^g,
-    g = gcd(supp c), by its primitive signature c/g, then spread out."""
+def _product(num: Counter, den: Counter, order: int) -> TruncatedSeries:
+    """Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) through q^(order-1): its
+    signature const * Prod_d E(q^d)^c(d) is expanded in q^g, g = gcd(supp c),
+    by its primitive signature c/g, then spread out."""
+    const, c = _signature(num, den, order)
     g = gcd(*c) or order
     sig = tuple(sorted((d // g, e) for d, e in c.items()))
     return _spread(const, _eta_expand(sig, -(-order // g)), g, order)
-
-
-def _product(num: Counter, den: Counter, order: int, step: int) -> TruncatedSeries:
-    """Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) through q^(order-1), for
-    factors of Pochhammer symbols with step `step`.
-
-    A quotient whose signature c has every d in its support dividing
-    2*step goes through E, where the run shares its expansions; any other
-    (a wide c, such as (q;q^3)'s) is solved from its own log-derivative.
-    """
-    const, c = _signature(num, den, order)
-    if all(2 * step % d == 0 for d in c):
-        return _eta_quotient(const, c, order)
-    const, a = _log_derivative(num, den, order)
-    return _spread(const, _solve(a), 1, order)
 
 
 def _symbols(symbols: list[tuple[int, int]], step: int, order: int) -> Counter:
@@ -469,7 +411,7 @@ def pochhammer(arg: SignedMonomial, step: int, order: int) -> TruncatedSeries:
         raise ValueError(f"Pochhammer step must be >= 1, got {step}")
     if arg.sign == 1 and arg.exponent == 0:
         raise ZeroFactor("(q^0; .)_inf contains the factor 1 - 1 = 0")
-    return _product(_symbols([(arg.sign, arg.exponent)], step, order), Counter(), order, step)
+    return _product(_symbols([(arg.sign, arg.exponent)], step, order), Counter(), order)
 
 
 def _phi_factors(order: int) -> tuple[Counter, Counter]:
@@ -480,7 +422,7 @@ def _phi_factors(order: int) -> tuple[Counter, Counter]:
 def phi(order: int) -> TruncatedSeries:
     """The even quotient (q^4;q^4)_inf^4 / (q^2;q^2)_inf^2."""
     _check_args(order)
-    return _product(*_phi_factors(order), order, 4)
+    return _product(*_phi_factors(order), order)
 
 
 # -- the named series ---------------------------------------------------------
@@ -776,7 +718,7 @@ def entry29_rhs(x: SignedMonomial, y: SignedMonomial, base: int, order: int) -> 
             "the (Q/xy; Q) factor starts 1 - q^0 = 0 when "
             "x.exponent + y.exponent = base with x.sign*y.sign = +1"
         )
-    return _product(*_entry29_factors(x, y, base, order), order, base)
+    return _product(*_entry29_factors(x, y, base, order), order)
 
 
 def _entry29_factors(

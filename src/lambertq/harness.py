@@ -210,8 +210,8 @@ def check_identity(ident: IdentityId, order: int, builder: Builder = named_serie
 
     `builder` supplies the named series: `run_suite` passes its per-run
     cache, and tests pass builders that inject faults. The products a check
-    builds share E and their expansions (see `_product_run`), and so do
-    all the checks of one `run_suite`.
+    builds share their eta-quotient expansions (see `_product_run`), and so
+    do all the checks of one `run_suite`.
     """
     if order < 8:
         raise OrderTooSmall(f"identity checks need order >= 8, got {order}")

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from collections import Counter
+from math import gcd
 from operator import add, sub
 
 import pytest
@@ -189,8 +190,8 @@ SUITE_SIGNATURES = [
     (*ENTRY29_TRIPLES[6], (2, {4: -2, 8: 4})),
 ]
 
-# (q^2, q^3, 7) and (q, q^2, 5): wide signatures, solved from their
-# log-derivatives
+# (q^2, q^3, 7) and (q, q^2, 5): wide signatures, with about a thousand d in
+# the support of c at order 2000
 WIDE_TRIPLES = [(Q2, SignedMonomial(1, 3), 7), (Q, Q2, 5)]
 
 
@@ -632,74 +633,45 @@ class TestQuotientsByDivision:
 
     @pytest.mark.parametrize("x,y,base,built", BUILT_AT_40)
     def test_cancelled_symbols_are_not_built(self, monkeypatch, x, y, base, built):
-        # what is left to expand: the eta signature
+        # what is left to expand: the eta signature, solved in q^g by c/g
         seen = []
-        eta_quotient = constructors._eta_quotient
+        eta_expand = constructors._eta_expand
 
-        def recording_eta(const, c, order):
-            seen.append((const, c))
-            return eta_quotient(const, c, order)
+        def recording(sig, n):
+            seen.append((sig, n))
+            return eta_expand(sig, n)
 
-        monkeypatch.setattr(constructors, "_eta_quotient", recording_eta)
+        monkeypatch.setattr(constructors, "_eta_expand", recording)
         entry29_rhs(x, y, base, 40)
-        assert seen == [built]
+        const, c = built
+        g = gcd(*c)
+        assert seen == [(tuple(sorted((d // g, e) for d, e in c.items())), -(-40 // g))]
+        assert constructors._signature(*constructors._entry29_factors(x, y, base, 40), 40) == built
 
     @pytest.mark.parametrize(
-        "build,divisions",
+        "build,solved",
         [
             # 2 E(q^4)^4/E(q^2)^2 and PHI are E(q^2)^4/E(q)^2 in q^2: at order
-            # 40, two sparse divisions of 20 terms by E, whose nonzero terms
-            # below q^20 sit at 1, 2, 5, 7, 12, 15
-            (lambda: entry29_rhs(*ENTRY29_TRIPLES[0], 40), {(20, 1, 6): 2}),
-            (lambda: phi(40), {(20, 1, 6): 2}),
-            # E(q^3)^3/E(q) keeps g = 1: one division by E's terms below q^40,
-            # at 1, 2, 5, 7, 12, 15, 22, 26, 35
-            (lambda: entry29_rhs(*ENTRY29_TRIPLES[2], 40), {(40, 1, 9): 1}),
+            # 40, one solve through 20 terms
+            (lambda: entry29_rhs(*ENTRY29_TRIPLES[0], 40), [20]),
+            (lambda: phi(40), [20]),
+            # E(q^3)^3/E(q) keeps g = 1: one solve through 40 terms
+            (lambda: entry29_rhs(*ENTRY29_TRIPLES[2], 40), [40]),
         ],
         ids=["2phi-triple", "phi", "q-q-3"],
     )
-    def test_divisions_run_in_q_to_the_g(self, monkeypatch, build, divisions):
-        # (terms divided, first exponent of the divisor, its nonzero terms)
-        seen = Counter()
-        divide_sparse = constructors._divide_sparse
+    def test_divisions_run_in_q_to_the_g(self, monkeypatch, build, solved):
+        seen = []
+        solve = constructors._solve
 
-        def recording(coeffs, terms):
-            seen[len(coeffs), terms[0][0], len(terms)] += 1
-            divide_sparse(coeffs, terms)
+        def recording(a):
+            seen.append(len(a))
+            return solve(a)
 
-        monkeypatch.setattr(constructors, "_divide_sparse", recording)
+        monkeypatch.setattr(constructors, "_solve", recording)
         monkeypatch.setattr(constructors, "geometric_mul_inplace", None)  # no geometric division
         build()
-        assert seen == divisions
-
-    @pytest.mark.parametrize(
-        "build,squared",
-        [
-            # on the E route each positive c(d) raises E by squaring: E^4 is
-            # E^2 squared, in PHI from E through 10 terms (20 in q^2, / 2)
-            (lambda: phi(40), [10, 10]),
-            (lambda: entry29_rhs(*ENTRY29_TRIPLES[0], 40), [10, 10]),
-            # E(q^3)^3: E through 14 terms squared, joined to E by one more `mul`
-            (lambda: entry29_rhs(*ENTRY29_TRIPLES[2], 40), [14, ("join", 14, 14)]),
-            # E(q^2)^4/E(q)^2
-            (lambda: entry29_rhs(*ENTRY29_TRIPLES[4], 40), [20, 20]),
-            # (q;q) is E itself: nothing is squared
-            (lambda: pochhammer(Q, 1, 40), []),
-        ],
-        ids=["phi", "2phi-triple", "q-q-3", "q-q-4", "pochhammer"],
-    )
-    def test_the_root_is_squared_by_one_mul(self, monkeypatch, build, squared):
-        seen = []
-
-        def recording(f, g):
-            seen.append(f.order if f is g else ("join", f.order, g.order))
-            return mul(f, g)
-
-        with constructors._product_run():
-            pochhammer(Q, 1, 40)  # E, solved by its own `mul`s, serves every row from here
-            monkeypatch.setattr(constructors, "mul", recording)
-            build()
-        assert seen == squared
+        assert seen == solved
 
     @pytest.mark.parametrize("num,den", list(QUOTIENT_CASES.values()), ids=list(QUOTIENT_CASES))
     def test_quotient_matches_one_factor_at_a_time(self, num, den):
@@ -745,16 +717,6 @@ def factor_route(num, den, order):
     return constructors._spread(const, constructors._solve(a), 1, order)
 
 
-def eta_route(num, den, order):
-    """The product of binomial factors forced through E, whatever its signature."""
-    return constructors._eta_quotient(*constructors._signature(num, den, order), order)
-
-
-def routed_to_eta(num, den, order, step):
-    _, c = constructors._signature(num, den, order)
-    return all(2 * step % d == 0 for d in c)
-
-
 # (s*q^a; q^step) for both signs, a = 0..3 (but the zero factor) and steps 1..6
 POCHHAMMER_CASES = [
     (SignedMonomial(s, a), step)
@@ -766,33 +728,40 @@ POCHHAMMER_CASES = [
 
 
 class TestEtaRoute:
-    """Products whose signature divides twice their step go through one E;
-    the rest are solved from the log-derivative of their raw factors, the
-    factor route, which is the reference."""
+    """Every product is solved from the log-derivative of its eta signature;
+    the factor route, solved from the log-derivative of its raw factors,
+    is the reference."""
 
     @pytest.mark.parametrize("x,y,base", admissible_triples(6))
     def test_every_triple_up_to_base_6_matches_the_factor_route(self, x, y, base):
         for order in [*range(1, 61), 300]:
             factors_ = constructors._entry29_factors(x, y, base, order)
-            assert eta_route(*factors_, order) == factor_route(*factors_, order), order
+            assert constructors._product(*factors_, order) == factor_route(*factors_, order), order
         factors_ = constructors._entry29_factors(x, y, base, 2000)
-        if routed_to_eta(*factors_, 2000, base):
-            assert entry29_rhs(x, y, base, 2000) == factor_route(*factors_, 2000)
+        assert entry29_rhs(x, y, base, 2000) == factor_route(*factors_, 2000)
 
     def test_phi_matches_the_factor_route(self):
         for order in [*range(1, 61), 300, 2000]:
             factors_ = constructors._phi_factors(order)
             assert phi(order) == factor_route(*factors_, order), order
-            assert eta_route(*factors_, order) == factor_route(*factors_, order), order
+            assert constructors._product(*factors_, order) == factor_route(*factors_, order), order
 
     @pytest.mark.parametrize("arg,step", POCHHAMMER_CASES, ids=str)
     def test_pochhammer_matches_the_factor_route(self, arg, step):
         for order in [*range(1, 61), 300]:
             num = constructors._symbols([(arg.sign, arg.exponent)], step, order)
-            assert eta_route(num, Counter(), order) == factor_route(num, Counter(), order), order
+            assert constructors._product(num, Counter(), order) == factor_route(num, Counter(), order), order
         num = constructors._symbols([(arg.sign, arg.exponent)], step, 2000)
-        if routed_to_eta(num, Counter(), 2000, step):
-            assert pochhammer(arg, step, 2000) == factor_route(num, Counter(), 2000)
+        assert pochhammer(arg, step, 2000) == factor_route(num, Counter(), 2000)
+
+    @pytest.mark.parametrize(
+        "build",
+        [phi, *(lambda n, t=t: entry29_rhs(*t, n) for t in ENTRY29_TRIPLES)],
+        ids=["phi", *(f"triple-{i}" for i in range(len(ENTRY29_TRIPLES)))],
+    )
+    def test_suite_products_take_the_eta_route(self, monkeypatch, build):
+        monkeypatch.setattr(constructors, "_log_derivative", None)
+        build(300)
 
     @pytest.mark.parametrize(
         "build",
@@ -802,18 +771,7 @@ class TestEtaRoute:
         ],
         ids=["pochhammer-q-3", "q2-q3-7", "q-q2-5"],
     )
-    def test_wide_signatures_stay_on_the_factor_route(self, monkeypatch, build):
-        monkeypatch.setattr(constructors, "_eta_quotient", None)
-        build(300)
-
-    @pytest.mark.parametrize(
-        "build",
-        [phi, *(lambda n, t=t: entry29_rhs(*t, n) for t in ENTRY29_TRIPLES)],
-        ids=["phi", *(f"triple-{i}" for i in range(len(ENTRY29_TRIPLES)))],
-    )
-    def test_suite_products_take_the_eta_route(self, monkeypatch, build):
-        # E from the pentagonal theorem, so that no log-derivative is solved
-        monkeypatch.setattr(constructors, "_euler", euler_by_pentagonal)
+    def test_wide_signatures_take_the_eta_route(self, monkeypatch, build):
         monkeypatch.setattr(constructors, "_log_derivative", None)
         build(300)
 
@@ -835,39 +793,41 @@ class TestEtaRoute:
         assert constructors._signature(num, Counter(), 4) == (2, {1: -1, 2: 1})
 
     @pytest.fixture
-    def euler_builds(self, monkeypatch):
-        """The term counts of every E built, through the package's one builder."""
-        built = []
-        euler = constructors._euler
+    def solves(self, monkeypatch):
+        """The term counts of every expansion solved, through the package's
+        one solver."""
+        solved = []
+        solve = constructors._solve
 
-        def counting(n):
-            built.append(n)
-            return euler(n)
+        def counting(a):
+            solved.append(len(a))
+            return solve(a)
 
-        monkeypatch.setattr(constructors, "_euler", counting)
-        return built
+        monkeypatch.setattr(constructors, "_solve", counting)
+        return solved
 
-    def test_one_e_per_suite_run(self, euler_builds):
-        # I7 needs E through 60 terms (PHI in q^2), I13 through 120
+    def test_one_e_per_suite_run(self, solves):
+        # E(q^2)^4/E(q)^2 through 60 terms for I7 (PHI in q^2); for I13,
+        # E(q^3)^3/E(q) through 120 and E(q^2)^4/E(q)^2 again through 120
         run_suite(120)
-        assert euler_builds == [60, 120]
+        assert solves == [60, 120, 120]
         run_suite(120)
-        assert euler_builds == [60, 120, 60, 120]
+        assert solves == [60, 120, 120] * 2
 
-    def test_a_standalone_check_builds_e_as_its_products_need_it(self, euler_builds):
-        # PHI is E(q^2)^4/E(q)^2 in q^2: I7 needs E only through 60 terms
+    def test_a_standalone_check_builds_e_as_its_products_need_it(self, solves):
+        # PHI is E(q^2)^4/E(q)^2 in q^2: I7 needs it only through 60 terms
         assert check_identity(IdentityId.I7_S_EQ_QPHI, 120).passed
-        assert euler_builds == [60]
-        # I13's first side is 2*PHI; E through 120 terms then serves every
-        # later side
+        assert solves == [60]
+        # I13's first side is 2*PHI, again through 60 terms; E(q^3)^3/E(q)
+        # and E(q^2)^4/E(q)^2 through 120 terms then serve every later side
         assert check_identity(IdentityId.I13_ENTRY29_INSTANCE, 120).passed
-        assert euler_builds == [60, 60, 120]
+        assert solves == [60, 60, 120, 120]
 
-    def test_a_standalone_product_builds_only_what_it_needs(self, euler_builds):
-        # PHI is E(q^2)^4/E(q)^2 in q^2: E through 60 terms serves it at 120
+    def test_a_standalone_product_builds_only_what_it_needs(self, solves):
+        # PHI is E(q^2)^4/E(q)^2 in q^2: 60 terms serve it at 120
         phi(120)
         entry29_rhs(*ENTRY29_TRIPLES[2], 120)
-        assert euler_builds == [60, 120]
+        assert solves == [60, 120]
 
 
 class TestSolve:
@@ -892,7 +852,24 @@ class TestSolve:
 
     def test_euler_matches_the_pentagonal_theorem(self):
         for n in [*range(1, 301), 2000]:
-            assert constructors._euler(n) == euler_by_pentagonal(n), n
+            assert list(pochhammer(Q, 1, n)) == euler_by_pentagonal(n), n
+
+    def test_eta_expand_past_two_to_the_64(self):
+        # 1/E^5 from the divisor sums, checked against E^5 from the theorem
+        got = TruncatedSeries(constructors._eta_expand(((1, -5),), 2000))
+        assert max(got).bit_length() > 64
+        e = TruncatedSeries(euler_by_pentagonal(2000))
+        assert mul(got, mul(mul(e, e), mul(mul(e, e), e))) == TruncatedSeries.one(2000)
+
+    def test_mixed_signature_matches_the_factor_route(self):
+        # E(q)^-3 E(q^2)^5 E(q^3)^-2 from its Pochhammer factors, at every
+        # order across the solver's leaf and splits
+        sig = ((1, -3), (2, 5), (3, -2))
+        for order in [*range(1, 141), 300]:
+            num = factors([(1, 2, 2, 5)], order)
+            den = factors([(1, 1, 1, 3), (1, 3, 3, 2)], order)
+            assert constructors._signature(num, den, order)[1] == {d: c for d, c in sig if d < order}
+            assert constructors._eta_expand(sig, order) == list(factor_route(num, den, order)), order
 
 
 class TestConstructorArguments:

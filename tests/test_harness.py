@@ -346,23 +346,24 @@ class TestBilateralRows:
             calls.append(args[:3])
             return original(*args)
 
-        divided = []
-        divide_sparse = constructors._divide_sparse
+        solved = []
+        solve = constructors._solve
 
-        def recording(coeffs, terms):
-            divided.append(len(coeffs))
-            divide_sparse(coeffs, terms)
+        def recording(a):
+            solved.append(len(a))
+            return solve(a)
 
         monkeypatch.setattr(lambertq.harness, "entry29_rhs", counting)
-        monkeypatch.setattr(constructors, "_divide_sparse", recording)
+        monkeypatch.setattr(constructors, "_solve", recording)
         with constructors._product_run():
             pairs = list(_ROWS[IdentityId.I13_ENTRY29_INSTANCE](120, named_series))
         assert calls == list(ENTRY29_TRIPLES)
         # the run's cache shares each expansion: E(q^2)^4/E(q)^2 in 60 terms
-        # serves triples 0 and 1 (which swap x and y), 2*PHI and, in q^2 or
-        # q^4, triples 5 and 6; E(q^3)^3/E(q) in 120 terms serves triples 2
-        # and 3; only triple 4 needs the first through 120 terms
-        assert divided == [60, 60, 120, 120, 120]
+        # serves triples 0 and 1 (which swap x and y) and 2*PHI;
+        # E(q^3)^3/E(q) in 120 terms serves triples 2 and 3; triple 4 needs
+        # the first through 120 terms, which serve triples 5 and 6 in q^2
+        # and q^4
+        assert solved == [60, 120, 120]
         by_triple = [pairs[0], *pairs[2:]]
         flagship = bilateral_sum(*ENTRY29_TRIPLES[0], 120)
         assert pairs[1][1:] == (flagship, 2 * named_series(SeriesId.PHI, 120))
