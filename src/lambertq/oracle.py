@@ -6,21 +6,28 @@ of `_DISPLAYS`: families of terms w*ws^t * q^(a+t*da) / ((1 - s1*q^(b+t*db))
 other run as t, the second factor optional. One enumerator, `_enumerate`,
 adds the lattice points Sum_{u,v>=0} w * ws^t * s1^u * s2^v *
 q^(a+t*da+u*(b+t*db)+v*c) of every family to a coefficient list. For each
-outer step u the family's points lie on one progression, added by one
-strided slice; a run along a fixed step c below order // 8 leaves marks in a
-table for its stride, which one running sum per residue class spreads over
-the run's points, and a longer c, or none, is added straight. Once a row
-holds only a few terms, the rest of the family is those terms' own runs
-along u, one slice each. Nothing is shared with the constructors but the
-`SeriesId` names: no `LambertSpec` constant, slot bound, geometric kernel or
-product of series. `oracle_phi` alone counts the lattice points of another
-series, equal to PHI by a classical theorem, so it is a cross-check of PHI
-rather than of its display.
+outer step u the family's points lie on one progression, a row. A run along
+a fixed step c below about 1.5*sqrt(order) is not walked: each row leaves
+marks in a table for stride c by one strided slice, and one running sum per
+residue class spreads them over the run. A longer c, or none, makes the row
+straight, added once per point of the run along v. A straight row is two
+difference marks (four for alternating signs) in the table for its own step
+once the straight rows of that table hold `order` points, and one strided
+slice before that. The running sum that spreads the c-runs turns these marks
+back into the row's points. Once a row holds only a few terms, the rest of
+the family is those terms' own runs along u, one slice each. The oracle
+stays a count of lattice points: a finite run is two marks where an infinite
+one is one. Nothing is shared with the constructors but the `SeriesId`
+names: no `LambertSpec` constant, slot bound, geometric kernel or product of
+series. `oracle_phi` alone counts the lattice points of another series,
+equal to PHI by a classical theorem, so it is a cross-check of PHI rather
+than of its display.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
+from math import isqrt
 from operator import add
 from typing import Callable, Iterable, Iterator
 
@@ -40,19 +47,26 @@ __all__ = [
 # w*ws^t * q^(a+t*da) / ((1 - s1*q^(b+t*db)) (1 - s2*q^c)); c may be None
 _Family = tuple[int, int, int, int, int, int, int, int, "int | None", int]
 
-# A run along a fixed step c < order // _TABLE_DIVISOR is marked in a stride
-# table; a longer step, about _TABLE_DIVISOR points or fewer, is added
-# straight. Swept over the family rows at orders 700 and 1500 (BENCH_15.json:
-# best of 9, each row against the term-by-term enumerator the families
-# replaced): divisors 4 and 16 ran up to 1.7x and 1.4x slower than 8 on a
-# double sum, 2 and 32 up to 3.7x and 2.3x.
-_TABLE_DIVISOR = 8
+# A run along a fixed step c below _table_cut(order) is marked in a stride
+# table; a longer c, or none, makes its rows straight. With straight rows as
+# marks, the best cut order // d moved with the order: d = 16 at 700, 32 at
+# 1500 and 3000, and 48, the largest tried, at 10000 (BENCH_19.json: all 13
+# rows, best of 6, 3, 1 and 1 runs). 1.5*sqrt(order) came within 5 % of the
+# best d at each order and beat it at 3000; at 10000 it took 6.2 s against
+# 11.4 s for order // 16 and 21.4 s for order // 8, the cut when straight
+# rows were sliced.
+def _table_cut(order: int) -> int:
+    return 3 * isqrt(order) // 2
+
+
 # A run of fewer than _SHORT points is walked point by point, and a row of
 # fewer than _SHORT terms ends its family's rows: the rest is those terms'
-# own runs along u. In the same sweep the double sums ran within noise from
-# 8 to 32 (B1 21 % slower at 48 than at 24); below 16 Y_DEF and the single
-# sums slowed (at order 700 Y_DEF took 1.26x the term-by-term time at 4,
-# 1.05x at 8 and 0.86x at 24).
+# own runs along u. Swept before straight rows became marks (BENCH_15.json),
+# the double sums ran within noise from 8 to 32 (B1 21 % slower at 48 than
+# at 24); below 16 Y_DEF and the single sums slowed (at order 700 Y_DEF took
+# 1.26x the term-by-term time at 4, 1.05x at 8 and 0.86x at 24). Swept again
+# with marks (BENCH_19.json), 12, 16 and 32 were each faster than 24 at one
+# of 700 and 1500 and slower at the other; 48 was slower at both.
 _SHORT = 24
 
 
@@ -87,6 +101,26 @@ def _add_run(target: list[int], p: int, step: int, n: int, w: int, ws: int) -> N
         target[p:stop:step2] = [x - w for x in target[p:stop:step2]]
 
 
+def _mark_run(table: list[int], p: int, step: int, n: int, w: int, ws: int) -> None:
+    """Add w * ws^j at p + j*step for j < n as difference marks in a stride
+    table, dropping any at or past the order: +w at p and -w at p + n*step
+    in the table for stride step (ws = +1), or +w at p, -w at p + step,
+    -(-1)^n w at p + n*step and +(-1)^n w at p + (n+1)*step in the table
+    for stride 2*step (ws = -1). The table's running sum makes them points."""
+    order = len(table)
+    table[p] += w
+    end = p + n * step
+    if ws == -1:
+        if p + step < order:
+            table[p + step] -= w
+        if n & 1:
+            w = -w
+        if end + step < order:
+            table[end + step] += w
+    if end < order:
+        table[end] -= w
+
+
 def _enumerate(coeffs: list[int], families: Iterable[_Family]) -> list[int]:
     """Add every lattice point of every family of terms to `coeffs`.
 
@@ -95,23 +129,31 @@ def _enumerate(coeffs: list[int], families: Iterable[_Family]) -> list[int]:
     least 1 and da, db at least 0. The outer step u walks the step that
     varies with t, and v the fixed step c. For each u the points with v = 0
     of all the terms lie on one progression, start a + u*b and stride
-    da + u*db, and one strided slice adds them (`_add_run`). A c below
-    order // _TABLE_DIVISOR is not walked: the slice goes into a table for
-    stride c as marks +w (s2 = +1), or into one for stride 2c with second
-    marks -w at +c (s2 = -1). Once every family is read, a running sum of
-    each table along its stride, residue by residue, puts each mark on
-    every point of its run, and the table is added into `coeffs`. A longer
-    c, about _TABLE_DIVISOR points or fewer, or none (c is None: the run
-    along v is one point) adds the slice straight into `coeffs` once per v.
-    The points of a row only thin out as u grows, so once a row holds
-    fewer than _SHORT terms, no later row holds another: the rest of the
-    family is those terms' runs along u, stride b + t*db and sign s1, one
-    slice each, into the same table or straight.
+    sigma = da + u*db: a row. A c below `_table_cut(order)` is not walked:
+    one strided slice (`_add_run`) puts the row into a table for stride c as
+    marks +w (s2 = +1), or into one for stride 2c with second marks -w at +c
+    (s2 = -1). A longer c, or none (c is None: the run along v is one
+    point), makes the row straight: it is added once per v. A straight row
+    of n points is w*q^e*(1 - (ws*q^sigma)^n)/(1 - ws*q^sigma), so it goes
+    into the table for stride sigma (ws = +1) or 2*sigma (ws = -1) as two or
+    four difference marks (`_mark_run`). A table costs about one pass over
+    the list, so a stride's straight rows are sliced into `coeffs` until
+    together they reach `order` points, and marked from there on; a stride
+    that a c-run already tabled marks them all. Only a row of at least
+    _SHORT terms is straight, so sigma is at most order // 23. Once every
+    family is read, a running sum of each table along its stride, residue by
+    residue, puts each mark on every point of its run, whichever kind of row
+    left it, and the table is added into `coeffs`. The points of a row only
+    thin out as u grows, so once a row holds fewer than _SHORT terms, no
+    later row holds another: the rest of the family is those terms' runs
+    along u, stride b + t*db and sign s1, one slice each, into the c table
+    or straight into `coeffs`.
     """
     order = len(coeffs)
     top = order - 1
-    cut = order // _TABLE_DIVISOR
+    cut = _table_cut(order)
     tables: dict[int, list[int]] = {}  # stride -> marks
+    held: dict[int, int] = {}  # stride -> points of the straight rows sliced so far
     for w, ws, a, da, s1, b, db, s2, c, count in families:
         if c is None:  # the run along v is its first point
             c = order
@@ -138,6 +180,16 @@ def _enumerate(coeffs: list[int], families: Iterable[_Family]) -> list[int]:
                         f += step
                         bt += db
                         y *= ws
+                elif target is coeffs and step:  # a straight row: marks, or a slice until they pay
+                    m, stride = min(n, (top - e) // step + 1), step if ws == 1 else 2 * step
+                    marks = tables.get(stride)
+                    if marks is None:
+                        held[stride] = points = held.get(stride, 0) + m
+                        if points < order:
+                            _add_run(coeffs, e, step, m, w * sign, ws)
+                            continue
+                        marks = tables[stride] = [0] * order
+                    _mark_run(marks, e, step, m, w * sign, ws)
                 else:
                     _add_run(target, e, step, min(n, (top - e) // step + 1) if step else n, w * sign, ws)
             if n < _SHORT:

@@ -9,6 +9,7 @@ term by term are the reference the oracle's family rows must expand to.
 import ast
 import random
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from lambertq import (
 )
 from lambertq.constructors import SignedMonomial
 from lambertq import oracle
-from lambertq.oracle import _DISPLAYS, _SHORT, _enumerate
+from lambertq.oracle import _DISPLAYS, _SHORT, _enumerate, _mark_run, _table_cut
 
 # every named series but PHI has a display the oracle enumerates
 ORACLE_SERIES = tuple(sid for sid in SeriesId if sid is not SeriesId.PHI)
@@ -195,8 +196,9 @@ def test_enumerate_single_terms(term):
 
 @pytest.mark.parametrize("term", list(HAND_EXPANDED_TERMS))
 def test_enumerate_single_terms_through_stride_tables(term):
-    # at order 10 no step is short enough for a stride table; at order 80
-    # every step below 10 is, and the first ten coefficients are the same
+    # the second factor's run goes through a stride table below the cut,
+    # _table_cut(10) = 4 and _table_cut(80) = 12, and straight above it; at
+    # order 80 the first ten coefficients are the same as at 10
     assert _enumerate([0] * 80, [_single(term)])[:10] == HAND_EXPANDED_TERMS[term]
 
 
@@ -217,13 +219,14 @@ def _reference(coeffs, families):
     return coeffs
 
 
-# (order, term) pairs on the edges of the stride tables, where order // 8
-# is the first step walked point by point; each runs as a family of count 1
+# (order, term) pairs on the edges of the stride tables, where
+# _table_cut(order) (9 at 40, 12 at 64) is the first fixed step added
+# straight; each runs as a family of count 1
 EDGE_TERMS = [
     *((40, (1, 0, s1, 3, s2, 1)) for s1 in (1, -1) for s2 in (1, -1)),  # c = 1
     *((40, (-2, 1, s1, 3, s2, 3)) for s1 in (1, -1) for s2 in (1, -1)),  # b == c
-    *((64, (3, 2, s1, 9, s2, 7)) for s1 in (1, -1) for s2 in (1, -1)),  # c on order // 8 - 1
-    *((64, (3, 2, s1, 11, s2, 8)) for s1 in (1, -1) for s2 in (1, -1)),  # c on order // 8
+    *((64, (3, 2, s1, 9, s2, 11)) for s1 in (1, -1) for s2 in (1, -1)),  # c on _table_cut(64) - 1
+    *((64, (3, 2, s1, 11, s2, 12)) for s1 in (1, -1) for s2 in (1, -1)),  # c on _table_cut(64)
     (40, (1, 37, 1, 50, -1, 4)),  # a + c >= order: the second mark falls off
     (40, (1, 35, -1, 2, -1, 4)),  # and falls off on the later outer steps
     (40, (7, 39, -1, 1, -1, 1)),  # a = order - 1
@@ -242,7 +245,8 @@ def test_enumerate_matches_reference_on_edge_terms(order, term):
 
 
 # (order, family) pairs on the edges of the family walk: at order 200 the
-# table cut order // 8 is 25, and a row of fewer than _SHORT terms ends the rows
+# table cut _table_cut(200) is 21, and a row of fewer than _SHORT terms ends
+# the rows
 EDGE_FAMILIES = [
     pytest.param(200, (3, 1, 5, 2, -1, 7, 1, 1, 3, 1), id="count-1"),
     pytest.param(200, (3, -1, 5, 2, -1, 7, 1, 1, 30, 1), id="count-1-long-c"),
@@ -289,13 +293,13 @@ def test_enumerate_matches_reference_on_edge_families(order, family):
 @pytest.mark.parametrize("s1", [1, -1])
 @pytest.mark.parametrize("b", [1, 2, 7, 24])
 def test_enumerate_walks_a_single_run_below_the_table_cut(s1, b):
-    # at order 200 every b here is below order // 8 = 25, where a second
-    # factor's run would go through a stride table
+    # a run along b alone is walked or sliced, whether b is below the table
+    # cut _table_cut(200) = 21 or not; the cut applies to a second factor
     order = 200
     terms = [(3, 1, s1, b, 1, None), (-2, b, -s1, b + 1, -1, None)]
     families = list(map(_single, terms))
     assert _enumerate([0] * order, families) == _reference([0] * order, families)
-    mixed = [*families, _single((1, 2, s1, 30, -1, b))]  # and beside a run that is marked
+    mixed = [*families, _single((1, 2, s1, 30, -1, b))]  # and beside a run along c = b, tabled below the cut
     assert _enumerate([0] * order, mixed) == _reference([0] * order, mixed)
 
 
@@ -303,7 +307,7 @@ def _random_term(rng, order):
     w = rng.choice([1, -1, rng.randint(-9, 9), 10**40, -(10**40)])
     a = rng.choice([0, 1, rng.randrange(order), order - 1, order, order + 3])
     b = rng.choice([1, rng.randint(1, order // 4 + 1), rng.randint(1, order + 4)])
-    c = rng.choice([None, 1, b, rng.randint(1, order // 8 + 2), rng.randint(1, order + 4)])
+    c = rng.choice([None, 1, b, rng.randint(1, _table_cut(order) + 2), rng.randint(1, order + 4)])
     return (w, a, rng.choice([1, -1]), b, rng.choice([1, -1]), c)
 
 
@@ -337,6 +341,166 @@ def test_enumerate_matches_reference_on_random_families(order):
         families = [_random_family(rng, order) for _ in range(rng.randint(2, 8))]
         start = [rng.randint(-5, 5) for _ in range(order)]
         assert _enumerate(start[:], families) == _reference(start[:], families), families
+
+
+# Straight rows as difference marks. At order 200 the table cut is
+# _table_cut(200) = 21: a second factor's run along c >= 21 makes every row
+# straight, added once per point of the run along c. A straight row has at
+# least _SHORT terms, so its step is at most 199 // 23 = 8, and the straight
+# rows of one table stride are sliced until they hold `order` points, then
+# marked. ORDER is the order of every test below.
+ORDER = 200
+CUT = _table_cut(ORDER)
+
+
+def _spread(table, stride):
+    """The points that the marks of a stride table stand for."""
+    for r in range(stride):
+        table[r::stride] = accumulate(table[r::stride])
+    return table
+
+
+@pytest.mark.parametrize("ws", [1, -1])
+@pytest.mark.parametrize("n", [1, 2, 3, _SHORT, _SHORT + 1])
+@pytest.mark.parametrize("end", [ORDER - 8, ORDER - 1, ORDER, ORDER + 1, ORDER + 6])
+def test_mark_run_spreads_to_the_run(ws, n, end):
+    # a run of n points at step 7 whose end mark p + n*7 lands at `end`: with
+    # ws = -1 the marks at p + 7 and p + (n+1)*7 fall before, on or past the
+    # order as well, and a mark at or past the order is dropped
+    step, w = 7, -(10**40) + 3
+    p = end - n * step
+    expected = [0] * ORDER
+    for j in range(n):
+        if p + j * step < ORDER:
+            expected[p + j * step] += w * ws**j
+    table = [0] * ORDER
+    _mark_run(table, p, step, n, w, ws)
+    assert _spread(table, step if ws == 1 else 2 * step) == expected
+
+
+def _counting_marks(monkeypatch):
+    """Count the runs `_enumerate` adds as marks rather than slices."""
+    runs = []
+
+    def mark(table, p, step, n, w, ws):
+        runs.append((p, step, n, ws))
+        _mark_run(table, p, step, n, w, ws)
+
+    monkeypatch.setattr(oracle, "_mark_run", mark)
+    return runs
+
+
+def _row(w, ws, a, step, count, c=None, s2=1):
+    """A family of one straight row: count terms from a at `step`, each with
+    one run along c (a single point if c is None); b = ORDER ends the rows."""
+    return (w, ws, a, step, 1, ORDER, 0, s2, c, count)
+
+
+def _check(families, start=None):
+    start = start or [0] * ORDER
+    assert _enumerate(start[:], families) == _reference(start[:], families)
+
+
+@pytest.mark.parametrize("ws", [1, -1])
+@pytest.mark.parametrize(
+    "counts,marked", [((50, 50, 50, 49), []), ((50, 50, 50, 50), [3]), ((50, 50, 50, 50, 30), [3, 4])]
+)
+def test_straight_rows_are_marked_once_they_hold_order_points(monkeypatch, ws, counts, marked):
+    # rows of step 3 from a = 0, 1, 2, ...: 199 points are sliced, and the
+    # row that brings them to 200 and every later one is marked
+    runs = _counting_marks(monkeypatch)
+    families = [_row(2 * i - 3, ws, i, 3, count) for i, count in enumerate(counts)]
+    _check(families)
+    assert runs == [(i, 3, counts[i], ws) for i in marked]
+
+
+@pytest.mark.parametrize("ws", [1, -1])
+@pytest.mark.parametrize("s2", [1, -1])
+@pytest.mark.parametrize("c", [CUT - 1, CUT, CUT + 1])
+def test_c_on_the_table_cut(monkeypatch, ws, s2, c):
+    # rows of step 1 + u with one copy per point of the run along c above
+    # the cut, enough of them to mark; below the cut c goes into a table
+    runs = _counting_marks(monkeypatch)
+    family = (3, ws, 1, 1, -1, 1, 1, s2, c, 150)
+    _check([family])
+    assert bool(runs) == (c >= CUT)
+
+
+@pytest.mark.parametrize("ws", [1, -1])
+@pytest.mark.parametrize("a,step", [(15, 8), (16, 8), (0, 24), (0, 25), (0, 26)])
+def test_row_steps_at_the_straight_limit(monkeypatch, ws, a, step):
+    # 24 terms of step 8 from 15 end at 199, the longest straight step at
+    # order 200, and are marked once eight rows of 25 points have filled
+    # their stride; from 16 only 23 fit, and steps 24-26 hold 9 or fewer, so
+    # those terms are walked along u instead
+    runs = _counting_marks(monkeypatch)
+    filler = [_row(1, ws, r, 8, 25) for r in range(8)]
+    _check([*filler, _row(5, ws, a, step, 40, c=CUT + 3, s2=-1)])
+    assert (a in {p for p, *_ in runs}) == ((a, step) == (15, 8))
+
+
+@pytest.mark.parametrize("ws", [1, -1])
+@pytest.mark.parametrize("c", [ORDER - 1, 181, 180, 182])
+def test_a_marked_copy_of_one_odd_or_even_count(monkeypatch, ws, c):
+    # a row of 24 terms from 0 at step 1 and its copy at c holds 1 (c = 199),
+    # 19, 20 or 18 points there; two rows of 200 and 199 points first push
+    # stride 1 (ws = +1) or 2 (ws = -1) past the threshold
+    runs = _counting_marks(monkeypatch)
+    filler = [_row(1, ws, r, 1, ORDER - r) for r in range(2)]
+    _check([*filler, _row(-7, ws, 0, 1, 24, c=c, s2=-1)])
+    assert (c, 1, ORDER - c, ws) in runs
+
+
+@pytest.mark.parametrize("ws", [1, -1])
+@pytest.mark.parametrize("count", [29, 30, 31, 36])
+def test_count_limited_rows_end_on_and_past_the_order(monkeypatch, ws, count):
+    # marked rows of step 5 from 49, 50 and 51: 30 terms put the end mark
+    # on 199, 200 and 201, 29 terms put the last mark of ws = -1 there, and
+    # 31 or 36 terms are cut at the order; five rows of 40 points come first
+    runs = _counting_marks(monkeypatch)
+    filler = [_row(1, ws, r, 5, 40) for r in range(5)]
+    _check([*filler, *(_row(1 - 2 * r, ws, 49 + r, 5, count) for r in range(3))])
+    assert {49, 50, 51} <= {p for p, *_ in runs}
+
+
+@pytest.mark.parametrize("ws", [1, -1])
+@pytest.mark.parametrize("c_first", [True, False])
+def test_a_row_step_equal_to_a_c_table_stride(monkeypatch, ws, c_first):
+    # rows of step 4 and 90 points share the table of stride 4 (ws = +1) or
+    # 8 (ws = -1) with a run along c = 4 of sign s2 = ws: made by the c-run
+    # first, the table takes every row as marks; made after, it takes none
+    runs = _counting_marks(monkeypatch)
+    c_family = (1, -1, 2, 1, 1, 30, 1, ws, 4, 60)
+    rows = [_row(3, ws, r, 4, 30) for r in range(3)]
+    _check([c_family, *rows] if c_first else [*rows, c_family])
+    assert bool(runs) == c_first
+
+
+@pytest.mark.parametrize("w", [10**40, -(10**40)])
+def test_marks_carry_large_weights(monkeypatch, w):
+    runs = _counting_marks(monkeypatch)
+    families = [(w + r, -1, r, 1, -1, 3, 1, 1, CUT + 2 * r, 120) for r in range(6)]
+    _check(families, start=[r - 100 for r in range(ORDER)])
+    assert runs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_enumerate_matches_reference_on_families_that_share_their_steps(monkeypatch, seed):
+    # 50-300 families with one (da, db), most of them straight, so that the
+    # straight rows of several strides cross the threshold
+    rng = random.Random(f"straight {seed}")
+    da, db = rng.choice([(1, 0), (1, 1), (2, 1), (3, 0), (1, 2), (5, 1)])
+    families = []
+    for _ in range(rng.randint(50, 300)):
+        w = rng.choice([1, -1, rng.randint(-9, 9), 10**40, -(10**40)])
+        c = rng.choice([None, None, rng.randint(CUT - 2, ORDER + 3), rng.randint(1, CUT)])
+        b = rng.randint(max(db, 1), 60)
+        count = rng.choice([_SHORT - 1, _SHORT, rng.randint(_SHORT, ORDER)])
+        ws, s1, s2 = (rng.choice([1, -1]) for _ in range(3))
+        families.append((w, ws, rng.randrange(60), da, s1, b, db, s2, c, count))
+    runs = _counting_marks(monkeypatch)
+    _check(families, start=[rng.randint(-5, 5) for _ in range(ORDER)])
+    assert runs
 
 
 def test_oracle_imports_nothing_else_from_the_package():
