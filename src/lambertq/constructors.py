@@ -9,14 +9,14 @@ the division is a slice operation that runs in CPython's C loops, and
 into the group of that step, and divides each group once by the other
 factor its terms share, so about 1.5*sqrt(order) divisions are made. The
 double sums `Y_EQ1`, `Y_EQ2`, `Z`, `A`, `B` and `B1` make them on
-Kronecker-packed integers (`series._Packing`) in CPython's bigint code.
-Each is summed with its tail (the inner sum) inside, in descending order:
-the tail, held over its own lead, gains its new terms as `comb`s by one
-shift and add, each slice is one `divide` of the tail through the window
-q^(order - lead) it can reach, and the slices go into one accumulator
-Horner-style, with no mask until `unpack`. No rational-function
-arithmetic exists anywhere; each display is expanded exactly through the
-truncation order.
+Kronecker-packed integers (`series._Packing`) in CPython's bigint code,
+all through one engine, `_packed_sum`. Each builder only lists its
+display's terms, outer index walking down, as (lead, b, s, sign,
+into_tail): a tail term sign*q^lead/(1 - s*q^b) of the inner sum, or a
+slice, sign*q^lead/(1 - s*q^b) times the tail so far. The engine holds
+the slot width, every shift and every window, q^(order - lead). No
+rational-function arithmetic exists anywhere; each display is expanded
+exactly through the truncation order.
 
 Every product (`pochhammer`, `phi`, `entry29_rhs`) starts from its binomial
 factors and their signature: by exact ring identities alone it equals
@@ -33,12 +33,12 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import gcd
 from operator import add
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DivergentSpec,
@@ -71,6 +71,25 @@ __all__ = [
 ]
 
 
+# -- argument checks ------------------------------------------------------------
+
+
+def _check_ints(**params: object) -> None:
+    """Reject a named parameter that is not an int or is a bool by a
+    TypeError naming it."""
+    for name, value in params.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def _check_args(order: int, **params: int) -> None:
+    """Reject an order, or a named int parameter (a step, a base), as
+    `_check_ints` does, and an order below 1."""
+    _check_ints(order=order, **params)
+    if order < 1:
+        raise OrderTooSmall(f"a series needs order >= 1, got {order}")
+
+
 @dataclass(frozen=True)
 class SignedMonomial:
     """The monomial sign * q^exponent with sign in {+1, -1} and exponent >= 0."""
@@ -80,8 +99,7 @@ class SignedMonomial:
 
     def __post_init__(self) -> None:
         # coefficients are built from these without a per-coefficient type check
-        if not isinstance(self.sign, int) or not isinstance(self.exponent, int):
-            raise TypeError("monomial sign and exponent must be int")
+        _check_ints(**vars(self))
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if self.exponent < 0:
@@ -118,8 +136,7 @@ class LambertSpec:
 
     def __post_init__(self) -> None:
         # coefficients are built from these without a per-coefficient type check
-        if not all(isinstance(getattr(self, f.name), int) for f in fields(self)):
-            raise TypeError("LambertSpec parameters must be int")
+        _check_ints(**vars(self))
         if self.num_sign not in (1, -1) or self.den_sign not in (1, -1):
             raise ValueError("num_sign and den_sign must be +1 or -1")
         if self.a1 < 1 or self.a0 + self.a1 < 1:
@@ -158,19 +175,6 @@ class SeriesId(Enum):
     L2 = "L2"
     L3 = "L3"
     PHI = "PHI"
-
-
-# -- argument checks ------------------------------------------------------------
-
-
-def _check_args(order: int, **params: int) -> None:
-    """Reject an order, or a named int parameter (a step, a base), that is
-    not an int or is a bool, by a TypeError naming it, and an order below 1."""
-    for name, value in {"order": order, **params}.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an int, got {value!r}")
-    if order < 1:
-        raise OrderTooSmall(f"a series needs order >= 1, got {order}")
 
 
 # -- elementary expansions ----------------------------------------------------
@@ -476,123 +480,118 @@ def _build_y_def(order: int) -> TruncatedSeries:
 # Sum_{j<e} (e+j)/2 < 3/4*e^2; grouped by M, the other five stay below it.
 # With the floor A's sum, the largest, stays below 0.62*order^2
 # (tests/test_constructors.py counts every display's pairs).
-#
-# Each display is summed as Sum_outer prefactor * tail, the tail being the
-# inner sum, with the outer index walking down so that the tail gains one
-# or two terms per step. Evaluation at 2^w is a ring homomorphism
-# Z[q]/q^L -> Z/2^(wL) for every L, so a value whose least exponent (its
-# lead) is l is needed only mod q^(order - l), its window:
-# - The tail is held over its own lead. A step is tail = tail*q^d + comb,
-#   the comb being the new term's Sum s^u q^(ub) through the tail's window,
-#   which the smallest prefactor sets. Any integer congruent to the tail
-#   mod its window stands for it, so it is never masked.
-# - A slice, the prefactor times the tail, is one windowed `divide` of the
-#   tail, below 2^(wL) for its window L = order - lead.
-# - The slices come with descending leads and are summed Horner-style,
-#   acc = acc*q^(step between leads) + slice. acc needs no mask between
-#   steps: every slice is below 2^(wL), so every term of acc is below
-#   2^(w*(order - lead of acc)), and acc stays within log2(order) bits of
-#   it; `unpack` masks once at the end.
-# Only the order of the finite sum changes, never a term.
 
 
-def _build_y_eq1(order: int) -> TruncatedSeries:
+def _packed_sum(order: int, terms: Iterable[tuple[int, int, int, int, bool]]) -> TruncatedSeries:
+    """Sum_outer prefactor * tail through q^(order-1), the tail being the
+    inner sum, from the display's terms (lead, b, s, sign, into_tail) in
+    summing order. A tail term adds sign*q^lead/(1 - s*q^b) to the tail; a
+    slice adds that times the tail so far over its least lead, so a slice
+    leads at its prefactor's lead plus the tail's. Slice leads descend.
+
+    Evaluation at 2^w is a ring homomorphism Z[q]/q^L -> Z/2^(wL), so a
+    value of lead l is needed only mod q^(order - l), its window, and a term
+    leading at the order or past it adds nothing. The tail is held over its
+    lead and gains each term as a `comb` through the term's window. Any
+    integer congruent to the tail mod its window stands for it, so it is
+    masked only when negative, where CPython's `&` is slow. Each slice is
+    one windowed `divide` of the tail, and the slices go Horner-style into
+    one accumulator: its terms stay below 2^(w*(order - its lead)) and it
+    stays within log2(order) bits of that, so `unpack` masks once, at the end.
+    Only the order of the finite sum changes, never a term.
+    """
+    p = _Packing(order, order**2)
+    w = p.width
+    tail = acc = 0
+    at = top = order  # the leads tail and acc are held over
+    for lead, b, s, sign, into_tail in terms:
+        n = order - lead
+        if n <= 0:
+            continue
+        if into_tail:
+            x = p.comb(b, s, n)
+            if lead < at:
+                tail <<= w * (at - lead)
+                at = lead
+            else:
+                x <<= w * (lead - at)
+            tail = tail + x if sign > 0 else tail - x
+            if tail < 0:
+                tail &= p._ones(order - at)
+        else:
+            x = p.divide(tail, b, s, n)
+            acc <<= w * (top - lead)
+            acc = acc + x if sign > 0 else acc - x
+            top = lead
+    return p.unpack(acc << w * top)
+
+
+def _packed(display: Callable[[int], Iterable]) -> Callable[[int], TruncatedSeries]:
+    """The builder that sums the terms display(order) lists by `_packed_sum`."""
+    return lambda order: _packed_sum(order, display(order))
+
+
+@_packed
+def _build_y_eq1(order: int) -> Iterator[tuple[int, int, int, int, bool]]:
     # Sum_{m>=1,k>=0} (-1)^(m+k) q^(3m+k) / ((1-q^(2m-1))(1-q^(2m+k))),
     # summed with j = 2m+k inside as
     # Sum_{m>=1} (-1)^m q^m/(1-q^(2m-1)) * Sum_{j>=2m} (-1)^j q^j/(1-q^j).
-    # The tail over j >= 2m, held over q^(2m), gains j = 2m, 2m+1 at each m
-    # and is needed through q^(order-2m-2); the m-slice leads at q^(3m).
-    p = _Packing(order, order**2)
-    w = p.width
-    acc = tail = 0
     for m in range((order - 2) // 2, 0, -1):
-        window = order - 2 * m - 1
-        tail = (tail << 2 * w) + p.comb(2 * m, 1, window) - (p.comb(2 * m + 1, 1, window - 1) << w)
+        yield 2 * m, 2 * m, 1, 1, True
+        yield 2 * m + 1, 2 * m + 1, 1, -1, True  # above the tail's lead 2m
         if 3 * m < order:
-            part = p.divide(tail, 2 * m - 1, 1, order - 3 * m)
-            acc = (acc << 3 * w) + (-part if m % 2 else part)
-    return p.unpack(acc << 3 * w)
+            yield 3 * m, 2 * m - 1, 1, -1 if m % 2 else 1, False
 
 
-def _build_y_eq2(order: int) -> TruncatedSeries:
+@_packed
+def _build_y_eq2(order: int) -> Iterator[tuple[int, int, int, int, bool]]:
     # -Sum_{k>=2} q^k/(1+q^(2k-1)) * Sum_{n=1}^{k-1} q^n/(1+q^n), summed
     # with k inside as -Sum_{n>=1} q^n/(1+q^n) * Sum_{k>n} q^k/(1+q^(2k-1)).
-    # The tail over k > n, held over q^(n+1), gains k = n+1 at each n and is
-    # needed through q^(order-n-3); the n-slice leads at q^(2n+1).
-    p = _Packing(order, order**2)
-    w = p.width
-    acc = tail = 0
     for n in range(order - 3, 0, -1):
-        tail = (tail << w) + p.comb(2 * n + 1, -1, order - n - 2)
+        yield n + 1, 2 * n + 1, -1, 1, True
         if 2 * n + 1 < order:
-            acc = (acc << 2 * w) + p.divide(tail, n, -1, order - 2 * n - 1)
-    return p.unpack(-(acc << 3 * w))
+            yield 2 * n + 1, n, -1, -1, False
 
 
-def _build_z(order: int) -> TruncatedSeries:
+@_packed
+def _build_z(order: int) -> Iterator[tuple[int, int, int, int, bool]]:
     # Sum_{m>=1} (-1)^m q^m/(1-q^(2m-1)) * Sum_{k=1}^{2m-1} (-1)^k q^k/(1-q^k),
     # summed with m inside as
-    # Sum_{k>=1} (-1)^k q^k/(1-q^k) * Sum_{2m-1>=k} (-1)^m q^m/(1-q^(2m-1)).
-    # The tail over m, held over q^m, gains one term at each m and is needed
-    # through q^(order-m-2); it serves the slices k = 2m-1 and k = 2m-2,
-    # which lead at q^(3m-1) and q^(3m-2).
-    p = _Packing(order, order**2)
-    w = p.width
-    acc = tail = 0
-    top = order  # acc holds the slices so far over q^top
+    # Sum_{k>=1} (-1)^k q^k/(1-q^k) * Sum_{2m-1>=k} (-1)^m q^m/(1-q^(2m-1)):
+    # the tail gains one term at each m and serves k = 2m-1 and k = 2m-2.
     for m in range(order - 2, 0, -1):
-        term = p.comb(2 * m - 1, 1, order - m - 1)
-        tail = (tail << w) + (-term if m % 2 else term)
+        yield m, 2 * m - 1, 1, -1 if m % 2 else 1, True
         for k in (2 * m - 1, 2 * m - 2):
-            if k and k + m < order:
-                part = p.divide(tail, k, 1, order - k - m)
-                acc = (acc << (top - k - m) * w) + (-part if k % 2 else part)
-                top = k + m
-    return p.unpack(acc << top * w)
+            if k and m + k < order:
+                yield m + k, k, 1, -1 if k % 2 else 1, False
 
 
-def _build_a(order: int) -> TruncatedSeries:
+@_packed
+def _build_a(order: int) -> Iterator[tuple[int, int, int, int, bool]]:
     # Sum_{i>=0} Sum_{j>i} q^(j+1)/((1+q^(2i+1))(1+q^(2j+1))).
-    # The tail over j > i, held over q^(i+2), gains j = i+1 at each i; the
-    # i-slice, the tail divided by (1+q^(2i+1)), leads at q^(i+2) too.
-    p = _Packing(order, order**2)
-    w = p.width
-    acc = tail = 0
     for i in range(order - 3, -1, -1):
-        window = order - i - 2
-        tail = (tail << w) + p.comb(2 * i + 3, -1, window)
-        acc = (acc << w) + p.divide(tail, 2 * i + 1, -1, window)
-    return p.unpack(acc << 2 * w)
+        yield i + 2, 2 * i + 3, -1, 1, True
+        yield i + 2, 2 * i + 1, -1, 1, False
 
 
-def _build_b(order: int) -> TruncatedSeries:
-    # Sum_{i>=0} Sum_{j>i} q^(i+2j+2)/((1+q^(2i+1))(1+q^(2j+1))).
-    # The tail over j > i of q^(2j+2)/(1+q^(2j+1)), held over q^(2i+4),
-    # gains j = i+1 at each i; the i-slice, q^i times the tail divided by
-    # (1+q^(2i+1)), leads at q^(3i+4).
-    p = _Packing(order, order**2)
-    w = p.width
-    acc = tail = 0
+@_packed
+def _build_b(order: int) -> Iterator[tuple[int, int, int, int, bool]]:
+    # Sum_{i>=0} Sum_{j>i} q^(i+2j+2)/((1+q^(2i+1))(1+q^(2j+1))), the tail
+    # over j > i holding q^(2j+2)/(1+q^(2j+1)) and the i-slice its prefactor q^i.
     for i in range((order - 5) // 2, -1, -1):
-        tail = (tail << 2 * w) + p.comb(2 * i + 3, -1, order - 2 * i - 4)
+        yield 2 * i + 4, 2 * i + 3, -1, 1, True
         if 3 * i + 4 < order:
-            acc = (acc << 3 * w) + p.divide(tail, 2 * i + 1, -1, order - 3 * i - 4)
-    return p.unpack(acc << 4 * w)
+            yield 3 * i + 4, 2 * i + 1, -1, 1, False
 
 
-def _build_b1(order: int) -> TruncatedSeries:
+@_packed
+def _build_b1(order: int) -> Iterator[tuple[int, int, int, int, bool]]:
     # Sum_{i>=0} Sum_{j<=i} q^(i+2j+2)/((1+q^(2i+1))(1+q^(2j+1))), summed
     # with i inside as Sum_{j>=0} q^(2j+2)/(1+q^(2j+1)) * Sum_{i>=j} q^i/(1+q^(2i+1)).
-    # The tail over i >= j, held over q^j, gains i = j at each j and is
-    # needed through q^(order-j-3); the j-slice leads at q^(3j+2).
-    p = _Packing(order, order**2)
-    w = p.width
-    acc = tail = 0
     for j in range(order - 3, -1, -1):
-        tail = (tail << w) + p.comb(2 * j + 1, -1, order - j - 2)
+        yield j, 2 * j + 1, -1, 1, True
         if 3 * j + 2 < order:
-            acc = (acc << 3 * w) + p.divide(tail, 2 * j + 1, -1, order - 3 * j - 2)
-    return p.unpack(acc << 2 * w)
+            yield 3 * j + 2, 2 * j + 1, -1, 1, False
 
 
 def _build_d1(order: int) -> TruncatedSeries:

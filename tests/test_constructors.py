@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 from collections import Counter
 from math import gcd
 from operator import add, sub
@@ -430,10 +431,13 @@ class TestSignedMonomial:
         with pytest.raises(InvalidExponent):
             SignedMonomial(1, -1)
 
-    @pytest.mark.parametrize("sign,exponent", [(1.0, 1), (1, 2.0), ("1", 1)])
+    @pytest.mark.parametrize(
+        "sign,exponent", [(1.0, 1), (1, 2.0), ("1", 1), (True, 1), (-1, True), (1, False)]
+    )
     def test_non_int_rejected(self, sign, exponent):
         # built series take their coefficients from the sign unchecked
-        with pytest.raises(TypeError):
+        name, value = ("sign", sign) if type(sign) is not int else ("exponent", exponent)
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
             SignedMonomial(sign, exponent)
 
 
@@ -516,9 +520,10 @@ class TestLambertSpec:
     @pytest.mark.parametrize("field", ["scalar", "num_sign", "a0", "b1"])
     def test_non_int_fields_rejected(self, field):
         kwargs = dict(scalar=1, num_sign=-1, a0=0, a1=1, den_sign=1, b0=0, b1=1)
-        kwargs[field] = float(kwargs[field])
-        with pytest.raises(TypeError):
-            LambertSpec(**kwargs)
+        # True is the valid value 1 in every field but its type
+        for value in (float(kwargs[field]), True):
+            with pytest.raises(TypeError, match=f"^{field} must be an int, got {value!r}$"):
+                LambertSpec(**{**kwargs, field: value})
 
 
 class TestLambertSum:
@@ -945,12 +950,94 @@ class TestConstructorArguments:
             named_series(sid, 5)
 
 
+def packed_sum_by_lists(order, terms):
+    """`constructors._packed_sum` on coefficient lists: the tail is summed
+    whole, with its lead the least of its terms' leads so far, and each
+    slice is the tail over that lead, moved to the slice's lead and divided
+    by geometric_mul_inplace."""
+    tail, acc = [0] * order, [0] * order
+    at = None
+    for lead, b, s, sign, into_tail in terms:
+        if into_tail:
+            for u, e in enumerate(range(lead, order, b)):
+                tail[e] += sign * s**u
+            at = lead if at is None else min(at, lead)
+        elif at is not None and lead < order:
+            h = [sign * c for c in tail[at : at + order - lead]]
+            geometric_mul_inplace(h, b, s)
+            acc[lead:] = map(add, acc[lead:], h)
+    return acc
+
+
+def random_packed_terms(rng, order):
+    """Terms in the shape `_packed_sum` takes: a cursor walks down from
+    around the order, past it included; at each stop a tail term leads
+    there, another may lead above it, and a slice may lead anywhere from
+    the tail's lead up to the last slice's lead, so slice leads descend."""
+    def pick():  # b, s, sign
+        return rng.choice([1, 2, 3, rng.randint(1, order + 3)]), rng.choice([1, -1]), rng.choice([1, -1])
+
+    terms, top = [], None
+    t = order + rng.choice([-1, 0, 1, 6])
+    while t >= 0:
+        terms.append((t, *pick(), True))
+        if rng.random() < 0.3:
+            terms.append((t + rng.randint(1, 4), *pick(), True))
+        if rng.random() < 0.7:
+            lead = t + rng.choice([0, 1, rng.randint(0, order)])
+            top = lead if top is None else min(top, lead)
+            terms.append((top, *pick(), False))
+        t -= rng.choice([1, 1, 2, 3, rng.randint(1, order // 2 + 1)])
+    return terms
+
+
+class TestPackedSum:
+    """The one packed accumulator against the same sums on lists."""
+
+    @pytest.mark.parametrize("order", [*range(1, 61), 181, 182])
+    def test_matches_lists_on_random_terms(self, order):
+        # at 11/12 and 181/182 the order^2 slot grows from 1 to 2 to 3 bytes
+        rng = random.Random(order)
+        for _ in range(6):
+            terms = random_packed_terms(rng, order)
+            got = constructors._packed_sum(order, terms)
+            assert list(got) == packed_sum_by_lists(order, terms), terms
+
+    @pytest.mark.parametrize("order", [1, 2, 9, 40])
+    def test_leads_at_and_past_the_order(self, order):
+        # a term that leads at q^(order-1) reaches one slot; one at the
+        # order or past it adds nothing, and neither does a slice of it
+        for lead in (order - 1, order, order + 1, order + 5):
+            for sign, s in ((1, 1), (-1, -1)):
+                terms = [
+                    (lead, 1, s, sign, True),
+                    (lead, 1, s, -sign, False),
+                    (0, 2, 1, 1, True),
+                    (lead, 3, -s, sign, False),
+                ]
+                got = constructors._packed_sum(order, terms)
+                assert list(got) == packed_sum_by_lists(order, terms), (lead, sign, s)
+
+    def test_tail_terms_above_the_lead_and_negative_tails(self):
+        # each stop adds a term below the tail's lead and one above it, both
+        # negative: unmasked, the tail would be negative at all 100 slices
+        order = 300
+        terms = []
+        for t in range(order - 2, 0, -3):
+            terms += [(t, t + 1, 1, -1, True), (t + 2, 2, -1, -1, True), (2 * t, t, 1, -1, False)]
+        got = constructors._packed_sum(order, terms)
+        assert list(got) == packed_sum_by_lists(order, terms)
+
+    def test_no_terms_is_zero(self):
+        assert constructors._packed_sum(5, []) == TruncatedSeries.zero(5)
+
+
 class TestPackedBuilders:
     @pytest.mark.parametrize("sid", list(LIST_REFERENCES), ids=lambda sid: sid.value)
     def test_matches_list_reference(self, sid):
         # at 11/12 and 181/182 the order^2 slot grows from 1 to 2 to 3 bytes;
-        # 1-160 meets every residue of the Horner steps 2 and 3 and every
-        # order at which a slice or tail window first empties
+        # 1-160 meets every residue of the steps 2 and 3 between slice leads
+        # and every order at which a slice or tail term first leads below it
         for order in [*range(1, 161), 181, 182, 256, 1000, 2000]:
             assert list(named_series(sid, order)) == LIST_REFERENCES[sid](order), order
 
