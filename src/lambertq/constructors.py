@@ -4,19 +4,20 @@ The sums here are built from two expansion moves: a geometric expansion
 of q^a/(1 - s*q^b) as Sum_j s^j q^(a+jb), and a division by (1 - s*q^e).
 The single sums and `Y_DEF` make these moves on coefficient lists, where
 the division is a slice operation that runs in CPython's C loops, and
-`_add_geometric` is the one place a geometric run is added to a list.
+`_add_family` is the one place geometric runs are added to a list: a
+one-index family of them per call, as strided slices along either index.
 `Y_DEF` adds each (m, n) term as a run along the smaller of its two steps
-into the group of that step, and divides each group once by the other
-factor its terms share, so about 1.5*sqrt(order) divisions are made. The
-double sums `Y_EQ1`, `Y_EQ2`, `Z`, `A`, `B` and `B1` make them on
-Kronecker-packed integers (`series._Packing`) in CPython's bigint code,
-all through one engine, `_packed_sum`. Each builder only lists its
-display's terms, outer index walking down, as (lead, b, s, sign,
-into_tail): a tail term sign*q^lead/(1 - s*q^b) of the inner sum, or a
-slice, sign*q^lead/(1 - s*q^b) times the tail so far. The engine holds
-the slot width, every shift and every window, q^(order - lead). No
-rational-function arithmetic exists anywhere; each display is expanded
-exactly through the truncation order.
+into the group of that step, one family per group, and divides each
+group once by the other factor its terms share, so about 1.5*sqrt(order)
+divisions are made. The double sums `Y_EQ1`, `Y_EQ2`, `Z`, `A`, `B` and
+`B1` make them on Kronecker-packed integers (`series._Packing`) in
+CPython's bigint code, all through one engine, `_packed_sum`. Each
+builder only lists its display's terms, outer index walking down, as
+(lead, b, s, sign, into_tail): a tail term sign*q^lead/(1 - s*q^b) of the
+inner sum, or a slice, sign*q^lead/(1 - s*q^b) times the tail so far. The
+engine holds the slot width, every shift and every window,
+q^(order - lead). No rational-function arithmetic exists anywhere; each
+display is expanded exactly through the truncation order.
 
 Every product (`pochhammer`, `phi`, `entry29_rhs`) starts from its binomial
 factors and their signature: by exact ring identities alone it equals
@@ -180,32 +181,60 @@ class SeriesId(Enum):
 # -- elementary expansions ----------------------------------------------------
 
 
-# A run of at least this many points goes in as strided slices, a shorter
-# one point by point: at order 2000 (CPython 3.11) slices broke even at ~20
-# points for s = +1 and ~32 for s = -1, a 1-point run took 0.3 us as a loop
-# against 1.0-1.6 us as slices, and a 128-point run 10-12 us against 7-9 us.
+# A run of at least this many points, along u or along k, goes in as
+# strided slices, a shorter one point by point: at order 2000 (CPython
+# 3.11) slices broke even at 20-24 points for sign +1 and ~32 for -1, and
+# a 1-point run took 0.3-0.5 us as a loop against 0.6-1.6 us as slices.
 _RUN_SLICE_MIN = 32
 
 
-def _add_geometric(coeffs: list[int], a: int, b: int, s: int, weight: int = 1) -> None:
-    """Accumulate weight * q^a/(1 - s*q^b) = weight * Sum_j s^j q^(a+jb) in place."""
-    n = len(coeffs)
-    if a + (_RUN_SLICE_MIN - 1) * b < n:  # for s = -1, two runs of constant sign
-        if s == 1:
-            coeffs[a::b] = [c + weight for c in coeffs[a::b]]
-        else:
-            coeffs[a :: 2 * b] = [c + weight for c in coeffs[a :: 2 * b]]
-            coeffs[a + b :: 2 * b] = [c - weight for c in coeffs[a + b :: 2 * b]]
-        return
+def _add_slices(coeffs: list[int], p: int, step: int, stop: Optional[int], w: int, s: int) -> None:
+    """Add w*s^j at p + j*step below `stop` (None: to the end): two slices for s = -1."""
     if s == 1:
-        while a < n:
-            coeffs[a] += weight
-            a += b
+        coeffs[p:stop:step] = [c + w for c in coeffs[p:stop:step]]
     else:
-        while a < n:
-            coeffs[a] += weight
-            weight = -weight
-            a += b
+        coeffs[p : stop : 2 * step] = [c + w for c in coeffs[p : stop : 2 * step]]
+        coeffs[p + step : stop : 2 * step] = [c - w for c in coeffs[p + step : stop : 2 * step]]
+
+
+def _add_family(
+    coeffs: list[int], a: int, b: int, s: int, w: int = 1, count: int = 1, da: int = 1, db: int = 0, ws: int = 1
+) -> None:
+    """Accumulate Sum_{k<count} w*ws^k * q^(a+k*da)/(1 - s*q^(b+k*db)) in
+    place, for da >= 1 and db >= 0; a single run is a family of one.
+
+    Term k has the points a + k*da + u*(b + k*db), u >= 0, of weight
+    w*ws^k*s^u. Leads and steps grow with k, so the terms with a u-th point
+    below the order are a prefix, which shrinks as u grows. The terms with
+    a point u = _RUN_SLICE_MIN - 1 go in as one slice each along u. For the
+    rest, the u-th points lie on one progression, (a + u*b) + k*(da + u*db),
+    so each u with at least _RUN_SLICE_MIN of them is one slice along k;
+    from the first u with fewer, each term is walked along u.
+    """
+    n = len(coeffs)
+    while count > 0 and a + (_RUN_SLICE_MIN - 1) * b < n:  # a, b, w: the next term's
+        _add_slices(coeffs, a, b, None, w, s)
+        count, a, b, w = count - 1, a + da, b + db, w * ws
+    while count >= _RUN_SLICE_MIN:  # now da = da + u*db moves the u-th point a along k
+        count = min(count, -((a - n) // da))  # the terms whose u-th point is below n
+        if count < _RUN_SLICE_MIN:
+            break
+        _add_slices(coeffs, a, da, a + count * da, w, ws)
+        a, da, w = a + b, da + db, w * s
+    while count > 0:  # a is the u-th point of the next term and b its step
+        x, wx = a, w
+        if s == 1:
+            while x < n:
+                coeffs[x] += wx
+                x += b
+        else:
+            while x < n:
+                coeffs[x] += wx
+                wx = -wx
+                x += b
+        count -= 1
+        if count:  # a family of one pays no step to a next term
+            a, b, w = a + da, b + db, w * ws
 
 
 def lambert_term(a: int, b: int, s: int, order: int) -> TruncatedSeries:
@@ -218,7 +247,7 @@ def lambert_term(a: int, b: int, s: int, order: int) -> TruncatedSeries:
     if s not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {s}")
     coeffs = [0] * order
-    _add_geometric(coeffs, a, b, s)
+    _add_family(coeffs, a, b, s)
     return TruncatedSeries._trusted(coeffs)
 
 
@@ -229,18 +258,9 @@ def lambert_sum(spec: LambertSpec, order: int) -> TruncatedSeries:
     LambertSpec(spec.scalar, spec.num_sign, spec.a0, spec.a1, spec.den_sign, spec.b0, spec.b1)
     _check_args(order)
     coeffs = [0] * order
-    k = 1
+    a, b = spec.a0 + spec.a1, spec.b0 + spec.b1  # the term k = 1
     w = spec.scalar * spec.num_sign
-    while spec.a0 + spec.a1 * k < order:
-        _add_geometric(
-            coeffs,
-            spec.a0 + spec.a1 * k,
-            spec.b0 + spec.b1 * k,
-            spec.den_sign,
-            w,
-        )
-        k += 1
-        w *= spec.num_sign
+    _add_family(coeffs, a, b, spec.den_sign, w, order, spec.a1, spec.b1, spec.num_sign)
     return TruncatedSeries._trusted(coeffs)
 
 
@@ -267,23 +287,25 @@ def _log_derivative(num: Counter, den: Counter, order: int) -> tuple[int, list[i
             if k == 0:  # (1 + q^0), above the bar only
                 const *= 2**mult
             else:
-                _add_geometric(a, k, k, s, sign * mult * k * s)
+                _add_family(a, k, k, s, sign * mult * k * s)
     return const, a
 
 
-def _solve(a: list[int]) -> list[int]:
+def _solve(a: list[int], known: Sequence[int] = ()) -> list[int]:
     """The series p = 1 + O(q) with q d/dq log p = a, through len(a) terms:
-    n*p[n] = Sum_{j=1..n} a[j]*p[n-j], for a[0] = 0.
+    n*p[n] = Sum_{j=1..n} a[j]*p[n-j], for a[0] = 0. `known` is a solved
+    prefix of p, which the solve resumes from.
 
     Divide and conquer (relaxed multiplication; van der Hoeven, "Relax, but
     don't be too lazy", 2002): once p is known on [lo, mid), one `mul` of
     that block by a adds its share of the sums on [mid, hi), and a block of
-    at most `_SOLVE_LEAF` terms adds its own share directly. A sum that n
-    does not divide means a is no log-derivative of an integer series; it
-    raises ArithmeticError.
+    at most `_SOLVE_LEAF` terms adds its own share directly. A known prefix
+    is one such block before the rest. A sum that n does not divide means a
+    is no log-derivative of an integer series; it raises ArithmeticError.
     """
     n = len(a)
-    p = [1] + [0] * (n - 1)
+    m = min(len(known), n)
+    p = [*known[:m]] + [0] * (n - m) if m else [1] + [0] * (n - 1)
     sums = [0] * n  # sums[i]: Sum a[i-j]*p[j] over the j of the blocks solved before i's
 
     def block(lo: int, hi: int) -> None:
@@ -301,7 +323,10 @@ def _solve(a: list[int]) -> list[int]:
         sums[mid:hi] = map(add, sums[mid:hi], share[mid - lo :])
         block(mid, hi)
 
-    block(0, n)
+    if 0 < m < n:
+        left = TruncatedSeries._trusted(p[:m] + [0] * (n - m))
+        sums[m:] = mul(left, TruncatedSeries._trusted(a)).coefficients[m:]
+    block(m, n)
     return p
 
 
@@ -353,8 +378,8 @@ _RUN: ContextVar[Optional[dict]] = ContextVar("lambertq_products", default=None)
 def _product_run() -> Iterator[None]:
     """Share every eta-quotient expansion among the products built inside,
     unless an enclosing run shares them already. Each is solved through
-    what the product that first needs it needs, and again when a later one
-    needs more."""
+    what the product that first needs it needs, and resumed when a later
+    one needs more."""
     if _RUN.get() is not None:
         yield
         return
@@ -371,12 +396,13 @@ def _eta_expand(sig: tuple[tuple[int, int], ...], n: int) -> list[int]:
 
     q d/dq log E(q^d) = -d*Sum_{j>=1} sigma(j) q^(dj) (Euler), so the
     log-derivative is -Sum_d c(d)*d*Sum_j sigma(j) q^(dj), with sigma from one
-    divisor-sum sieve. In a run, every expansion is kept, and one at least n
-    long serves by its prefix.
+    divisor-sum sieve. In a run, every expansion is kept: one at least n
+    long serves by its prefix, and a shorter one is resumed.
     """
     kept = _RUN.get()
-    if kept is not None and len(kept.get(sig, ())) >= n:
-        return kept[sig]
+    known = kept.get(sig, ()) if kept is not None else ()
+    if len(known) >= n:
+        return known
     sigma = [0] * n
     for d in range(1, n):
         sigma[d::d] = [t + d for t in sigma[d::d]]
@@ -384,7 +410,7 @@ def _eta_expand(sig: tuple[tuple[int, int], ...], n: int) -> list[int]:
     for d, c in sig:
         w = c * d
         a[d::d] = [t - w * u for t, u in zip(a[d::d], sigma[1 : (n - 1) // d + 1])]
-    coeffs = _solve(a)
+    coeffs = _solve(a, known)
     if kept is not None:
         kept[sig] = coeffs
     return coeffs
@@ -440,8 +466,8 @@ def _build_y_def(order: int) -> TruncatedSeries:
     # the group of its smaller step, a tie n = 2m-1 into the group of m.
     # The group of m holds the runs along n >= 2m-1 (sign -1) and is
     # divided by 1 - q^(2m-1); the group of n holds the runs along
-    # 2m-1 > n (sign +1) and is divided by 1 + q^n. Each group's list
-    # starts at its least exponent; about 1.5*sqrt(order) groups exist.
+    # 2m-1 > n (sign +1) and is divided by 1 + q^n. Each group is one family
+    # on a list from its least exponent; about 1.5*sqrt(order) groups exist.
     # Every term keeps its own factor 1/(1+q^n): re-indexing it into a tail
     # of q^t/(1-q^t) would turn this display into Y_EQ1's. This stays
     # on lists: packed, each of the ~order*ln(order) pair terms would cost
@@ -450,19 +476,17 @@ def _build_y_def(order: int) -> TruncatedSeries:
     m = 1
     while m * (4 * m - 1) < order:  # the tie n = 2m-1 leads the group of m
         lo = m * (4 * m - 1)
-        h = [0] * (order - lo)
-        w = -1 if m % 2 else 1
-        for n in range(2 * m - 1, (order - 1 - m) // (2 * m) + 1):
-            _add_geometric(h, m * (2 * n + 1) - lo, n, -1, w)
+        h = [0] * (order - lo)  # the runs along n = 2m-1, 2m, ..., leading at m(2n+1) - lo
+        _add_family(h, 0, 2 * m - 1, -1, -1 if m % 2 else 1, order, 2 * m, 1)
         geometric_mul_inplace(h, 2 * m - 1, 1)
         out[lo:] = map(add, out[lo:], h)
         m += 1
     n = 1
     while (n + 3) // 2 * (2 * n + 1) < order:  # the least m with 2m-1 > n leads the group of n
-        lo = (n + 3) // 2 * (2 * n + 1)
-        h = [0] * (order - lo)
-        for m in range((n + 3) // 2, (order - 1) // (2 * n + 1) + 1):
-            _add_geometric(h, m * (2 * n + 1) - lo, 2 * m - 1, 1, -1 if m % 2 else 1)
+        m = (n + 3) // 2
+        lo = m * (2 * n + 1)
+        h = [0] * (order - lo)  # the runs along 2m-1, 2m+1, ..., leading at m(2n+1) - lo
+        _add_family(h, 0, 2 * m - 1, 1, -1 if m % 2 else 1, order, 2 * n + 1, 2, -1)
         geometric_mul_inplace(h, n, -1)
         out[lo:] = map(add, out[lo:], h)
         n += 1
@@ -608,14 +632,9 @@ def d2_split_product(order: int) -> TruncatedSeries:
         (Sum_{i>=0} q^i/(1+q^(2i+1))) * (Sum_{j>=0} q^(2j+2)/(1+q^(2j+1))).
     """
     _check_args(order)
-    left = [0] * order
-    for i in range(0, order):
-        _add_geometric(left, i, 2 * i + 1, -1)
-    right = [0] * order
-    j = 0
-    while 2 * j + 2 < order:
-        _add_geometric(right, 2 * j + 2, 2 * j + 1, -1)
-        j += 1
+    left, right = [0] * order, [0] * order
+    _add_family(left, 0, 1, -1, 1, order, 1, 2)
+    _add_family(right, 2, 1, -1, 1, order, 2, 2)
     return mul(TruncatedSeries._trusted(left), TruncatedSeries._trusted(right))
 
 
@@ -651,14 +670,9 @@ def named_series(sid: SeriesId, order: int) -> TruncatedSeries:
 def _check_bilateral_bounds(x: SignedMonomial, y: SignedMonomial, base: int) -> None:
     if base < 2:
         raise ParameterOutOfRange(f"base must be >= 2, got {base}")
-    if not 1 <= x.exponent <= base - 1:
-        raise ParameterOutOfRange(
-            f"x exponent must lie in [1, base-1] = [1, {base - 1}], got {x.exponent}"
-        )
-    if not 1 <= y.exponent <= base - 1:
-        raise ParameterOutOfRange(
-            f"y exponent must lie in [1, base-1] = [1, {base - 1}], got {y.exponent}"
-        )
+    for name, e in (("x", x.exponent), ("y", y.exponent)):
+        if not 1 <= e <= base - 1:
+            raise ParameterOutOfRange(f"{name} exponent must lie in [1, base-1] = [1, {base - 1}], got {e}")
     if x.exponent + y.exponent > base:
         # the n = -1 term x^(-1)*(Q/xy)/(1 - (Q/(y*Q)) ...) would carry the
         # negative leading exponent x.exp + y.exp - base; keep everything
@@ -681,25 +695,11 @@ def bilateral_sum(x: SignedMonomial, y: SignedMonomial, base: int, order: int) -
     coeffs = [0] * order
     sx, ex = x.sign, x.exponent
     sy, ey = y.sign, y.exponent
-
-    n = 0
-    while n * ex < order:  # leading exponent of the n-th forward term
-        _add_geometric(coeffs, n * ex, ey + n * base, sy, sx**n)
-        n += 1
-
-    m = 1  # m = -n for the backward tail
-    while m * (base - ex) - ey < order:
-        # x^(-m)/(1 - y*Q^(-m)) = -(s_x q^(-e_x))^m * y^(-1)Q^m/(1 - y^(-1)Q^m)
-        #                       = -s_x^m s_y q^(m(base-e_x)-e_y) / (1 - s_y q^(m*base-e_y))
-        _add_geometric(
-            coeffs,
-            m * (base - ex) - ey,
-            m * base - ey,
-            sy,
-            -(sx**m) * sy,
-        )
-        m += 1
-
+    # n >= 0: s_x^n q^(n*e_x) / (1 - s_y q^(e_y + n*base))
+    _add_family(coeffs, 0, ey, sy, 1, order, ex, base, sx)
+    # n = -m <= -1: x^(-m)/(1 - y*Q^(-m)) = -(s_x q^(-e_x))^m * y^(-1)Q^m/(1 - y^(-1)Q^m)
+    #                                     = -s_x^m s_y q^(m(base-e_x)-e_y) / (1 - s_y q^(m*base-e_y))
+    _add_family(coeffs, base - ex - ey, base - ey, sy, -sx * sy, order, base - ex, base, sx)
     return TruncatedSeries._trusted(coeffs)
 
 
@@ -732,17 +732,17 @@ def _entry29_factors(
     return _symbols(num, base, order), _symbols(den, base, order)
 
 
-def _add_s_term(coeffs: list[int], m: int) -> None:
-    """Accumulate the m-th term (-1)^m q^m / (1 - q^(2m-1)) of the bilateral S sum.
-
-    An index m <= 0 carries a negative denominator exponent, so its term is
-    rewritten first as -(-1)^m q^(1-m)/(1 - q^(1-2m)), an honest power series.
-    """
-    w = -1 if m % 2 else 1
-    if m >= 1:
-        _add_geometric(coeffs, m, 2 * m - 1, 1, w)
-    else:
-        _add_geometric(coeffs, 1 - m, 1 - 2 * m, 1, -w)
+def _add_s_terms(coeffs: list[int], lo: int, hi: int) -> None:
+    """Accumulate the terms (-1)^m q^m/(1 - q^(2m-1)) of the bilateral S sum
+    for integer m in [lo, hi], as at most two families. A term m <= 0 has a
+    negative denominator exponent, so it is first rewritten as the honest
+    power series -(-1)^m q^(1-m)/(1 - q^(1-2m)); those go in by j = -m."""
+    if hi >= 1:
+        m = lo if lo >= 1 else 1
+        _add_family(coeffs, m, 2 * m - 1, 1, -1 if m % 2 else 1, hi - m + 1, 1, 2, -1)
+    if lo <= 0:
+        j = -hi if hi <= 0 else 0
+        _add_family(coeffs, 1 + j, 1 + 2 * j, 1, 1 if j % 2 else -1, 1 - lo - j, 1, 2, -1)
 
 
 def s_window(lo: int, hi: int, order: int) -> TruncatedSeries:
@@ -754,8 +754,7 @@ def s_window(lo: int, hi: int, order: int) -> TruncatedSeries:
     if lo > hi:
         raise ValueError(f"empty window: lo={lo} > hi={hi}")
     coeffs = [0] * order
-    for m in range(lo, hi + 1):
-        _add_s_term(coeffs, m)
+    _add_s_terms(coeffs, lo, hi)
     return TruncatedSeries._trusted(coeffs)
 
 
@@ -772,9 +771,9 @@ def halving_windows(count: int, order: int) -> Iterator[tuple[TruncatedSeries, T
         full = [0] * order
         half = [0] * order
         for m in range(1, count + 1):
-            _add_s_term(full, 1 - m)
-            _add_s_term(full, m)
-            _add_s_term(half, m)
+            _add_s_terms(full, 1 - m, 1 - m)
+            _add_s_terms(full, m, m)
+            _add_s_terms(half, m, m)
             yield TruncatedSeries._trusted(full), TruncatedSeries._trusted(half)
 
     return pairs()

@@ -44,7 +44,7 @@ from lambertq import (
 )
 from lambertq import constructors
 from lambertq.harness import MAX_HALVING_WINDOW
-from lambertq.oracle import oracle_partition_count, oracle_partitions
+from lambertq.oracle import oracle_expand, oracle_partition_count, oracle_partitions
 from lambertq.series import geometric_mul_inplace
 
 Q = SignedMonomial(1, 1)
@@ -274,6 +274,64 @@ def add_geometric(coeffs, a, b, s, weight=1):
         e += b
 
 
+def add_family_by_terms(coeffs, a, b, s, w=1, count=1, da=1, db=0, ws=1):
+    """Accumulate Sum_{k<count} w*ws^k * q^(a+k*da)/(1 - s*q^(b+k*db)) term
+    by term."""
+    for k in range(count):
+        if a + k * da >= len(coeffs):
+            break
+        add_geometric(coeffs, a + k * da, b + k * db, s, w * ws**k)
+
+
+def family_paths(n, a, b, s, w, count, da, db, ws):
+    """How a family's points are laid out below q^n, by sign: ("u", s) for
+    a term with a run of at least `_RUN_SLICE_MIN` points along u;
+    ("k0", ws) and ("k", ws) for a u = 0 and a u > 0 with at least that many
+    of the other terms' u-th points; ("shrink", ws) for a u past 0 that has
+    fewer such points than the u before and still enough; ("walk", s) for
+    the rest."""
+    k = constructors._RUN_SLICE_MIN
+    runs = [len(range(a + j * da, n, b + j * db)) for j in range(count) if a + j * da < n]
+    short = [r for r in runs if r < k]
+    paths = {("u", s)} if len(short) < len(runs) else set()
+    counts = [sum(r > u for r in short) for u in range(k)]
+    sliced = [c for c in counts if c >= k]  # a prefix: the counts never grow
+    if sliced:
+        paths.add(("k0", ws))
+    if len(sliced) > 1:
+        paths.add(("k", ws))
+    if len(set(sliced)) > 1:
+        paths.add(("shrink", ws))
+    if any(r > len(sliced) for r in short):
+        paths.add(("walk", s))
+    return paths
+
+
+def bilateral_by_pairs(x, y, base, order):
+    """Sum over integers n of x^n/(1 - y*Q^n), Q = q^base, by its lattice
+    points (n, j), j >= 0. For n >= 0 the term is Sum_j x^n y^j Q^(nj). For
+    n = -m < 0 it is first rewritten as `bilateral_sum` rewrites it,
+    -x^(-m) y^(-1)Q^m/(1 - y^(-1)Q^m) = -Sum_{j>=1} x^(-m) y^(-j) Q^(mj),
+    which clears every negative exponent under the bounds."""
+    (sx, ex), (sy, ey) = (x.sign, x.exponent), (y.sign, y.exponent)
+    coeffs = [0] * order
+    n = 0
+    while n * ex < order:
+        j = 0
+        while n * ex + j * (ey + n * base) < order:
+            coeffs[n * ex + j * (ey + n * base)] += sx**n * sy**j
+            j += 1
+        n += 1
+    m = 1
+    while m * (base - ex) - ey < order:
+        j = 1
+        while m * (j * base - ex) - j * ey < order:
+            coeffs[m * (j * base - ex) - j * ey] -= sx**m * sy**j
+            j += 1
+        m += 1
+    return TruncatedSeries(coeffs)
+
+
 def add_slice(out, h, lo, sign):
     """out[lo:] += sign * h[lo:]."""
     out[lo:] = [a + sign * b for a, b in zip(out[lo:], h[lo:])]
@@ -392,7 +450,7 @@ def y_def_by_slices(order):
         h = [0] * (order - lo)
         n = 1
         while 2 * m * n + m < order:
-            constructors._add_geometric(h, 2 * m * (n - 1), n, -1)
+            add_geometric(h, 2 * m * (n - 1), n, -1)
             n += 1
         geometric_mul_inplace(h, 2 * m - 1, 1)
         out[lo:] = map(sub if m % 2 else add, out[lo:], h)
@@ -454,26 +512,47 @@ class TestLambertTerm:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 50, 301])
     def test_add_geometric_matches_term_by_term(self, n):
-        # every a in 0..n+2 and b in 1..n+1 covers every run length from 0
-        # to n, so both sides of the loop/slice crossover are met
+        # each run a family of one: every a in 0..n+2 and b in 1..n+1 covers
+        # every run length from 0 to n, so both sides of the loop/slice
+        # crossover are met; the runs of one (a, s, weight) share one list
         rng = random.Random(n)
         base = [rng.randint(-5, 5) for _ in range(n)]
         k = constructors._RUN_SLICE_MIN
-        lengths = set()
+        lengths = {len(range(a, n, b)) for a in range(n + 3) for b in range(1, n + 2)}
         for a in range(n + 3):
-            for b in range(1, n + 2):
-                run = range(a, n, b)
-                lengths.add(len(run))
-                for s in (1, -1):
-                    for weight in (1, -1, 3, -(2**70)):
-                        expected = base[:]
-                        for j, e in enumerate(run):
-                            expected[e] += weight * s**j
-                        got = base[:]
-                        constructors._add_geometric(got, a, b, s, weight)
-                        assert got == expected, (n, a, b, s, weight)
+            for s in (1, -1):
+                for weight in (1, -1, 3, -(2**70)):
+                    expected, got = base[:], base[:]
+                    for b in range(1, n + 2):
+                        add_geometric(expected, a, b, s, weight)
+                        constructors._add_family(got, a, b, s, weight)
+                    assert got == expected, (n, a, s, weight)
         if n > k:
             assert {k - 1, k, k + 1} <= lengths
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_families_match_term_by_term(self, seed):
+        rng = random.Random(seed)
+        k = constructors._RUN_SLICE_MIN
+        met = Counter()
+        for _ in range(400):
+            n = rng.choice([1, 2, k - 1, 2 * k, 300, 1000])
+            count = rng.choice([0, 1, 2, k - 1, k, k + 1, 3 * k, n, n + 5])
+            da, db = rng.choice([1, 1, 2, 3, 7]), rng.choice([0, 0, 1, 2, 5])
+            b = rng.choice([1, 2, 3, n // k, n // k + 1, n // 4, n]) or 1
+            a = rng.choice([0, 1, rng.randrange(n), n - 1, n, n + 1])
+            s, ws = rng.choice([1, -1]), rng.choice([1, -1])
+            w = rng.choice([1, -1, 3, 2**70, -(2**70)])
+            family = (a, b, s, w, count, da, db, ws)
+            met.update(family_paths(n, *family))
+            base = [rng.randint(-5, 5) for _ in range(n)]
+            expected, got = base[:], base[:]
+            add_family_by_terms(expected, *family)
+            constructors._add_family(got, *family)
+            assert got == expected, (n, family)
+        # runs along u, slices along k at u = 0 and past it, a shrinking
+        # count among them, and point-by-point walks, for both signs
+        assert len(met) == 10 and min(met.values()) >= 3, met
 
     def test_validation(self):
         with pytest.raises(InvalidExponent):
@@ -669,9 +748,9 @@ class TestQuotientsByDivision:
         seen = []
         solve = constructors._solve
 
-        def recording(a):
+        def recording(a, known=()):
             seen.append(len(a))
-            return solve(a)
+            return solve(a, known)
 
         monkeypatch.setattr(constructors, "_solve", recording)
         monkeypatch.setattr(constructors, "geometric_mul_inplace", None)  # no geometric division
@@ -799,40 +878,41 @@ class TestEtaRoute:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        """The term counts of every expansion solved, through the package's
-        one solver."""
+        """(known, solved): the term counts each solve through the package's
+        one solver resumed from and reached."""
         solved = []
         solve = constructors._solve
 
-        def counting(a):
-            solved.append(len(a))
-            return solve(a)
+        def counting(a, known=()):
+            solved.append((len(known), len(a)))
+            return solve(a, known)
 
         monkeypatch.setattr(constructors, "_solve", counting)
         return solved
 
     def test_one_e_per_suite_run(self, solves):
         # E(q^2)^4/E(q)^2 through 60 terms for I7 (PHI in q^2); for I13,
-        # E(q^3)^3/E(q) through 120 and E(q^2)^4/E(q)^2 again through 120
+        # E(q^3)^3/E(q) through 120, and E(q^2)^4/E(q)^2 resumed from 60 to 120
         run_suite(120)
-        assert solves == [60, 120, 120]
+        assert solves == [(0, 60), (0, 120), (60, 120)]
         run_suite(120)
-        assert solves == [60, 120, 120] * 2
+        assert solves == [(0, 60), (0, 120), (60, 120)] * 2
 
     def test_a_standalone_check_builds_e_as_its_products_need_it(self, solves):
         # PHI is E(q^2)^4/E(q)^2 in q^2: I7 needs it only through 60 terms
         assert check_identity(IdentityId.I7_S_EQ_QPHI, 120).passed
-        assert solves == [60]
+        assert solves == [(0, 60)]
         # I13's first side is 2*PHI, again through 60 terms; E(q^3)^3/E(q)
-        # and E(q^2)^4/E(q)^2 through 120 terms then serve every later side
+        # through 120 terms and E(q^2)^4/E(q)^2 resumed to 120 then serve
+        # every later side
         assert check_identity(IdentityId.I13_ENTRY29_INSTANCE, 120).passed
-        assert solves == [60, 60, 120, 120]
+        assert solves == [(0, 60), (0, 60), (0, 120), (60, 120)]
 
     def test_a_standalone_product_builds_only_what_it_needs(self, solves):
         # PHI is E(q^2)^4/E(q)^2 in q^2: 60 terms serve it at 120
         phi(120)
         entry29_rhs(*ENTRY29_TRIPLES[2], 120)
-        assert solves == [60, 120]
+        assert solves == [(0, 60), (0, 120)]
 
 
 class TestSolve:
@@ -854,6 +934,28 @@ class TestSolve:
         for n in (3, 4, 40):
             with pytest.raises(ArithmeticError):
                 constructors._solve([0, 1] + [0] * (n - 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 100, 129, 300])
+    def test_a_resumed_solve_equals_a_fresh_one(self, n):
+        # E(q)^-3 E(q^2)^5 E(q^3)^-2: n crosses the leaf of 32 terms and the
+        # splits at 64 and 128
+        num = factors([(1, 2, 2, 5)], n)
+        den = factors([(1, 1, 1, 3), (1, 3, 3, 2)], n)
+        a = constructors._log_derivative(num, den, n)[1]
+        fresh = constructors._solve(a)
+        for m in {0, 1, 31, 32, 33, n - 1, n}:
+            if 0 <= m <= n:
+                assert constructors._solve(a, fresh[:m]) == fresh, m
+
+    @pytest.mark.parametrize("m", [1, 31, 32, 33, 69])
+    def test_a_resumed_solve_checks_the_part_it_solves(self, m):
+        # p = E(q)^2: one more q^70 in a leaves 70*p[70] off by one
+        n = 100
+        a = constructors._log_derivative(Counter({(1, k): 2 for k in range(1, n)}), Counter(), n)[1]
+        fresh = constructors._solve(a)
+        a[70] += 1
+        with pytest.raises(ArithmeticError, match="q\\^70 "):
+            constructors._solve(a, fresh[:m])
 
     def test_euler_matches_the_pentagonal_theorem(self):
         for n in [*range(1, 301), 2000]:
@@ -1150,15 +1252,19 @@ class TestNamedSeries:
         assert list(named_series(SeriesId.Y_DEF, 4000)) == y_def_by_slices(4000)
 
     def test_y_def_takes_every_pair_once_in_the_group_of_its_smaller_step(self, monkeypatch):
-        run, divide = constructors._add_geometric, geometric_mul_inplace
+        family, divide = constructors._add_family, geometric_mul_inplace
         for order in range(1, 201):
             pending, taken, divisors = {}, Counter(), []
 
-            def recording_run(coeffs, a, b, s, weight=1):
-                # a group's list starts at q^(order - len): runs are kept by absolute exponent
+            def recording_family(coeffs, a, b, s, w=1, count=1, da=1, db=0, ws=1):
+                # each call is expanded into its terms' runs; a group's list
+                # starts at q^(order - len), so runs are kept by absolute exponent
                 runs = pending.setdefault(id(coeffs), (coeffs, []))[1]
-                runs.append((a + order - len(coeffs), b, s, weight))
-                run(coeffs, a, b, s, weight)
+                for k in range(count):
+                    if a + k * da >= len(coeffs):
+                        break
+                    runs.append((a + k * da + order - len(coeffs), b + k * db, s, w * ws**k))
+                family(coeffs, a, b, s, w, count, da, db, ws)
 
             def recording_division(coeffs, step, sign):
                 _, runs = pending.pop(id(coeffs), (coeffs, []))
@@ -1167,7 +1273,7 @@ class TestNamedSeries:
                 taken.update((step, sign, *r) for r in runs)
                 divide(coeffs, step, sign)
 
-            monkeypatch.setattr(constructors, "_add_geometric", recording_run)
+            monkeypatch.setattr(constructors, "_add_family", recording_family)
             monkeypatch.setattr(constructors, "geometric_mul_inplace", recording_division)
             named_series(SeriesId.Y_DEF, order)
             assert not pending, order  # every run is divided
@@ -1239,6 +1345,30 @@ class TestBilateral:
     def test_matches_product_form(self, x, y, base):
         assert bilateral_sum(x, y, base, 200) == entry29_rhs(x, y, base, 200)
 
+    @pytest.mark.parametrize("base", range(2, 7))
+    def test_every_small_triple_matches_its_lattice_points(self, base):
+        # every (x, y, base) the bounds admit, zero factor on the product side or not
+        triples = [
+            (SignedMonomial(sx, ex), SignedMonomial(sy, ey))
+            for ex in range(1, base)
+            for ey in range(1, base - ex + 1)
+            for sx in (1, -1)
+            for sy in (1, -1)
+        ]
+        for x, y in triples:
+            for order in (1, 2, 5, 37, 300):
+                assert bilateral_sum(x, y, base, order) == bilateral_by_pairs(x, y, base, order), (x, y, order)
+
+    @pytest.mark.parametrize("x,y,base", ENTRY29_TRIPLES)
+    def test_suite_triples_match_their_lattice_points_at_2000(self, x, y, base):
+        assert bilateral_sum(x, y, base, 2000) == bilateral_by_pairs(x, y, base, 2000)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 40, 301, 700])
+    def test_split_product_is_the_lattice_of_b_and_b1(self, order):
+        # term by term, the split display is the (i, j) lattice of B (j > i)
+        # and B1 (j <= i) together
+        assert d2_split_product(order) == oracle_expand(SeriesId.B, order) + oracle_expand(SeriesId.B1, order)
+
     def test_symmetric_in_x_and_y(self):
         # inherited from the product form, where x and y enter identically
         lhs = bilateral_sum(Q, Q2, 4, 100)
@@ -1276,6 +1406,19 @@ class TestSWindow:
     def test_halving(self, m):
         full = s_window(1 - m, m, 60)
         assert full == 2 * s_window(1, m, 60)
+
+    def test_windows_match_their_terms(self):
+        # term by term, each m <= 0 rewritten as -(-1)^m q^(1-m)/(1 - q^(1-2m))
+        for order in (1, 2, 40, 300):
+            for lo in range(-45, 46, 7):
+                for hi in range(lo, 50, 6):
+                    expected = [0] * order
+                    for m in range(lo, hi + 1):
+                        if m >= 1:
+                            add_geometric(expected, m, 2 * m - 1, 1, (-1) ** m)
+                        else:
+                            add_geometric(expected, 1 - m, 1 - 2 * m, 1, -((-1) ** m))
+                    assert list(s_window(lo, hi, order)) == expected, (lo, hi, order)
 
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError):

@@ -349,9 +349,9 @@ class TestBilateralRows:
         solved = []
         solve = constructors._solve
 
-        def recording(a):
+        def recording(a, known=()):
             solved.append(len(a))
-            return solve(a)
+            return solve(a, known)
 
         monkeypatch.setattr(lambertq.harness, "entry29_rhs", counting)
         monkeypatch.setattr(constructors, "_solve", recording)
