@@ -19,9 +19,10 @@ engine holds the slot width, every shift and every window,
 q^(order - lead). No rational-function arithmetic exists anywhere; each
 display is expanded exactly through the truncation order.
 
-Every product (`pochhammer`, `phi`, `entry29_rhs`) starts from its binomial
-factors and their signature: by exact ring identities alone it equals
-const * Prod_d E(q^d)^c(d) mod q^order, E = (q;q)_inf. It is expanded in
+Every product (`pochhammer`, `phi`, `entry29_rhs`) starts from its
+Pochhammer symbols (s*q^a; q^step)_inf and their signature: by exact ring
+identities alone it equals const * Prod_d E(q^d)^c(d) mod q^order,
+E = (q;q)_inf, read off each symbol's residue class. It is expanded in
 q^g, g = gcd(supp c), by its primitive signature c/g. That expansion p is
 solved from a = q d/dq log p, which divisor sums give (Euler): n*p_n =
 Sum_j a_j p_(n-j), by divide and conquer over `mul` (`_solve`). Within one
@@ -31,7 +32,6 @@ products that differ only by q -> q^g share one.
 
 from __future__ import annotations
 
-from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedSeries,
     ZeroFactor,
 )
-from .series import TruncatedSeries, _Packing, geometric_mul_inplace, mul
+from .series import TruncatedSeries, _check_ints, _Packing, geometric_mul_inplace, mul
 
 __all__ = [
     "SignedMonomial",
@@ -73,14 +73,6 @@ __all__ = [
 
 
 # -- argument checks ------------------------------------------------------------
-
-
-def _check_ints(**params: object) -> None:
-    """Reject a named parameter that is not an int or is a bool by a
-    TypeError naming it."""
-    for name, value in params.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def _check_args(order: int, **params: int) -> None:
@@ -113,6 +105,14 @@ class SignedMonomial:
         if self.exponent == 1:
             return f"{head}q"
         return f"{head}q^{self.exponent}"
+
+
+def _check_monomials(**params: object) -> None:
+    """Reject a named parameter that is not a SignedMonomial by a TypeError
+    naming it."""
+    for name, value in params.items():
+        if not isinstance(value, SignedMonomial):
+            raise TypeError(f"{name} must be a SignedMonomial, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -264,31 +264,12 @@ def lambert_sum(spec: LambertSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries._trusted(coeffs)
 
 
+# Pochhammer symbols (s*q^a; q^step)_inf as (s, a, step), with multiplicity.
+_Symbols = Sequence[tuple[int, int, int]]
+
 # A block of at most this many terms is solved by direct sums, a longer
 # one split in two halves joined by one `mul`.
 _SOLVE_LEAF = 32
-
-
-def _log_derivative(num: Counter, den: Counter, order: int) -> tuple[int, list[int]]:
-    """(const, a) with Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) equal to
-    const * P mod q^order, P = 1 + O(q), and a = q d/dq log P through
-    q^(order-1).
-
-    The Counters hold binomial factors (s, k), s = +-1 and 0 <= k < order,
-    with multiplicity; only `num` may hold a k = 0 factor, (-1, 0), and
-    (1 + q^0) = 2 goes into `const`. q d/dq is a derivation, so each other
-    factor adds q d/dq log(1 - s*q^k) = -k*Sum_{j>=1} s^j q^(jk), negated
-    below the bar, and a factor on both sides cancels exactly. No builder
-    calls it: it is the factor-by-factor reference for `_eta_expand`.
-    """
-    const, a = 1, [0] * order
-    for side, sign in ((num, -1), (den, 1)):
-        for (s, k), mult in side.items():
-            if k == 0:  # (1 + q^0), above the bar only
-                const *= 2**mult
-            else:
-                _add_family(a, k, k, s, sign * mult * k * s)
-    return const, a
 
 
 def _solve(a: list[int], known: Sequence[int] = ()) -> list[int]:
@@ -339,29 +320,30 @@ def _spread(const: int, coeffs: Sequence[int], g: int, order: int) -> TruncatedS
     return TruncatedSeries._trusted(out)
 
 
-def _signature(num: Counter, den: Counter, order: int) -> tuple[int, dict[int, int]]:
-    """(const, c) with Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) equal to
-    const * Prod_d E(q^d)^c(d) mod q^order, E = (q;q)_inf, for Counters as
-    in `_log_derivative` (left unchanged).
+def _signature(num: _Symbols, den: _Symbols, order: int) -> tuple[int, dict[int, int]]:
+    """(const, c) with Prod_num (s*q^a; q^step)_inf / Prod_den (s*q^a; q^step)_inf
+    equal to const * Prod_d E(q^d)^c(d) mod q^order, E = (q;q)_inf, for
+    symbols (s, a, step), s = +-1; only `num` may hold a = 0, with s = -1.
 
-    Exact ring algebra only: (1 + q^0) = 2 goes into `const`, and
-    1 + q^k = (1 - q^(2k))/(1 - q^k), dropping 1 - q^(2k) once 2k >= order,
-    gives the exponent m(k) of each 1 - q^k. Since E(q^d) is the product of
-    1 - q^k over the multiples k of d, m = Sum_{d | k} c(d), so c = mu * m,
-    found by a divisor sieve over d < order; E(q^d) = 1 mod q^order for
-    d >= order.
+    Exact ring algebra only. Each symbol is the product of 1 - s*q^k over
+    its residue class k = a, a + step, ...; (1 + q^0) = 2 goes into `const`,
+    and 1 + q^k = (1 - q^(2k))/(1 - q^k), dropping 1 - q^(2k) once
+    2k >= order, moves a symbol with s = -1 onto the classes a mod step and
+    2a mod 2*step. That gives the exponent m(k) of each 1 - q^k. Since
+    E(q^d) is the product of 1 - q^k over the multiples k of d,
+    m = Sum_{d | k} c(d), so c = mu * m, found by a divisor sieve over
+    d < order; E(q^d) = 1 mod q^order for d >= order.
     """
     const, m = 1, [0] * order
     for side, sign in ((num, 1), (den, -1)):
-        for (s, k), mult in side.items():
-            if k == 0:  # (1 + q^0), above the bar only
-                const *= 2**mult
-            elif s == 1:
-                m[k] += sign * mult
+        for s, a, step in side:
+            if a == 0:  # (1 + q^0), above the bar only
+                const, a = 2 * const, step
+            if s == 1:
+                m[a::step] = [e + sign for e in m[a::step]]
             else:
-                m[k] -= sign * mult
-                if 2 * k < order:
-                    m[2 * k] += sign * mult
+                m[a::step] = [e - sign for e in m[a::step]]
+                m[2 * a :: 2 * step] = [e + sign for e in m[2 * a :: 2 * step]]
     for d in range(1, (order + 1) // 2):  # m[d] is c(d) once every proper divisor is taken out
         if m[d]:
             cd = m[d]
@@ -416,19 +398,14 @@ def _eta_expand(sig: tuple[tuple[int, int], ...], n: int) -> list[int]:
     return coeffs
 
 
-def _product(num: Counter, den: Counter, order: int) -> TruncatedSeries:
-    """Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) through q^(order-1): its
-    signature const * Prod_d E(q^d)^c(d) is expanded in q^g, g = gcd(supp c),
-    by its primitive signature c/g, then spread out."""
+def _product(num: _Symbols, den: _Symbols, order: int) -> TruncatedSeries:
+    """Prod_num (s*q^a; q^step)_inf / Prod_den (s*q^a; q^step)_inf through
+    q^(order-1): its signature const * Prod_d E(q^d)^c(d) is expanded in
+    q^g, g = gcd(supp c), by its primitive signature c/g, then spread out."""
     const, c = _signature(num, den, order)
     g = gcd(*c) or order
     sig = tuple(sorted((d // g, e) for d, e in c.items()))
     return _spread(const, _eta_expand(sig, -(-order // g)), g, order)
-
-
-def _symbols(symbols: list[tuple[int, int]], step: int, order: int) -> Counter:
-    """The binomial factors below q^order of (s*q^a; q^step)_inf for each (s, a)."""
-    return Counter((s, k) for s, a in symbols for k in range(a, order, step))
 
 
 def pochhammer(arg: SignedMonomial, step: int, order: int) -> TruncatedSeries:
@@ -437,22 +414,18 @@ def pochhammer(arg: SignedMonomial, step: int, order: int) -> TruncatedSeries:
     Factors whose exponent reaches the order contribute nothing mod q^order.
     """
     _check_args(order, step=step)
+    _check_monomials(arg=arg)
     if step < 1:
         raise ValueError(f"Pochhammer step must be >= 1, got {step}")
     if arg.sign == 1 and arg.exponent == 0:
         raise ZeroFactor("(q^0; .)_inf contains the factor 1 - 1 = 0")
-    return _product(_symbols([(arg.sign, arg.exponent)], step, order), Counter(), order)
-
-
-def _phi_factors(order: int) -> tuple[Counter, Counter]:
-    """The binomial factors of (q^4;q^4)^4 above and (q^2;q^2)^2 below the bar."""
-    return _symbols([(1, 4)] * 4, 4, order), _symbols([(1, 2)] * 2, 2, order)
+    return _product([(arg.sign, arg.exponent, step)], [], order)
 
 
 def phi(order: int) -> TruncatedSeries:
     """The even quotient (q^4;q^4)_inf^4 / (q^2;q^2)_inf^2."""
     _check_args(order)
-    return _product(*_phi_factors(order), order)
+    return _product([(1, 4, 4)] * 4, [(1, 2, 2)] * 2, order)
 
 
 # -- the named series ---------------------------------------------------------
@@ -668,6 +641,7 @@ def named_series(sid: SeriesId, order: int) -> TruncatedSeries:
 
 
 def _check_bilateral_bounds(x: SignedMonomial, y: SignedMonomial, base: int) -> None:
+    _check_monomials(x=x, y=y)
     if base < 2:
         raise ParameterOutOfRange(f"base must be >= 2, got {base}")
     for name, e in (("x", x.exponent), ("y", y.exponent)):
@@ -717,19 +691,17 @@ def entry29_rhs(x: SignedMonomial, y: SignedMonomial, base: int, order: int) -> 
             "the (Q/xy; Q) factor starts 1 - q^0 = 0 when "
             "x.exponent + y.exponent = base with x.sign*y.sign = +1"
         )
-    return _product(*_entry29_factors(x, y, base, order), order)
+    return _product(*_entry29_symbols(x, y, base), order)
 
 
-def _entry29_factors(
-    x: SignedMonomial, y: SignedMonomial, base: int, order: int
-) -> tuple[Counter, Counter]:
-    """The binomial factors of `entry29_rhs` above and below the bar."""
+def _entry29_symbols(x: SignedMonomial, y: SignedMonomial, base: int) -> tuple[_Symbols, _Symbols]:
+    """The Pochhammer symbols of `entry29_rhs` above and below the bar."""
     sx, ex = x.sign, x.exponent
     sy, ey = y.sign, y.exponent
     sxy = sx * sy
     num = [(1, base), (1, base), (sxy, ex + ey), (sxy, base - ex - ey)]
     den = [(sx, ex), (sx, base - ex), (sy, ey), (sy, base - ey)]
-    return _symbols(num, base, order), _symbols(den, base, order)
+    return [(s, a, base) for s, a in num], [(s, a, base) for s, a in den]
 
 
 def _add_s_terms(coeffs: list[int], lo: int, hi: int) -> None:

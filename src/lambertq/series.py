@@ -28,6 +28,15 @@ __all__ = [
     "format_polynomial",
 ]
 
+
+def _check_ints(**params: object) -> None:
+    """Reject a named parameter that is not an int or is a bool by a
+    TypeError naming it."""
+    for name, value in params.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 class TruncatedSeries:
     """An integer power series known exactly through q^(order-1). Immutable."""
 
@@ -139,6 +148,7 @@ class TruncatedSeries:
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """Forget coefficients at and above q^order."""
+        _check_ints(order=order)
         if order < 1:
             raise OrderTooSmall("truncation order must be at least 1")
         if order > len(self._coeffs):
@@ -407,6 +417,7 @@ def compare(f: TruncatedSeries, g: TruncatedSeries, order: Optional[int] = None)
     limit = min(f.order, g.order)
     if order is None:
         order = limit
+    _check_ints(order=order)
     if order < 1:
         raise OrderTooSmall("comparison order must be at least 1")
     if order > limit:

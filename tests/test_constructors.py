@@ -134,11 +134,13 @@ def entry29_rhs_uncancelled(x, y, base, order):
 
 
 def factors(symbols, order):
-    """Counter of the binomial factors (s, k), k < order, of the symbols
-    (s*q^a; q^step)^times given as (s, a, step, times)."""
-    return Counter(
-        (s, k) for s, a, step, times in symbols for k in range(a, order, step) for _ in range(times)
-    )
+    """Counter of the binomial factors (s, k), k < order, of the Pochhammer
+    symbols (s*q^a; q^step)_inf given as (s, a, step), with multiplicity."""
+    return Counter((s, k) for s, a, step in symbols for k in range(a, order, step))
+
+
+# (q^4;q^4)^4 above and (q^2;q^2)^2 below the bar
+PHI_SYMBOLS = ([(1, 4, 4)] * 4, [(1, 2, 2)] * 2)
 
 
 # Admissible triples beyond ENTRY29_TRIPLES, each with what its product side
@@ -239,8 +241,8 @@ QUOTIENT_CASES = {
     "empty-numerator": (Counter(), Counter({(1, 1): 2, (-1, 2): 5, (1, 3): 1})),
     # whole symbols: (q;q)^2 (-q^2;q^2)^3 / ((q;q^2)^5 (-q^3;q^3)^4)
     "symbols": (
-        factors([(1, 1, 1, 2), (-1, 2, 2, 3)], 300),
-        factors([(1, 1, 2, 5), (-1, 3, 3, 4)], 300),
+        factors([(1, 1, 1)] * 2 + [(-1, 2, 2)] * 3, 300),
+        factors([(1, 1, 2)] * 5 + [(-1, 3, 3)] * 4, 300),
     ),
 }
 
@@ -730,7 +732,7 @@ class TestQuotientsByDivision:
         const, c = built
         g = gcd(*c)
         assert seen == [(tuple(sorted((d // g, e) for d, e in c.items())), -(-40 // g))]
-        assert constructors._signature(*constructors._entry29_factors(x, y, base, 40), 40) == built
+        assert constructors._signature(*constructors._entry29_symbols(x, y, base), 40) == built
 
     @pytest.mark.parametrize(
         "build,solved",
@@ -794,11 +796,60 @@ class TestQuotientsByDivision:
             build(order)
 
 
+def log_derivative(num, den, order):
+    """(const, a) with Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) equal to
+    const * P mod q^order, P = 1 + O(q), and a = q d/dq log P through
+    q^(order-1), factor by factor.
+
+    The Counters hold binomial factors (s, k), s = +-1 and 0 <= k < order,
+    with multiplicity; only `num` may hold a k = 0 factor, (-1, 0), and
+    (1 + q^0) = 2 goes into `const`. q d/dq is a derivation, so each other
+    factor adds q d/dq log(1 - s*q^k) = -k*Sum_{j>=1} s^j q^(jk), negated
+    below the bar, and a factor on both sides cancels exactly.
+    """
+    const, a = 1, [0] * order
+    for side, sign in ((num, -1), (den, 1)):
+        for (s, k), mult in side.items():
+            if k == 0:  # (1 + q^0), above the bar only
+                const *= 2**mult
+            else:
+                constructors._add_family(a, k, k, s, sign * mult * k * s)
+    return const, a
+
+
+def signature_by_factors(num, den, order):
+    """(const, c) as `constructors._signature` gives it, folded from the
+    Counters of binomial factors (as in `log_derivative`) one factor at a
+    time: 1 + q^k = (1 - q^(2k))/(1 - q^k) gives the exponent m(k) of each
+    1 - q^k, and the same divisor sieve turns m into c."""
+    const, m = 1, [0] * order
+    for side, sign in ((num, 1), (den, -1)):
+        for (s, k), mult in side.items():
+            if k == 0:  # (1 + q^0), above the bar only
+                const *= 2**mult
+            elif s == 1:
+                m[k] += sign * mult
+            else:
+                m[k] -= sign * mult
+                if 2 * k < order:
+                    m[2 * k] += sign * mult
+    for d in range(1, (order + 1) // 2):
+        if m[d]:
+            cd = m[d]
+            m[2 * d :: d] = [e - cd for e in m[2 * d :: d]]
+    return const, {d: e for d, e in enumerate(m) if e}
+
+
 def factor_route(num, den, order):
     """The product of binomial factors solved from the log-derivative of
     the raw factors, whatever its signature."""
-    const, a = constructors._log_derivative(num, den, order)
+    const, a = log_derivative(num, den, order)
     return constructors._spread(const, constructors._solve(a), 1, order)
+
+
+def symbol_route(num, den, order):
+    """`factor_route` on the binomial factors of Pochhammer symbols (s, a, step)."""
+    return factor_route(factors(num, order), factors(den, order), order)
 
 
 # (s*q^a; q^step) for both signs, a = 0..3 (but the zero factor) and steps 1..6
@@ -818,33 +869,46 @@ class TestEtaRoute:
 
     @pytest.mark.parametrize("x,y,base", admissible_triples(6))
     def test_every_triple_up_to_base_6_matches_the_factor_route(self, x, y, base):
+        symbols = constructors._entry29_symbols(x, y, base)
         for order in [*range(1, 61), 300]:
-            factors_ = constructors._entry29_factors(x, y, base, order)
-            assert constructors._product(*factors_, order) == factor_route(*factors_, order), order
-        factors_ = constructors._entry29_factors(x, y, base, 2000)
-        assert entry29_rhs(x, y, base, 2000) == factor_route(*factors_, 2000)
+            assert constructors._product(*symbols, order) == symbol_route(*symbols, order), order
+        assert entry29_rhs(x, y, base, 2000) == symbol_route(*symbols, 2000)
 
     def test_phi_matches_the_factor_route(self):
         for order in [*range(1, 61), 300, 2000]:
-            factors_ = constructors._phi_factors(order)
-            assert phi(order) == factor_route(*factors_, order), order
-            assert constructors._product(*factors_, order) == factor_route(*factors_, order), order
+            reference = symbol_route(*PHI_SYMBOLS, order)
+            assert phi(order) == reference, order
+            assert constructors._product(*PHI_SYMBOLS, order) == reference, order
 
     @pytest.mark.parametrize("arg,step", POCHHAMMER_CASES, ids=str)
     def test_pochhammer_matches_the_factor_route(self, arg, step):
+        num = [(arg.sign, arg.exponent, step)]
         for order in [*range(1, 61), 300]:
-            num = constructors._symbols([(arg.sign, arg.exponent)], step, order)
-            assert constructors._product(num, Counter(), order) == factor_route(num, Counter(), order), order
-        num = constructors._symbols([(arg.sign, arg.exponent)], step, 2000)
-        assert pochhammer(arg, step, 2000) == factor_route(num, Counter(), 2000)
+            assert constructors._product(num, [], order) == symbol_route(num, [], order), order
+        assert pochhammer(arg, step, 2000) == symbol_route(num, [], 2000)
+
+    @pytest.mark.parametrize(
+        "cases",
+        [
+            [constructors._entry29_symbols(*t) for t in admissible_triples(7)],
+            [([(arg.sign, arg.exponent, step)], []) for arg, step in POCHHAMMER_CASES],
+            [PHI_SYMBOLS],
+        ],
+        ids=["triples-to-base-7", "pochhammer", "phi"],
+    )
+    def test_signature_matches_the_factor_fold(self, cases):
+        for num, den in cases:
+            for order in [*range(1, 61), 301]:
+                expected = signature_by_factors(factors(num, order), factors(den, order), order)
+                assert constructors._signature(num, den, order) == expected, (num, den, order)
 
     @pytest.mark.parametrize(
         "build",
         [phi, *(lambda n, t=t: entry29_rhs(*t, n) for t in ENTRY29_TRIPLES)],
         ids=["phi", *(f"triple-{i}" for i in range(len(ENTRY29_TRIPLES)))],
     )
-    def test_suite_products_take_the_eta_route(self, monkeypatch, build):
-        monkeypatch.setattr(constructors, "_log_derivative", None)
+    def test_suite_products_take_the_eta_route(self, build):
+        assert not hasattr(constructors, "_log_derivative")
         build(300)
 
     @pytest.mark.parametrize(
@@ -855,26 +919,24 @@ class TestEtaRoute:
         ],
         ids=["pochhammer-q-3", "q2-q3-7", "q-q2-5"],
     )
-    def test_wide_signatures_take_the_eta_route(self, monkeypatch, build):
-        monkeypatch.setattr(constructors, "_log_derivative", None)
+    def test_wide_signatures_take_the_eta_route(self, build):
+        assert not hasattr(constructors, "_log_derivative")
         build(300)
 
     @pytest.mark.parametrize("x,y,base,signature", SUITE_SIGNATURES)
     def test_suite_side_signatures(self, x, y, base, signature):
         for order in (40, 300):
-            assert constructors._signature(*constructors._entry29_factors(x, y, base, order), order) == signature
+            assert constructors._signature(*constructors._entry29_symbols(x, y, base), order) == signature
 
     def test_phi_signature(self):
-        assert constructors._signature(*constructors._phi_factors(300), 300) == (1, {2: -2, 4: 4})
+        assert constructors._signature(*PHI_SYMBOLS, 300) == (1, {2: -2, 4: 4})
 
     def test_signature_drops_what_reaches_the_order(self):
         # (-q^3; q^3) = E(q^6)/E(q^3); below q^6, E(q^6) is 1
         for order, c in [(4, {3: -1}), (6, {3: -1}), (7, {3: -1, 6: 1}), (13, {3: -1, 6: 1})]:
-            num = constructors._symbols([(-1, 3)], 3, order)
-            assert constructors._signature(num, Counter(), order) == (1, c), order
+            assert constructors._signature([(-1, 3, 3)], [], order) == (1, c), order
         # (-1; q) = 2 (-q; q): the constant leaves, and 1 + q^2 drops at order 4
-        num = constructors._symbols([(-1, 0)], 1, 4)
-        assert constructors._signature(num, Counter(), 4) == (2, {1: -1, 2: 1})
+        assert constructors._signature([(-1, 0, 1)], [], 4) == (2, {1: -1, 2: 1})
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -939,9 +1001,9 @@ class TestSolve:
     def test_a_resumed_solve_equals_a_fresh_one(self, n):
         # E(q)^-3 E(q^2)^5 E(q^3)^-2: n crosses the leaf of 32 terms and the
         # splits at 64 and 128
-        num = factors([(1, 2, 2, 5)], n)
-        den = factors([(1, 1, 1, 3), (1, 3, 3, 2)], n)
-        a = constructors._log_derivative(num, den, n)[1]
+        num = factors([(1, 2, 2)] * 5, n)
+        den = factors([(1, 1, 1)] * 3 + [(1, 3, 3)] * 2, n)
+        a = log_derivative(num, den, n)[1]
         fresh = constructors._solve(a)
         for m in {0, 1, 31, 32, 33, n - 1, n}:
             if 0 <= m <= n:
@@ -951,7 +1013,7 @@ class TestSolve:
     def test_a_resumed_solve_checks_the_part_it_solves(self, m):
         # p = E(q)^2: one more q^70 in a leaves 70*p[70] off by one
         n = 100
-        a = constructors._log_derivative(Counter({(1, k): 2 for k in range(1, n)}), Counter(), n)[1]
+        a = log_derivative(Counter({(1, k): 2 for k in range(1, n)}), Counter(), n)[1]
         fresh = constructors._solve(a)
         a[70] += 1
         with pytest.raises(ArithmeticError, match="q\\^70 "):
@@ -972,11 +1034,10 @@ class TestSolve:
         # E(q)^-3 E(q^2)^5 E(q^3)^-2 from its Pochhammer factors, at every
         # order across the solver's leaf and splits
         sig = ((1, -3), (2, 5), (3, -2))
+        num, den = [(1, 2, 2)] * 5, [(1, 1, 1)] * 3 + [(1, 3, 3)] * 2
         for order in [*range(1, 141), 300]:
-            num = factors([(1, 2, 2, 5)], order)
-            den = factors([(1, 1, 1, 3), (1, 3, 3, 2)], order)
             assert constructors._signature(num, den, order)[1] == {d: c for d, c in sig if d < order}
-            assert constructors._eta_expand(sig, order) == list(factor_route(num, den, order)), order
+            assert constructors._eta_expand(sig, order) == list(symbol_route(num, den, order)), order
 
 
 class TestConstructorArguments:
@@ -1025,6 +1086,24 @@ class TestConstructorArguments:
     )
     def test_non_int_is_a_type_error_naming_the_argument(self, build, name):
         with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build,name",
+        [
+            (lambda: pochhammer((1, 1), 1, 5), "arg"),
+            (lambda: entry29_rhs((1, 1), Q, 3, 5), "x"),
+            (lambda: entry29_rhs(Q, (1, 1), 3, 5), "y"),
+            (lambda: bilateral_sum((1, 1), Q, 3, 5), "x"),
+            (lambda: bilateral_sum(Q, (1, 1), 3, 5), "y"),
+        ],
+        ids=["pochhammer-arg", "entry29-x", "entry29-y", "bilateral-x", "bilateral-y"],
+    )
+    def test_non_monomial_is_a_type_error_naming_the_argument(self, monkeypatch, build, name):
+        # raised before any product or sum is built
+        monkeypatch.setattr(constructors, "_product", None)
+        monkeypatch.setattr(constructors, "_add_family", None)
+        with pytest.raises(TypeError, match=rf"^{name} must be a SignedMonomial, got \(1, 1\)$"):
             build()
 
     @pytest.mark.parametrize(

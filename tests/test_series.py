@@ -450,6 +450,11 @@ class TestShiftTruncate:
         with pytest.raises(OrderTooSmall):
             TruncatedSeries([1, 2]).truncate(0)
 
+    @pytest.mark.parametrize("order", [True, 1.0, "2", None])
+    def test_truncate_to_a_non_int_rejected(self, order):
+        with pytest.raises(TypeError, match="^order must be an int, got "):
+            TruncatedSeries([1, 2]).truncate(order)
+
 
 class TestCompare:
     def test_equal(self):
@@ -473,6 +478,12 @@ class TestCompare:
         f = TruncatedSeries([1, 1])
         with pytest.raises(OrderTooSmall):
             compare(f, f, order=3)
+
+    @pytest.mark.parametrize("order", [True, False, 2.0, "2"])
+    def test_non_int_order_rejected(self, order):
+        f = TruncatedSeries([1, 1])
+        with pytest.raises(TypeError, match="^order must be an int, got "):
+            compare(f, f, order)
 
     def test_mixed_orders_use_min(self):
         f = TruncatedSeries([1, 2, 3, 4])
