@@ -6,8 +6,9 @@ usage error, reported before anything is built.
 
 Exit codes: 0 success, 1 when any identity check FAILED, 2 on usage errors,
 3 when an identity check raised instead of reporting (`verify` still prints
-the completed reports and `bench` the sizes whose suite completed; one
-`error:` line per raised check goes to stderr).
+the completed reports; one `error:` line per raised check goes to stderr).
+`bench` prints a row only for a size whose checks all passed, and one
+`error:` line per raised or FAILED check of the other sizes.
 JSON output carries coefficients as decimal strings so arbitrarily large
 integers survive a round trip through 64-bit JSON parsers.
 """
@@ -193,14 +194,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     rows = []
     errors: list[str] = []
+    code = 0
     for size in sizes:
         start = time.perf_counter()
         try:
-            run_suite(size)
-        except SuiteError as exc:  # no row: the timing of a broken suite means nothing
-            errors += [f"size {size}: {_raised(ident, e)}" for ident, e in exc.errors]
-            continue
+            reports, raised = run_suite(size), []
+        except SuiteError as exc:
+            reports, raised = exc.reports, exc.errors
         elapsed = time.perf_counter() - start
+        failed = [r for r in reports if r.status is IdentityStatus.FAILED]
+        if raised or failed:  # no row: the timing of a broken suite means nothing
+            errors += [f"size {size}: {_raised(ident, e)}" for ident, e in raised]
+            errors += [
+                f"size {size}: {r.identity.value}: FAILED at q^{r.first_mismatch.index}" for r in failed
+            ]
+            code = max(code, 3 if raised else 1)
+            continue
         rows.append({"size": size, "elapsed_ms": round(elapsed * 1000.0, 3)})
 
     fmt = OutputFormat(args.format)
@@ -214,7 +223,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         _print_csv(("size", "elapsed_ms"), [(r["size"], r["elapsed_ms"]) for r in rows])
     for line in errors:
         print(f"error: {line}", file=sys.stderr)
-    return 3 if errors else 0
+    return code
 
 
 # -- wiring ---------------------------------------------------------------------

@@ -68,21 +68,22 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls._trusted([0] * order)
+        return cls.monomial(0, order, 0)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls._trusted([1] + [0] * (order - 1))
+        return cls.monomial(0, order)
 
     @classmethod
     def monomial(cls, exponent: int, order: int, coefficient: int = 1) -> "TruncatedSeries":
-        """The series coefficient * q^exponent, truncated at `order`."""
+        """The series coefficient * q^exponent, truncated at `order` >= 1."""
+        _check_ints(exponent=exponent, order=order, coefficient=coefficient)
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
         cs = [0] * order
         if exponent < order:
             cs[exponent] = coefficient
-        return cls(cs)
+        return cls._trusted(cs)
 
     @property
     def order(self) -> int:
@@ -120,14 +121,12 @@ class TruncatedSeries:
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = min(len(self._coeffs), len(other._coeffs))
-        return TruncatedSeries._trusted([a + b for a, b in zip(self._coeffs, other._coeffs)][:n])
+        return TruncatedSeries._trusted(map(add, self._coeffs, other._coeffs))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = min(len(self._coeffs), len(other._coeffs))
-        return TruncatedSeries._trusted([a - b for a, b in zip(self._coeffs, other._coeffs)][:n])
+        return TruncatedSeries._trusted(map(sub, self._coeffs, other._coeffs))
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries._trusted([-a for a in self._coeffs])
@@ -139,10 +138,7 @@ class TruncatedSeries:
             return TruncatedSeries._trusted([other * a for a in self._coeffs])
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return TruncatedSeries._trusted([other * a for a in self._coeffs])
-        return NotImplemented
+    __rmul__ = __mul__
 
     # -- unary transforms ---------------------------------------------------
 
@@ -161,6 +157,7 @@ class TruncatedSeries:
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by q^k (k >= 0), keeping the same order."""
+        _check_ints(k=k)
         if k < 0:
             raise ValueError("shift must be nonnegative")
         n = len(self._coeffs)
@@ -178,6 +175,7 @@ class TruncatedSeries:
 
     def compose_power(self, t: int) -> "TruncatedSeries":
         """Substitute q -> q^t for t >= 1, keeping the same order."""
+        _check_ints(t=t)
         if t < 1:
             raise ValueError("power substitution needs t >= 1")
         n = len(self._coeffs)
@@ -350,17 +348,14 @@ class _Packing:
 def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Product truncated to min(f.order, g.order), by Kronecker substitution.
 
-    Both operands are packed and multiplied once in CPython's bigint code;
-    a square (g is f) is packed once and multiplied as x * x, which takes
-    CPython's faster squaring path. n*max(max|f|, 1)*max(max|g|, 1) bounds
-    every product coefficient and every operand coefficient, so it sets
-    the slot width.
+    Both operands are packed and multiplied once in CPython's bigint code.
+    n*max(max|f|, 1)*max(max|g|, 1) bounds every product coefficient and
+    every operand coefficient, so it sets the slot width.
     """
     n = min(f.order, g.order)
     fc, gc = f.coefficients[:n], g.coefficients[:n]
     p = _Packing(n, max(max(map(abs, fc)), 1) * max(max(map(abs, gc)), 1) * n)
-    x = p.pack(fc)
-    return p.unpack(x * (x if g is f else p.pack(gc)))
+    return p.unpack(p.pack(fc) * p.pack(gc))
 
 
 def geometric_mul_inplace(coeffs: list[int], step: int, sign: int) -> None:
@@ -370,9 +365,7 @@ def geometric_mul_inplace(coeffs: list[int], step: int, sign: int) -> None:
     For sign = -1 it uses 1/(1 + q^k) = (1 - q^k)/(1 - q^(2k)): one slice
     pass multiplies by 1 - q^k, and the division by 1 - q^(2k) follows.
     Dividing by 1 - q^k makes each residue class mod k a running sum,
-    which `accumulate` runs in C. When the classes are short
-    (k*k >= len), it instead updates one block of k coefficients at a time
-    from the block before it.
+    which `accumulate` runs in C.
     """
     if step < 1:
         raise ValueError("geometric step must be at least 1")
@@ -382,12 +375,8 @@ def geometric_mul_inplace(coeffs: list[int], step: int, sign: int) -> None:
     if sign == -1:
         coeffs[step:] = map(sub, coeffs[step:], coeffs[: n - step])
         step *= 2
-    if step * step < n:
-        for r in range(step):
-            coeffs[r::step] = accumulate(coeffs[r::step])
-    else:
-        for i in range(step, n, step):
-            coeffs[i : i + step] = map(add, coeffs[i : i + step], coeffs[i - step : i])
+    for r in range(min(step, n)):
+        coeffs[r::step] = accumulate(coeffs[r::step])
 
 
 # -- comparison and parity -----------------------------------------------------

@@ -267,6 +267,43 @@ class TestBench:
         # the sizes whose suite completed keep their rows
         assert [r["size"] for r in json.loads(out)["rows"]] == [8, 16]
 
+    @staticmethod
+    def inject_failure(monkeypatch, size):
+        """Make I10 report FAILED at q^6 in the suite at `size`."""
+        original = harness.check_identity
+
+        def check_identity(ident, order, *args, **kwargs):
+            if ident is IdentityId.I10_CONJ1_PARITY and order == size:
+                return IdentityReport(ident, order, IdentityStatus.FAILED, Mismatch(6, 1, 0), 0.001)
+            return original(ident, order, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "check_identity", check_identity)
+
+    def test_failed_check_in_suite_drops_its_size_and_exits_one(self, capsys, monkeypatch):
+        self.inject_failure(monkeypatch, 12)
+        code, out, err = run_cli(capsys, "bench", "--sizes", "8,12,16", "--format", "json")
+        assert code == 1
+        assert err == "error: size 12: I10_CONJ1_PARITY: FAILED at q^6\n"
+        assert [r["size"] for r in json.loads(out)["rows"]] == [8, 16]
+
+    def test_raised_check_outranks_a_failed_one(self, capsys, monkeypatch):
+        self.inject_failure(monkeypatch, 8)
+        failing = harness.check_identity
+
+        def check_identity(ident, order, *args, **kwargs):
+            if ident is IdentityId.I9_LEMMA2 and order == 16:
+                raise RuntimeError("injected fault")
+            return failing(ident, order, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "check_identity", check_identity)
+        code, out, err = run_cli(capsys, "bench", "--sizes", "8,12,16", "--format", "csv")
+        assert code == 3
+        assert err == (
+            "error: size 8: I10_CONJ1_PARITY: FAILED at q^6\n"
+            "error: size 16: I9_LEMMA2: RuntimeError: injected fault\n"
+        )
+        assert [line.split(",")[0] for line in out.splitlines()] == ["size", "12"]
+
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--sizes", "16", "--format", "csv")
         assert code == 0
