@@ -32,6 +32,7 @@ products that differ only by q -> q^g share one.
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -268,7 +269,10 @@ def lambert_sum(spec: LambertSpec, order: int) -> TruncatedSeries:
 _Symbols = Sequence[tuple[int, int, int]]
 
 # A block of at most this many terms is solved by direct sums, a longer
-# one split in two halves joined by one `mul`.
+# one split in two halves joined by one `mul`. With dot-product leaves, a
+# suite's eta expansions (medians, CPython 3.11, `BENCH_24.json`) were
+# slower at 16 than at 32 at orders 800 and 10000 in every sweep; 64 won
+# at 10000 in most sweeps but not in every one at 800.
 _SOLVE_LEAF = 32
 
 
@@ -280,9 +284,11 @@ def _solve(a: list[int], known: Sequence[int] = ()) -> list[int]:
     Divide and conquer (relaxed multiplication; van der Hoeven, "Relax, but
     don't be too lazy", 2002): once p is known on [lo, mid), one `mul` of
     that block by a adds its share of the sums on [mid, hi), and a block of
-    at most `_SOLVE_LEAF` terms adds its own share directly. A known prefix
-    is one such block before the rest. A sum that n does not divide means a
-    is no log-derivative of an integer series; it raises ArithmeticError.
+    at most `_SOLVE_LEAF` terms adds its own share directly, each sum one
+    C-level dot product of a reversed slice of a with a slice of p. A known
+    prefix is one such block before the rest. A sum that n does not divide
+    means a is no log-derivative of an integer series; it raises
+    ArithmeticError.
     """
     n = len(a)
     m = min(len(known), n)
@@ -292,7 +298,7 @@ def _solve(a: list[int], known: Sequence[int] = ()) -> list[int]:
     def block(lo: int, hi: int) -> None:
         if hi - lo <= _SOLVE_LEAF:
             for i in range(max(lo, 1), hi):
-                total = sums[i] + sum([a[i - j] * p[j] for j in range(lo, i)])
+                total = sums[i] + sum(map(operator.mul, a[i - lo : 0 : -1], p[lo:i]))
                 p[i], rest = divmod(total, i)
                 if rest:
                     raise ArithmeticError(f"{total} at q^{i} is not a multiple of {i}")
@@ -385,9 +391,9 @@ def _eta_expand(sig: tuple[tuple[int, int], ...], n: int) -> list[int]:
     known = kept.get(sig, ()) if kept is not None else ()
     if len(known) >= n:
         return known
-    sigma = [0] * n
-    for d in range(1, n):
-        sigma[d::d] = [t + d for t in sigma[d::d]]
+    sigma = list(range(n))  # each j is its own divisor; the sieve adds the proper ones
+    for d in range(1, (n - 1) // 2 + 1):
+        sigma[2 * d :: d] = [t + d for t in sigma[2 * d :: d]]
     a = [0] * n
     for d, c in sig:
         w = c * d
@@ -704,17 +710,18 @@ def _entry29_symbols(x: SignedMonomial, y: SignedMonomial, base: int) -> tuple[_
     return [(s, a, base) for s, a in num], [(s, a, base) for s, a in den]
 
 
-def _add_s_terms(coeffs: list[int], lo: int, hi: int) -> None:
-    """Accumulate the terms (-1)^m q^m/(1 - q^(2m-1)) of the bilateral S sum
-    for integer m in [lo, hi], as at most two families. A term m <= 0 has a
-    negative denominator exponent, so it is first rewritten as the honest
-    power series -(-1)^m q^(1-m)/(1 - q^(1-2m)); those go in by j = -m."""
+def _add_s_terms(coeffs: list[int], lo: int, hi: int, w: int = 1) -> None:
+    """Accumulate w times the terms (-1)^m q^m/(1 - q^(2m-1)) of the
+    bilateral S sum for integer m in [lo, hi], as at most two families. A
+    term m <= 0 has a negative denominator exponent, so it is first rewritten
+    as the honest power series -(-1)^m q^(1-m)/(1 - q^(1-2m)); those go in
+    by j = -m."""
     if hi >= 1:
         m = lo if lo >= 1 else 1
-        _add_family(coeffs, m, 2 * m - 1, 1, -1 if m % 2 else 1, hi - m + 1, 1, 2, -1)
+        _add_family(coeffs, m, 2 * m - 1, 1, -w if m % 2 else w, hi - m + 1, 1, 2, -1)
     if lo <= 0:
         j = -hi if hi <= 0 else 0
-        _add_family(coeffs, 1 + j, 1 + 2 * j, 1, 1 if j % 2 else -1, 1 - lo - j, 1, 2, -1)
+        _add_family(coeffs, 1 + j, 1 + 2 * j, 1, w if j % 2 else -w, 1 - lo - j, 1, 2, -1)
 
 
 def s_window(lo: int, hi: int, order: int) -> TruncatedSeries:
@@ -731,21 +738,22 @@ def s_window(lo: int, hi: int, order: int) -> TruncatedSeries:
 
 
 def halving_windows(count: int, order: int) -> Iterator[tuple[TruncatedSeries, TruncatedSeries]]:
-    """The pairs (s_window(1 - m, m, order), s_window(1, m, order)) for m = 1..count.
+    """The pairs (s_window(1 - m, m, order), 2 * s_window(1, m, order)) for
+    m = 1..count, the two sides of the halving identity.
 
-    Both windows grow as running sums: each step adds the terms 1 - m and m
-    to the first and the term m to the second. The arguments are checked
-    when it is called, not at the first pair.
+    Both grow as running sums: each step adds the terms 1 - m and m to the
+    first and twice the term m to the second, so no window is scaled. The
+    arguments are checked when it is called, not at the first pair.
     """
     _check_args(order, count=count)
 
     def pairs() -> Iterator[tuple[TruncatedSeries, TruncatedSeries]]:
         full = [0] * order
-        half = [0] * order
+        twice = [0] * order
         for m in range(1, count + 1):
             _add_s_terms(full, 1 - m, 1 - m)
             _add_s_terms(full, m, m)
-            _add_s_terms(half, m, m)
-            yield TruncatedSeries._trusted(full), TruncatedSeries._trusted(half)
+            _add_s_terms(twice, m, m, 2)
+            yield TruncatedSeries._trusted(full), TruncatedSeries._trusted(twice)
 
     return pairs()

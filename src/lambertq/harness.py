@@ -159,8 +159,8 @@ def _d2_rows(n: int, b: Builder) -> Iterable[Pair]:
 
 
 def _halving_rows(n: int, b: Builder) -> Iterable[Pair]:
-    for m_top, (full, half) in enumerate(halving_windows(MAX_HALVING_WINDOW, n), 1):
-        yield f"window M={m_top}", full, 2 * half
+    for m_top, (full, twice) in enumerate(halving_windows(MAX_HALVING_WINDOW, n), 1):
+        yield f"window M={m_top}", full, twice
 
 
 def _entry29_rows(n: int, b: Builder) -> Iterable[Pair]:

@@ -8,9 +8,10 @@ past it are unknown for at least one side.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add, sub
 from typing import Iterable, Iterator, Optional
 
@@ -135,6 +136,7 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             return mul(self, other)
         if isinstance(other, int):
+            _check_ints(scalar=other)
             return TruncatedSeries._trusted([other * a for a in self._coeffs])
         return NotImplemented
 
@@ -263,6 +265,12 @@ class _Packing:
     |c| < 2^(w-1). The width w is the least multiple of 8 with
     2^(w-1) > bound, so `bound` must bound every coefficient packed or
     unpacked.
+
+    `unpack` has two readers. A slot of at most 8 bytes is spread into an
+    8-byte lane per slot, and one `struct.unpack` reads every lane;
+    `struct` reads no integer wider than 8 bytes, so a wider slot, which
+    only `mul` on large coefficients needs, is read by `int.from_bytes`
+    slot by slot.
     """
 
     __slots__ = ("order", "width", "mask", "_bytes", "_half", "_biases")
@@ -286,11 +294,18 @@ class _Packing:
     def unpack(self, x: int) -> TruncatedSeries:
         """The series whose value is congruent to x; adding 2^(w-1) to every
         slot makes each digit nonnegative, so none borrows from the next."""
-        nb, half = self._bytes, self._half
-        raw = ((x + self._biases) & self.mask).to_bytes(nb * self.order, "little")
-        return TruncatedSeries._trusted(
-            [int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, len(raw), nb)]
-        )
+        nb, half, n = self._bytes, self._half, self.order
+        raw = ((x + self._biases) & self.mask).to_bytes(nb * n, "little")
+        if nb > 8:
+            return TruncatedSeries._trusted(
+                [int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, len(raw), nb)]
+            )
+        if nb < 8:  # byte t of every slot goes to byte t of its lane
+            lanes = bytearray(8 * n)
+            for t in range(nb):
+                lanes[t::8] = raw[t::nb]
+            raw = lanes
+        return TruncatedSeries._trusted(map(sub, struct.unpack(f"<{n}Q", raw), repeat(half)))
 
     def _ones(self, n: int) -> int:
         """2^(w*n) - 1, the mask of the window of n slots, 0 <= n <= order.

@@ -1515,9 +1515,9 @@ class TestHalvingWindows:
         # collected first, so a pair that aliased the running sums would fail
         pairs = list(halving_windows(MAX_HALVING_WINDOW, order))
         assert len(pairs) == MAX_HALVING_WINDOW
-        for m, (full, half) in enumerate(pairs, 1):
+        for m, (full, twice) in enumerate(pairs, 1):
             assert full == s_window(1 - m, m, order), m
-            assert half == s_window(1, m, order), m
+            assert twice == 2 * s_window(1, m, order), m
 
     def test_no_windows(self):
         assert list(halving_windows(0, 10)) == []

@@ -47,6 +47,13 @@ unit_st = st.builds(
 )
 
 
+def slot_by_slot(p, x):
+    """Reference reading of `_Packing.unpack`: one int.from_bytes per slot."""
+    nb, half = p._bytes, p._half
+    raw = ((x + p._biases) & p.mask).to_bytes(nb * p.order, "little")
+    return tuple(int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, len(raw), nb))
+
+
 def schoolbook(f, g):
     """Reference product: the plain double loop, truncated to the smaller order."""
     n = min(f.order, g.order)
@@ -161,6 +168,21 @@ class TestLinearOps:
             2.0 * f
         with pytest.raises(TypeError):
             f * 2.0
+
+    @pytest.mark.parametrize(
+        "scale",
+        [lambda f: True * f, lambda f: f * False, lambda f: False * f, lambda f: f * True],
+        ids=["True * f", "f * False", "False * f", "f * True"],
+    )
+    def test_bool_scalar_rejected(self, scale):
+        with pytest.raises(TypeError, match="scalar must be an int"):
+            scale(TruncatedSeries([1, -2]))
+
+    def test_int_scalars_unchanged(self):
+        f = TruncatedSeries([1, -2, 0, 2**70])
+        assert (2 * f).coefficients == (2, -4, 0, 2**71)
+        assert (f * -1).coefficients == (-1, 2, 0, -(2**70))
+        assert f * 2 == 2 * f
 
     @given(series_st, series_st)
     def test_add_commutes(self, f, g):
@@ -345,6 +367,31 @@ class TestPacking:
                     x = p.comb(step, sign, n)
                     assert 0 <= x < 1 << (p.width * n)
                     assert p.unpack(x).coefficients[:n] == tuple(expected)
+
+    @pytest.mark.parametrize("order", [1, 2, 33, 1000])
+    @pytest.mark.parametrize("nb", range(1, 11))
+    def test_unpack_matches_the_slot_by_slot_reading(self, nb, order):
+        # slots of 1-8 bytes are read as 8-byte lanes, wider ones slot by slot
+        p = _Packing(order, (1 << (8 * nb - 8)) - 1)
+        assert p._bytes == nb
+        rng = random.Random(100 * nb + order)
+        top = p._half - 1
+        edge = [top, -top, 0, 1, -1]
+        vectors = [[c] * order for c in edge]
+        vectors.append([rng.randint(-top, top) for _ in range(order)])
+        mixed = [rng.choice(edge) if rng.random() < 0.5 else rng.randint(-top, top) for _ in range(order)]
+        vectors.append(mixed)
+        window = p.width * order
+        for cs in vectors:
+            x = p.pack(cs)
+            garbage = rng.randint(2, 2**70) << window
+            for y in (x, x + garbage, x - garbage):  # x - garbage is negative
+                assert p.unpack(y).coefficients == slot_by_slot(p, y) == tuple(cs)
+        # any integer at all, -2^(w-1) digits included
+        for _ in range(5):
+            y = rng.getrandbits(window + 64) - (1 << (window + 63))
+            assert p.unpack(y).coefficients == slot_by_slot(p, y)
+        assert p.unpack(-p._biases).coefficients == (-p._half,) * order  # every digit at -2^(w-1)
 
     def test_divide_rejects_step_zero(self):
         with pytest.raises(ValueError):
