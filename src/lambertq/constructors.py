@@ -1,23 +1,21 @@
 """Builders for every named series in the study, plus the generic pieces.
 
-The sums here are built from two expansion moves: a geometric expansion
-of q^a/(1 - s*q^b) as Sum_j s^j q^(a+jb), and a division by (1 - s*q^e).
-The single sums and `Y_DEF` make these moves on coefficient lists, where
-the division is a slice operation that runs in CPython's C loops, and
-`_add_family` is the one place geometric runs are added to a list: a
-one-index family of them per call, as strided slices along either index.
-`Y_DEF` adds each (m, n) term as a run along the smaller of its two steps
-into the group of that step, one family per group, and divides each
+The sums here are built from two expansion moves, both on coefficient
+lists: a geometric expansion of q^a/(1 - s*q^b) as Sum_j s^j q^(a+jb),
+and a division by (1 - s*q^e), a slice operation that runs in CPython's C
+loops. `_add_family` is the one place geometric runs are added to a list:
+a one-index family of them per call, as strided slices along either
+index. `Y_DEF` adds each (m, n) term as a run along the smaller of its two
+steps into the group of that step, one family per group, and divides each
 group once by the other factor its terms share, so about 1.5*sqrt(order)
 divisions are made. The double sums `Y_EQ1`, `Y_EQ2`, `Z`, `A`, `B` and
-`B1` make them on Kronecker-packed integers (`series._Packing`) in
-CPython's bigint code, all through one engine, `_packed_sum`. Each
-builder only lists its display's terms, outer index walking down, as
-(lead, b, s, sign, into_tail): a tail term sign*q^lead/(1 - s*q^b) of the
-inner sum, or a slice, sign*q^lead/(1 - s*q^b) times the tail so far. The
-engine holds the slot width, every shift and every window,
-q^(order - lead). No rational-function arithmetic exists anywhere; each
-display is expanded exactly through the truncation order.
+`B1` are each one row of `_DOUBLE_SUMS`, the families of a display whose
+outer index bounds a prefix of the inner sum, all summed by one engine,
+`_double_sum`: one division per outer term below a split near
+0.6*sqrt(order), and above it the summations exchanged, so that each power
+of an outer denominator is one division of one family per inner family.
+No rational-function arithmetic exists anywhere; each display is expanded
+exactly through the truncation order.
 
 Every product (`pochhammer`, `phi`, `entry29_rhs`) starts from its
 Pochhammer symbols (s*q^a; q^step)_inf and their signature: by exact ring
@@ -38,9 +36,9 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from math import gcd
-from operator import add
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from math import gcd, isqrt
+from operator import add, sub
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
     DivergentSpec,
@@ -50,7 +48,7 @@ from .errors import (
     UnsupportedSeries,
     ZeroFactor,
 )
-from .series import TruncatedSeries, _check_ints, _Packing, geometric_mul_inplace, mul
+from .series import TruncatedSeries, _check_ints, geometric_mul_inplace, mul
 
 __all__ = [
     "SignedMonomial",
@@ -448,9 +446,7 @@ def _build_y_def(order: int) -> TruncatedSeries:
     # 2m-1 > n (sign +1) and is divided by 1 + q^n. Each group is one family
     # on a list from its least exponent; about 1.5*sqrt(order) groups exist.
     # Every term keeps its own factor 1/(1+q^n): re-indexing it into a tail
-    # of q^t/(1-q^t) would turn this display into Y_EQ1's. This stays
-    # on lists: packed, each of the ~order*ln(order) pair terms would cost
-    # a full-width operation, which measured slower.
+    # of q^t/(1-q^t) would turn this display into Y_EQ1's.
     out = [0] * order
     m = 1
     while m * (4 * m - 1) < order:  # the tie n = 2m-1 leads the group of m
@@ -472,129 +468,109 @@ def _build_y_def(order: int) -> TruncatedSeries:
     return TruncatedSeries._trusted(out)
 
 
-# The six double sums below are accumulated packed (see series._Packing),
-# whose slot must hold every output coefficient; order^2 bounds them. An
-# index pair +-q^a/((1 -+ q^b)(1 -+ q^c)) of a display is
-# Sum_{u,v>=0} +-q^(a+ub+vc), and for each u at most one v lands on q^e, so
-# it puts at most floor((e-a)/M) + 1 lattice points on q^e, M = max(b, c).
-# That grows with e, so take e = order-1. Without the floor the pairs of one
-# display add up to less than 3/4*order^2: in A the j pairs with
-# M = 2j+1 have a = j+1 and add j(e+j)/(2j+1) < (e+j)/2, and
-# Sum_{j<e} (e+j)/2 < 3/4*e^2; grouped by M, the other five stay below it.
-# With the floor A's sum, the largest, stays below 0.62*order^2
-# (tests/test_constructors.py counts every display's pairs).
+# A family of a double sum's display: (w, e, a0, a1, s, b0, b1, start)
+# stands for the terms w*e^o*q^(a0+a1*o)/(1 - s*q^(b0+b1*o)), o >= start.
+_Family = tuple[int, int, int, int, int, int, int, int]
 
 
-def _packed_sum(order: int, terms: Iterable[tuple[int, int, int, int, bool]]) -> TruncatedSeries:
-    """Sum_outer prefactor * tail through q^(order-1), the tail being the
-    inner sum, from the display's terms (lead, b, s, sign, into_tail) in
-    summing order. A tail term adds sign*q^lead/(1 - s*q^b) to the tail; a
-    slice adds that times the tail so far over its least lead, so a slice
-    leads at its prefactor's lead plus the tail's. Slice leads descend.
+def _split(order: int) -> int:
+    """The outer index M from which `_double_sum` exchanges its
+    summations: about 0.6*sqrt(order), and at least 1."""
+    return max(1, 3 * isqrt(order) // 5)
 
-    Evaluation at 2^w is a ring homomorphism Z[q]/q^L -> Z/2^(wL), so a
-    value of lead l is needed only mod q^(order - l), its window, and a term
-    leading at the order or past it adds nothing. The tail is held over its
-    lead and gains each term as a `comb` through the term's window. Any
-    integer congruent to the tail mod its window stands for it, so it is
-    masked only when negative, where CPython's `&` is slow. Each slice is
-    one windowed `divide` of the tail, and the slices go Horner-style into
-    one accumulator: its terms stay below 2^(w*(order - its lead)) and it
-    stays within log2(order) bits of that, so `unpack` masks once, at the end.
-    Only the order of the finite sum changes, never a term.
+
+def _double_sum(outer: Sequence[_Family], inner: Sequence[_Family], order: int) -> TruncatedSeries:
+    """Sum_o Out(o)*T(o) through q^(order-1), Out(o) the outer families'
+    terms of index o and T(o) the sum of the inner families' terms of every
+    index o' <= o. Outer weights w are +-1, and outer families start at 0
+    or 1.
+
+    Below the split M, T is a list that gains the inner terms of each index
+    in turn, and each outer term is one division of a shifted copy of it.
+    From M on, an outer term w*e^o*q^(a0+a1*o)/(1 - s*q^(b0+b1*o)) is
+    expanded in u, and for each u its terms c(o) = w*s^u*e^o*q^(a0+u*b0 +
+    o*d), d = a1+u*b1, are geometric in o. So the sum over o >= M is
+    T(M-1)*c(M)/(1 - e*q^d), plus Sum_{o'>=M} F(o')*c(o')/(1 - e*q^d) for
+    each inner family F, since its term of index o' meets every c(o) with
+    o >= o': one copy of T(M-1), one `_add_family` per inner family and one
+    division for each u. Only the order of the finite sums changes.
     """
-    p = _Packing(order, order**2)
-    w = p.width
-    tail = acc = 0
-    at = top = order  # the leads tail and acc are held over
-    for lead, b, s, sign, into_tail in terms:
-        n = order - lead
-        if n <= 0:
-            continue
-        if into_tail:
-            x = p.comb(b, s, n)
-            if lead < at:
-                tail <<= w * (at - lead)
-                at = lead
-            else:
-                x <<= w * (lead - at)
-            tail = tail + x if sign > 0 else tail - x
-            if tail < 0:
-                tail &= p._ones(order - at)
-        else:
-            x = p.divide(tail, b, s, n)
-            acc <<= w * (top - lead)
-            acc = acc + x if sign > 0 else acc - x
-            top = lead
-    return p.unpack(acc << w * top)
+    out = [0] * order
+    split = _split(order)
+    prefix = [0] * order  # T(o) for the o reached
+    for o in range(split):
+        for w, e, a0, a1, s, b0, b1, start in inner:
+            if o >= start and a0 + a1 * o < order:
+                _add_family(prefix, a0 + a1 * o, b0 + b1 * o, s, w * e**o)
+        for w, e, a0, a1, s, b0, b1, start in outer:
+            lead = a0 + a1 * o
+            if o >= start and lead < order:
+                h = prefix[: order - lead]
+                geometric_mul_inplace(h, b0 + b1 * o, s)
+                out[lead:] = map(add if w * e**o > 0 else sub, out[lead:], h)
+    for w, e, a0, a1, s, b0, b1, _ in outer:
+        u, lead = 0, a0 + a1 * split  # lead: c(M)'s, for this u
+        while lead < order:
+            d, n = a1 + u * b1, order - lead
+            h = prefix[:n]  # over c(M): F(o')*c(o') is F(o')*e^(o'-M)*q^((o'-M)*d) here
+            for wf, ef, af0, af1, sf, bf0, bf1, start in inner:
+                o = max(split, start)
+                a, da = af0 + af1 * o + (o - split) * d, af1 + d
+                if a < n:
+                    w_o = wf * ef**o * e ** (o - split)
+                    _add_family(h, a, bf0 + bf1 * o, sf, w_o, -((a - n) // da), da, bf1, e * ef)
+            geometric_mul_inplace(h, d, e)
+            out[lead:] = map(add if w * s**u * e**split > 0 else sub, out[lead:], h)
+            u, lead = u + 1, lead + b0 + b1 * split
+    return TruncatedSeries._trusted(out)
 
 
-def _packed(display: Callable[[int], Iterable]) -> Callable[[int], TruncatedSeries]:
-    """The builder that sums the terms display(order) lists by `_packed_sum`."""
-    return lambda order: _packed_sum(order, display(order))
-
-
-@_packed
-def _build_y_eq1(order: int) -> Iterator[tuple[int, int, int, int, bool]]:
-    # Sum_{m>=1,k>=0} (-1)^(m+k) q^(3m+k) / ((1-q^(2m-1))(1-q^(2m+k))),
-    # summed with j = 2m+k inside as
-    # Sum_{m>=1} (-1)^m q^m/(1-q^(2m-1)) * Sum_{j>=2m} (-1)^j q^j/(1-q^j).
-    for m in range((order - 2) // 2, 0, -1):
-        yield 2 * m, 2 * m, 1, 1, True
-        yield 2 * m + 1, 2 * m + 1, 1, -1, True  # above the tail's lead 2m
-        if 3 * m < order:
-            yield 3 * m, 2 * m - 1, 1, -1 if m % 2 else 1, False
-
-
-@_packed
-def _build_y_eq2(order: int) -> Iterator[tuple[int, int, int, int, bool]]:
-    # -Sum_{k>=2} q^k/(1+q^(2k-1)) * Sum_{n=1}^{k-1} q^n/(1+q^n), summed
-    # with k inside as -Sum_{n>=1} q^n/(1+q^n) * Sum_{k>n} q^k/(1+q^(2k-1)).
-    for n in range(order - 3, 0, -1):
-        yield n + 1, 2 * n + 1, -1, 1, True
-        if 2 * n + 1 < order:
-            yield 2 * n + 1, n, -1, -1, False
-
-
-@_packed
-def _build_z(order: int) -> Iterator[tuple[int, int, int, int, bool]]:
-    # Sum_{m>=1} (-1)^m q^m/(1-q^(2m-1)) * Sum_{k=1}^{2m-1} (-1)^k q^k/(1-q^k),
-    # summed with m inside as
-    # Sum_{k>=1} (-1)^k q^k/(1-q^k) * Sum_{2m-1>=k} (-1)^m q^m/(1-q^(2m-1)):
-    # the tail gains one term at each m and serves k = 2m-1 and k = 2m-2.
-    for m in range(order - 2, 0, -1):
-        yield m, 2 * m - 1, 1, -1 if m % 2 else 1, True
-        for k in (2 * m - 1, 2 * m - 2):
-            if k and m + k < order:
-                yield m + k, k, 1, -1 if k % 2 else 1, False
-
-
-@_packed
-def _build_a(order: int) -> Iterator[tuple[int, int, int, int, bool]]:
-    # Sum_{i>=0} Sum_{j>i} q^(j+1)/((1+q^(2i+1))(1+q^(2j+1))).
-    for i in range(order - 3, -1, -1):
-        yield i + 2, 2 * i + 3, -1, 1, True
-        yield i + 2, 2 * i + 1, -1, 1, False
-
-
-@_packed
-def _build_b(order: int) -> Iterator[tuple[int, int, int, int, bool]]:
-    # Sum_{i>=0} Sum_{j>i} q^(i+2j+2)/((1+q^(2i+1))(1+q^(2j+1))), the tail
-    # over j > i holding q^(2j+2)/(1+q^(2j+1)) and the i-slice its prefactor q^i.
-    for i in range((order - 5) // 2, -1, -1):
-        yield 2 * i + 4, 2 * i + 3, -1, 1, True
-        if 3 * i + 4 < order:
-            yield 3 * i + 4, 2 * i + 1, -1, 1, False
-
-
-@_packed
-def _build_b1(order: int) -> Iterator[tuple[int, int, int, int, bool]]:
+# Each double sum as (outer, inner) families of its own display, summed
+# over the inner index first and oriented so that the outer index o bounds
+# it. `_double_sum` exchanges the two sums from its split on.
+_DOUBLE_SUMS: dict[SeriesId, tuple[tuple[_Family, ...], tuple[_Family, ...]]] = {
+    # Sum_{m>=1,k>=0} (-1)^(m+k) q^(3m+k) / ((1-q^(2m-1))(1-q^(2m+k))).
+    # With j = 2m+k, (-1)^k = (-1)^j and the term is
+    # (-1)^j q^j/(1-q^j) * (-1)^m q^m/(1-q^(2m-1)), 1 <= m <= j/2. Summed
+    # with m inside, j = 2o and j = 2o+1 outside for o >= 1, and m <= o.
+    SeriesId.Y_EQ1: (
+        ((1, 1, 0, 2, 1, 0, 2, 1), (-1, 1, 1, 2, 1, 1, 2, 1)),
+        ((1, -1, 0, 1, 1, -1, 2, 1),),
+    ),
+    # -Sum_{k>=2} q^k/(1+q^(2k-1)) * Sum_{n=1}^{k-1} q^n/(1+q^n): k = o+1
+    # outside and n <= o inside.
+    SeriesId.Y_EQ2: (
+        ((-1, 1, 1, 1, -1, 1, 2, 1),),
+        ((1, 1, 0, 1, -1, 0, 1, 1),),
+    ),
+    # Sum_{m>=1} (-1)^m q^m/(1-q^(2m-1)) * Sum_{k=1}^{2m-1} (-1)^k q^k/(1-q^k):
+    # m = o outside, and the inner terms k = 2o-1 and, for o >= 2,
+    # k = 2o-2 are the ones k <= 2m-1 first admits at m = o.
+    SeriesId.Z: (
+        ((1, -1, 0, 1, 1, -1, 2, 1),),
+        ((-1, 1, -1, 2, 1, -1, 2, 1), (1, 1, -2, 2, 1, -2, 2, 2)),
+    ),
+    # Sum_{i>=0} Sum_{j>i} q^(j+1)/((1+q^(2i+1))(1+q^(2j+1))), summed with
+    # i < j inside: j = o >= 1 outside, and the term i = o-1 enters at o.
+    SeriesId.A: (
+        ((1, 1, 1, 1, -1, 1, 2, 1),),
+        ((1, 1, 0, 0, -1, -1, 2, 1),),
+    ),
+    # Sum_{i>=0} Sum_{j>i} q^(i+2j+2)/((1+q^(2i+1))(1+q^(2j+1))), summed
+    # with i < j inside: j = o >= 1 outside with q^(2j+2), and the term
+    # i = o-1 enters at o with q^i.
+    SeriesId.B: (
+        ((1, 1, 2, 2, -1, 1, 2, 1),),
+        ((1, 1, -1, 1, -1, -1, 2, 1),),
+    ),
     # Sum_{i>=0} Sum_{j<=i} q^(i+2j+2)/((1+q^(2i+1))(1+q^(2j+1))), summed
-    # with i inside as Sum_{j>=0} q^(2j+2)/(1+q^(2j+1)) * Sum_{i>=j} q^i/(1+q^(2i+1)).
-    for j in range(order - 3, -1, -1):
-        yield j, 2 * j + 1, -1, 1, True
-        if 3 * j + 2 < order:
-            yield 3 * j + 2, 2 * j + 1, -1, 1, False
+    # with j <= i inside: i = o outside with q^i, and the term j = o enters
+    # at o with q^(2j+2).
+    SeriesId.B1: (
+        ((1, 1, 0, 1, -1, 1, 2, 0),),
+        ((1, 1, 2, 2, -1, 1, 2, 0),),
+    ),
+}
 
 
 def _build_d1(order: int) -> TruncatedSeries:
@@ -619,12 +595,7 @@ def d2_split_product(order: int) -> TruncatedSeries:
 
 _BUILDERS: dict[SeriesId, Callable[[int], TruncatedSeries]] = {
     SeriesId.Y_DEF: _build_y_def,
-    SeriesId.Y_EQ1: _build_y_eq1,
-    SeriesId.Y_EQ2: _build_y_eq2,
-    SeriesId.Z: _build_z,
-    SeriesId.A: _build_a,
-    SeriesId.B: _build_b,
-    SeriesId.B1: _build_b1,
+    **{sid: partial(_double_sum, *row) for sid, row in _DOUBLE_SUMS.items()},
     SeriesId.D1: _build_d1,
     SeriesId.D2: _build_d2,
     SeriesId.S: partial(lambert_sum, S_SPEC),
@@ -746,6 +717,8 @@ def halving_windows(count: int, order: int) -> Iterator[tuple[TruncatedSeries, T
     arguments are checked when it is called, not at the first pair.
     """
     _check_args(order, count=count)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
 
     def pairs() -> Iterator[tuple[TruncatedSeries, TruncatedSeries]]:
         full = [0] * order

@@ -255,13 +255,10 @@ class _Packing:
 
     A series is stored as its value at q = 2^w, reduced mod 2^(w*order);
     slot i of the integer holds the coefficient of q^i. Evaluation at 2^w
-    is a ring homomorphism Z[q]/q^order -> Z/2^(w*order). Sums, products,
-    multiplication by q^k and division by the unit 1 - s*q^b are ring
-    operations, so any integer congruent to the value may stand for it and
-    intermediate values need no bound. The same holds for every window
-    n <= order: a value needed only mod q^n is worked on mod 2^(w*n), so
-    `divide` and `comb` take the window they serve. Reading the residue
-    back as balanced base-2^w digits is exact when every coefficient read satisfies
+    is a ring homomorphism Z[q]/q^order -> Z/2^(w*order), so any integer
+    congruent to the value of a sum or product may stand for it and
+    intermediate values need no bound. Reading the residue back as
+    balanced base-2^w digits is exact when every coefficient read satisfies
     |c| < 2^(w-1). The width w is the least multiple of 8 with
     2^(w-1) > bound, so `bound` must bound every coefficient packed or
     unpacked.
@@ -306,58 +303,6 @@ class _Packing:
                 lanes[t::8] = raw[t::nb]
             raw = lanes
         return TruncatedSeries._trusted(map(sub, struct.unpack(f"<{n}Q", raw), repeat(half)))
-
-    def _ones(self, n: int) -> int:
-        """2^(w*n) - 1, the mask of the window of n slots, 0 <= n <= order.
-
-        A right shift of the full mask makes it more cheaply than
-        (1 << w*n) - 1, whose subtraction borrows through every digit.
-        """
-        return self.mask >> (self.width * (self.order - n))
-
-    def divide(self, x: int, b: int, s: int, n: int) -> int:
-        """x divided by 1 - s*q^b mod q^n, as an int in [0, 2^(w*n)), for
-        b >= 1, s = +-1 and a window 0 <= n <= order.
-
-        1/(1 - q^b) = Prod_t (1 + q^(b*2^t)) mod q^n, one shift-add per
-        factor with b*2^t < n; 1/(1 + q^b) = (1 - q^b)/(1 - q^(2b)). Every
-        value masked is nonnegative, where `&` is cheapest: x - x*q^b is
-        taken with a bit set above both terms.
-        """
-        if b < 1:
-            raise ValueError("geometric step must be at least 1")
-        w = self.width
-        mask = self._ones(n)
-        x &= mask
-        if s == -1 and b < n:
-            x = ((x | (1 << (w * (n + b)))) - (x << (w * b))) & mask
-            b *= 2
-        while b < n:
-            x = (x + (x << (w * b))) & mask
-            b *= 2
-        return x
-
-    def comb(self, b: int, s: int, n: int) -> int:
-        """1/(1 - s*q^b) = Sum_u s^u q^(u*b) mod q^n, as an int in
-        [0, 2^(w*n)), for b >= 1, s = +-1 and a window 0 <= n <= order.
-
-        Its base-2^(w*b) digits are 1, 1, 1, ... for s = +1 and
-        1, 2^(w*b) - 1, 0, 2^(w*b) - 1, 0, ... for s = -1, so it is one
-        block repeated by doubling with `|`, no digit carrying into the next.
-        """
-        if b < 1:
-            raise ValueError("geometric step must be at least 1")
-        if b >= n:
-            return 1 if n else 0
-        w = self.width
-        if s == 1:
-            c, period = 1, b
-        else:
-            c, period = self._ones(b) << (w * b), 2 * b
-        while period < n:
-            c |= c << (w * period)
-            period *= 2
-        return (c & self._ones(n)) | 1
 
 
 def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:

@@ -8,9 +8,10 @@ order, and exits 1 if a digest differs. The `verify` digests and the
 `expand` digests at 2000 were computed before the product sides moved onto
 one binomial-factor path, so they pin every status, mismatch index and
 annotation across that rewrite. The `expand` digests at 2896 and 5000 were
-computed before the packed double sums sized their slots from order^2 and
-before product quotients were squared from a root; they pin the widest
-slots, 3 bytes up to order 2896 and 4 bytes at 5000. The `Y_DEF` digests
+computed when the six double sums were still summed on Kronecker-packed
+integers, before their slots were sized from order^2, and before product
+quotients were squared from a root; they pin the six across their move
+onto lists at the largest orders checked here. The `Y_DEF` digests
 at those orders were computed before its m-slices started at q^(3m) and
 its alternating runs became strided slices, and so before its terms were
 grouped by their smaller step. A `verify` digest
@@ -52,8 +53,7 @@ EXPAND = {
     "PHI": "6800d0d73fb8622504b86d8fe899eb5f906544f30c97de8ff732b24e7a343377",
 }
 
-# the six packed double sums and PHI where the packed slots are widest,
-# and the list-built Y_DEF at the same orders
+# the six double sums, PHI and Y_DEF at two orders past the tests' 2000
 WIDE_EXPAND = {
     2896: {
         "Y_DEF": "d81a8a2a3f1ef20803ab16657ec848d313a373b8cca0cabbef819ee99fcbacae",

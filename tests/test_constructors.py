@@ -262,7 +262,7 @@ def admissible_triples(max_base):
 
 
 # -- reference builders ---------------------------------------------------------
-# The list-based double-sum builders the packed ones replaced, kept as
+# The list-based double-sum builders the six were first built by, kept as
 # differential references: every slice is a pure-Python pass over a
 # coefficient list.
 
@@ -1131,158 +1131,31 @@ class TestConstructorArguments:
             named_series(sid, 5)
 
 
-def packed_sum_by_lists(order, terms):
-    """`constructors._packed_sum` on coefficient lists: the tail is summed
-    whole, with its lead the least of its terms' leads so far, and each
-    slice is the tail over that lead, moved to the slice's lead and divided
-    by geometric_mul_inplace."""
-    tail, acc = [0] * order, [0] * order
-    at = None
-    for lead, b, s, sign, into_tail in terms:
-        if into_tail:
-            for u, e in enumerate(range(lead, order, b)):
-                tail[e] += sign * s**u
-            at = lead if at is None else min(at, lead)
-        elif at is not None and lead < order:
-            h = [sign * c for c in tail[at : at + order - lead]]
-            geometric_mul_inplace(h, b, s)
-            acc[lead:] = map(add, acc[lead:], h)
-    return acc
-
-
-def random_packed_terms(rng, order):
-    """Terms in the shape `_packed_sum` takes: a cursor walks down from
-    around the order, past it included; at each stop a tail term leads
-    there, another may lead above it, and a slice may lead anywhere from
-    the tail's lead up to the last slice's lead, so slice leads descend."""
-    def pick():  # b, s, sign
-        return rng.choice([1, 2, 3, rng.randint(1, order + 3)]), rng.choice([1, -1]), rng.choice([1, -1])
-
-    terms, top = [], None
-    t = order + rng.choice([-1, 0, 1, 6])
-    while t >= 0:
-        terms.append((t, *pick(), True))
-        if rng.random() < 0.3:
-            terms.append((t + rng.randint(1, 4), *pick(), True))
-        if rng.random() < 0.7:
-            lead = t + rng.choice([0, 1, rng.randint(0, order)])
-            top = lead if top is None else min(top, lead)
-            terms.append((top, *pick(), False))
-        t -= rng.choice([1, 1, 2, 3, rng.randint(1, order // 2 + 1)])
-    return terms
-
-
-class TestPackedSum:
-    """The one packed accumulator against the same sums on lists."""
-
-    @pytest.mark.parametrize("order", [*range(1, 61), 181, 182])
-    def test_matches_lists_on_random_terms(self, order):
-        # at 11/12 and 181/182 the order^2 slot grows from 1 to 2 to 3 bytes
-        rng = random.Random(order)
-        for _ in range(6):
-            terms = random_packed_terms(rng, order)
-            got = constructors._packed_sum(order, terms)
-            assert list(got) == packed_sum_by_lists(order, terms), terms
-
-    @pytest.mark.parametrize("order", [1, 2, 9, 40])
-    def test_leads_at_and_past_the_order(self, order):
-        # a term that leads at q^(order-1) reaches one slot; one at the
-        # order or past it adds nothing, and neither does a slice of it
-        for lead in (order - 1, order, order + 1, order + 5):
-            for sign, s in ((1, 1), (-1, -1)):
-                terms = [
-                    (lead, 1, s, sign, True),
-                    (lead, 1, s, -sign, False),
-                    (0, 2, 1, 1, True),
-                    (lead, 3, -s, sign, False),
-                ]
-                got = constructors._packed_sum(order, terms)
-                assert list(got) == packed_sum_by_lists(order, terms), (lead, sign, s)
-
-    def test_tail_terms_above_the_lead_and_negative_tails(self):
-        # each stop adds a term below the tail's lead and one above it, both
-        # negative: unmasked, the tail would be negative at all 100 slices
-        order = 300
-        terms = []
-        for t in range(order - 2, 0, -3):
-            terms += [(t, t + 1, 1, -1, True), (t + 2, 2, -1, -1, True), (2 * t, t, 1, -1, False)]
-        got = constructors._packed_sum(order, terms)
-        assert list(got) == packed_sum_by_lists(order, terms)
-
-    def test_no_terms_is_zero(self):
-        assert constructors._packed_sum(5, []) == TruncatedSeries.zero(5)
-
-
 class TestPackedBuilders:
+    """The six double sums of `_DOUBLE_SUMS` against the list builders
+    they were first built by."""
+
     @pytest.mark.parametrize("sid", list(LIST_REFERENCES), ids=lambda sid: sid.value)
     def test_matches_list_reference(self, sid):
-        # at 11/12 and 181/182 the order^2 slot grows from 1 to 2 to 3 bytes;
-        # 1-160 meets every residue of the steps 2 and 3 between slice leads
-        # and every order at which a slice or tail term first leads below it
+        # 1-160 meets the split at 1 to 7 and every order at which an outer
+        # or inner term first leads below it
         for order in [*range(1, 161), 181, 182, 256, 1000, 2000]:
             assert list(named_series(sid, order)) == LIST_REFERENCES[sid](order), order
+
+    @pytest.mark.parametrize("sid", list(LIST_REFERENCES), ids=lambda sid: sid.value)
+    def test_every_term_exchanged_and_every_term_direct(self, monkeypatch, sid):
+        # split 1: every outer term but those of index 0 goes through the
+        # exchanged sums; split = order: every outer term is one division
+        for order in [*range(1, 81), 300]:
+            expected = LIST_REFERENCES[sid](order)
+            for split in (1, order):
+                monkeypatch.setattr(constructors, "_split", lambda n, split=split: split)
+                assert list(named_series(sid, order)) == expected, (order, split)
 
     @pytest.mark.parametrize("sid", list(LIST_REFERENCES), ids=lambda sid: sid.value)
     def test_order_zero_rejected(self, sid):
         with pytest.raises(OrderTooSmall):
             named_series(sid, 0)
-
-
-def display_pairs(sid, e):
-    """(a, b, c) of every index pair +-q^a/((1 -+ q^b)(1 -+ q^c)) with a <= e
-    of the double sum that `sid` names, read off its printed display rather
-    than its builder."""
-    if sid is SeriesId.Y_EQ1:  # q^(3m+k) / ((1-q^(2m-1))(1-q^(2m+k))), m >= 1, k >= 0
-        return [(3 * m + k, 2 * m - 1, 2 * m + k) for m in range(1, e) for k in range(e - 3 * m + 1)]
-    if sid is SeriesId.Y_EQ2:  # q^k/(1+q^(2k-1)) * q^n/(1+q^n), 1 <= n < k
-        return [(k + n, 2 * k - 1, n) for k in range(2, e) for n in range(1, min(k, e - k + 1))]
-    if sid is SeriesId.Z:  # q^m/(1-q^(2m-1)) * q^k/(1-q^k), 1 <= k <= 2m-1
-        return [(m + k, 2 * m - 1, k) for m in range(1, e) for k in range(1, min(2 * m, e - m + 1))]
-    if sid is SeriesId.A:  # q^(j+1) / ((1+q^(2i+1))(1+q^(2j+1))), 0 <= i < j
-        return [(j + 1, 2 * i + 1, 2 * j + 1) for j in range(1, e) for i in range(j)]
-    if sid is SeriesId.B:  # q^(i+2j+2) / ((1+q^(2i+1))(1+q^(2j+1))), 0 <= i < j
-        return [
-            (i + 2 * j + 2, 2 * i + 1, 2 * j + 1)
-            for j in range(1, e)
-            for i in range(min(j, e - 2 * j - 1))
-        ]
-    assert sid is SeriesId.B1  # the same term with 0 <= j <= i
-    return [
-        (i + 2 * j + 2, 2 * i + 1, 2 * j + 1)
-        for i in range(e)
-        for j in range(min(i + 1, (e - i) // 2))
-    ]
-
-
-def lattice_bound(sid, order):
-    """Sum over the display's pairs of floor((e-a)/max(b, c)) + 1, at
-    e = order - 1: the lattice points (u, v) with a + u*b + v*c = e that a
-    pair can put on q^e, at most one v for each u."""
-    e = order - 1
-    return sum((e - a) // max(b, c) + 1 for a, b, c in display_pairs(sid, e))
-
-
-class TestPackedSlotBound:
-    """The packed builders size their slots from order^2."""
-
-    @pytest.mark.parametrize("sid", list(LIST_REFERENCES), ids=lambda sid: sid.value)
-    def test_pairs_are_the_displays(self, sid):
-        # every pair listed once, with a <= e, and no pair left out below e
-        for e in (9, 30):
-            pairs = display_pairs(sid, e)
-            assert len(pairs) == len(set(pairs))
-            assert all(a <= e for a, _, _ in pairs)
-            assert {p for p in display_pairs(sid, e + 5) if p[0] <= e} == set(pairs)
-
-    @pytest.mark.parametrize("sid", list(LIST_REFERENCES), ids=lambda sid: sid.value)
-    def test_lattice_count_stays_below_order_squared(self, sid):
-        for order in [*range(1, 151), 1000]:
-            assert lattice_bound(sid, order) < order * order, order
-
-    @pytest.mark.parametrize("sid", list(LIST_REFERENCES), ids=lambda sid: sid.value)
-    def test_lattice_count_bounds_the_coefficients(self, sid):
-        for order in [*range(1, 61), 150]:
-            assert max(map(abs, named_series(sid, order))) <= lattice_bound(sid, order), order
 
 
 class TestPartitionOracle:
@@ -1524,7 +1397,13 @@ class TestHalvingWindows:
 
     @pytest.mark.parametrize(
         "count,order,error",
-        [(1.5, 10, TypeError), (True, 10, TypeError), (2, 0, OrderTooSmall), (2, 10.0, TypeError)],
+        [
+            (1.5, 10, TypeError),
+            (True, 10, TypeError),
+            (2, 0, OrderTooSmall),
+            (2, 10.0, TypeError),
+            (-3, 10, ValueError),
+        ],
     )
     def test_the_call_itself_checks_its_arguments(self, count, order, error):
         with pytest.raises(error):

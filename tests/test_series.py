@@ -329,45 +329,6 @@ class TestMul:
 
 
 class TestPacking:
-    @pytest.mark.parametrize("order", [1, 2, 7, 50])
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_divide_matches_geometric_mul_inplace(self, order, sign):
-        # every window n <= order, steps below, at and beyond it, and inputs
-        # that are negative or carry garbage above the window
-        rng = random.Random(order)
-        wide = _Packing(order, 2**40)
-        top = 2 ** (wide.width - 1) - 1
-        small = [rng.randint(-9, 9) for _ in range(order)]
-        cases = [
-            (wide, [top] + [0] * (order - 1)),  # every output coefficient at +-top
-            (wide, [-top] + [0] * (order - 1)),
-            (wide, ([top, -sign * top] + [0] * order)[:order]),  # output top, then zeros
-            (_Packing(order, 9 * order), small),
-        ]
-        for n in range(order + 1):
-            for step in sorted({1, 2, max(n - 1, 1), max(n, 1), n + 5}):
-                for p, cs in cases:
-                    expected = cs[:n]
-                    geometric_mul_inplace(expected, step, sign)
-                    x = p.pack(cs)
-                    garbage = rng.randint(1, 2**70) << (p.width * n)
-                    for y, sense in ((x, 1), (x - garbage, 1), (garbage - x, -1)):
-                        z = p.divide(y, step, sign, n)
-                        assert 0 <= z < 1 << (p.width * n)
-                        assert p.unpack(z).coefficients[:n] == tuple(sense * c for c in expected)
-
-    @pytest.mark.parametrize("order", [1, 2, 7, 50])
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_comb_matches_geometric_mul_inplace(self, order, sign):
-        for p in (_Packing(order, 1), _Packing(order, 2**40)):
-            for n in range(order + 1):
-                for step in sorted({1, 2, max(n - 1, 1), max(n, 1), n + 5}):
-                    expected = [1] + [0] * (n - 1) if n else []
-                    geometric_mul_inplace(expected, step, sign)
-                    x = p.comb(step, sign, n)
-                    assert 0 <= x < 1 << (p.width * n)
-                    assert p.unpack(x).coefficients[:n] == tuple(expected)
-
     @pytest.mark.parametrize("order", [1, 2, 33, 1000])
     @pytest.mark.parametrize("nb", range(1, 11))
     def test_unpack_matches_the_slot_by_slot_reading(self, nb, order):
@@ -392,14 +353,6 @@ class TestPacking:
             y = rng.getrandbits(window + 64) - (1 << (window + 63))
             assert p.unpack(y).coefficients == slot_by_slot(p, y)
         assert p.unpack(-p._biases).coefficients == (-p._half,) * order  # every digit at -2^(w-1)
-
-    def test_divide_rejects_step_zero(self):
-        with pytest.raises(ValueError):
-            _Packing(4, 9).divide(1, 0, 1, 4)
-
-    def test_comb_rejects_step_zero(self):
-        with pytest.raises(ValueError):
-            _Packing(4, 9).comb(0, 1, 4)
 
     def test_order_zero_rejected(self):
         with pytest.raises(OrderTooSmall):
