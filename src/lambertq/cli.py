@@ -76,12 +76,12 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     if fmt is OutputFormat.TABLE:
         print(format_polynomial(series))
     elif fmt is OutputFormat.JSON:
-        payload = {
-            "series": sid.value,
-            "order": args.order,
-            "coeffs": [str(c) for c in series.coefficients],
-        }
-        print(json.dumps(payload, indent=2))
+        # the bytes of json.dumps(payload, indent=2) for the payload
+        # {"series": sid, "order": order, "coeffs": [str(c), ...]}, written
+        # directly: an indent sends json to its pure-Python encoder, and no
+        # name or decimal string needs escaping
+        coeffs = '",\n    "'.join(map(str, series.coefficients))
+        print(f'{{\n  "series": "{sid.value}",\n  "order": {args.order},\n  "coeffs": [\n    "{coeffs}"\n  ]\n}}')
     else:
         _print_csv(
             ("n", "coefficient"),

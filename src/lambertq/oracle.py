@@ -10,14 +10,17 @@ outer step u the family's points lie on one progression, a row. A run along
 a fixed step c below about 1.5*sqrt(order) is not walked: each row leaves
 marks in a table for stride c by one strided slice, and one running sum per
 residue class spreads them over the run. A longer c, or none, makes the row
-straight, added once per point of the run along v. A straight row is two
-difference marks (four for alternating signs) in the table for its own step
-once the straight rows of that table hold `order` points, and one strided
-slice before that. The running sum that spreads the c-runs turns these marks
-back into the row's points. Once a row holds only a few terms, the rest of
-the family is those terms' own runs along u, one slice each. The oracle
-stays a count of lattice points: a finite run is two marks where an infinite
-one is one. Nothing is shared with the constructors but the `SeriesId`
+straight, added together with its copies, one per point of the run along v.
+A straight row is two difference marks (four for alternating signs) in the
+table for its own step, and each mark's copies are one run along c, once
+the straight rows of that table, copies counted, hold `order` points; before
+that each copy is one strided slice. The running sum that spreads the
+c-runs turns these marks back into the rows' points. Once a row holds only
+a few terms, the rest of the family is those terms' own lattices: each run
+along u into the c table, or, with no table, each term's runs along u and
+c, a long one as one slice and the rest point by point. The oracle stays a
+count of lattice points: a finite run is two marks where an infinite one is
+one. Nothing is shared with the constructors but the `SeriesId`
 names: no `LambertSpec` constant, slot bound, geometric kernel or product of
 series. `oracle_phi` alone counts the lattice points of another series,
 equal to PHI by a classical theorem, so it is a cross-check of PHI rather
@@ -121,6 +124,130 @@ def _mark_run(table: list[int], p: int, step: int, n: int, w: int, ws: int) -> N
         table[end] -= w
 
 
+def _mark_copies(table: list[int], p: int, step: int, n: int, w: int, ws: int, c: int, s2: int) -> None:
+    """Add the marks of `_mark_run` for a run of n points at p and for each
+    of its copies at +v*c, v >= 1, weighted s2^v, into a stride table: +w*s2^v
+    at p + v*c and -w*s2^v at p + n*step + v*c (ws = +1), or the four marks
+    of `_mark_run` so copied (ws = -1), dropping any at or past the order.
+    Each mark and its copies are one walk along c; for ws = -1 the marks at
+    p and p + step, and those at p + n*step and p + (n+1)*step, walk
+    together, as opposite weights one step apart. A run with no copy below
+    the order is marked by `_mark_run` itself."""
+    order = len(table)
+    if p + c >= order:
+        _mark_run(table, p, step, n, w, ws)
+        return
+    end = p + n * step
+    if ws == 1:
+        for x, y in ((p, w), (end, -w)):
+            while x < order:
+                table[x] += y
+                x += c
+                y *= s2
+    else:
+        for x, y in ((p, w), (end, w if n & 1 else -w)):  # +y at x, -y at x + step
+            while x + step < order:
+                table[x] += y
+                table[x + step] -= y
+                x += c
+                y *= s2
+            while x < order:
+                table[x] += y
+                x += c
+                y *= s2
+
+
+def _tabled_family(tables: dict[int, list[int]], family: _Family, order: int) -> None:
+    """Add the rows of a family whose c is below the table cut to the table
+    for stride c as marks +w (s2 = +1), or to the one for stride 2c with
+    second marks -w at +c (s2 = -1)."""
+    w, ws, a, da, s1, b, db, s2, c, count = family
+    top = order - 1
+    stride, copies = (c, ((0, 1),)) if s2 == 1 else (2 * c, ((0, 1), (c, -1)))  # (shift, sign)
+    target = tables.get(stride)
+    if target is None:
+        target = tables[stride] = [0] * order
+    p, step = a, da
+    while p < order:
+        n = min(count, (top - p) // step + 1) if step else count  # the row's terms
+        for shift, sign in copies:
+            e = p + shift
+            if e >= order:
+                break
+            if n < _SHORT:  # the rest of the family: each term's run along u
+                f, bt, y = e, b, w * sign
+                for _ in range(n):
+                    if f >= order:
+                        break
+                    _add_run(target, f, bt, (top - f) // bt + 1, y, s1)
+                    f += step
+                    bt += db
+                    y *= ws
+            else:
+                _add_run(target, e, step, min(n, (top - e) // step + 1) if step else n, w * sign, ws)
+        if n < _SHORT:
+            break
+        p += b
+        step += db
+        w *= s1
+
+
+def _straight_family(
+    coeffs: list[int], tables: dict[int, list[int]], held: dict[int, int], family: _Family, c: int
+) -> None:
+    """Add the rows of a family whose c is at or above the table cut, each
+    with its copies at +v*c, v >= 1, weighted s2^v, as `_enumerate` says. A
+    row of step 0 is the summed weight of its n terms on one point."""
+    w, ws, a, da, s1, b, db, s2, _, count = family
+    order = len(coeffs)
+    top = order - 1
+    p, step = a, da
+    while p < order:
+        n = min(count, (top - p) // step + 1) if step else count  # the row's terms
+        if n < _SHORT:  # the rest of the family: each term's lattice
+            for _ in range(n):
+                if p >= order:
+                    break
+                e, y = p, w  # the run along u from e, shortening as e moves along c
+                while e < order and (k := (top - e) // b + 1) >= _SHORT:
+                    _add_run(coeffs, e, b, k, y, s1)
+                    e += c
+                    y *= s2
+                while e < order:
+                    f, z = e, y
+                    while f < order:
+                        coeffs[f] += z
+                        f += b
+                        z *= s1
+                    e += c
+                    y *= s2
+                p += step
+                b += db
+                w *= ws
+            return
+        if not step:
+            _add_run(coeffs, p, c, (top - p) // c + 1, w * (n if ws == 1 else n & 1), s2)
+        else:
+            stride = step if ws == 1 else 2 * step
+            marks = tables.get(stride)
+            if marks is None:
+                counts = [min(n, (top - e) // step + 1) for e in range(p, order, c)]  # each copy's points
+                held[stride] = points = held.get(stride, 0) + sum(counts)
+                if points < order:
+                    e, y = p, w
+                    for k in counts:
+                        _add_run(coeffs, e, step, k, y, ws)
+                        e += c
+                        y *= s2
+                else:
+                    marks = tables[stride] = [0] * order
+            if marks is not None:
+                _mark_copies(marks, p, step, n, w, ws, c, s2)
+        p += b
+        step += db
+        w *= s1
+
+
 def _enumerate(coeffs: list[int], families: Iterable[_Family]) -> list[int]:
     """Add every lattice point of every family of terms to `coeffs`.
 
@@ -132,12 +259,14 @@ def _enumerate(coeffs: list[int], families: Iterable[_Family]) -> list[int]:
     sigma = da + u*db: a row. A c below `_table_cut(order)` is not walked:
     one strided slice (`_add_run`) puts the row into a table for stride c as
     marks +w (s2 = +1), or into one for stride 2c with second marks -w at +c
-    (s2 = -1). A longer c, or none (c is None: the run along v is one
-    point), makes the row straight: it is added once per v. A straight row
+    (s2 = -1) (`_tabled_family`). A longer c, or none (c is None: the run
+    along v is one point), makes the row straight (`_straight_family`): it
+    is added together with its copies at +v*c, weighted s2^v. A straight row
     of n points is w*q^e*(1 - (ws*q^sigma)^n)/(1 - ws*q^sigma), so it goes
     into the table for stride sigma (ws = +1) or 2*sigma (ws = -1) as two or
-    four difference marks (`_mark_run`). A table costs about one pass over
-    the list, so a stride's straight rows are sliced into `coeffs` until
+    four difference marks, and its copies' marks make one run along c each
+    (`_mark_copies`). A table costs about one pass over the list, so a
+    stride's straight rows, copies included, are sliced into `coeffs` until
     together they reach `order` points, and marked from there on; a stride
     that a c-run already tabled marks them all. Only a row of at least
     _SHORT terms is straight, so sigma is at most order // 23. Once every
@@ -146,57 +275,20 @@ def _enumerate(coeffs: list[int], families: Iterable[_Family]) -> list[int]:
     left it, and the table is added into `coeffs`. The points of a row only
     thin out as u grows, so once a row holds fewer than _SHORT terms, no
     later row holds another: the rest of the family is those terms' runs
-    along u, stride b + t*db and sign s1, one slice each, into the c table
-    or straight into `coeffs`.
+    along u, stride b + t*db and sign s1, into the c table, or each term's
+    lattice along u and c, added once straight into `coeffs`: its runs along
+    u of at least _SHORT points one slice each, the rest point by point.
     """
     order = len(coeffs)
-    top = order - 1
     cut = _table_cut(order)
     tables: dict[int, list[int]] = {}  # stride -> marks
     held: dict[int, int] = {}  # stride -> points of the straight rows sliced so far
-    for w, ws, a, da, s1, b, db, s2, c, count in families:
-        if c is None:  # the run along v is its first point
-            c = order
-        if c < cut:  # copies as (shift, sign): +w on each point, and -w at +c for s2 = -1
-            stride, copies = (c, ((0, 1),)) if s2 == 1 else (2 * c, ((0, 1), (c, -1)))
-            target = tables.get(stride)
-            if target is None:
-                target = tables[stride] = [0] * order
-        else:  # one copy per point of the run along v
-            target, copies = coeffs, [(v * c, s2**v) for v in range(top // c + 1)]
-        p, step = a, da
-        while p < order:
-            n = min(count, (top - p) // step + 1) if step else count  # the row's terms
-            for shift, sign in copies:
-                e = p + shift
-                if e >= order:
-                    break
-                if n < _SHORT:  # the rest of the family: each term's run along u
-                    f, bt, y = e, b, w * sign
-                    for _ in range(n):
-                        if f >= order:
-                            break
-                        _add_run(target, f, bt, (top - f) // bt + 1, y, s1)
-                        f += step
-                        bt += db
-                        y *= ws
-                elif target is coeffs and step:  # a straight row: marks, or a slice until they pay
-                    m, stride = min(n, (top - e) // step + 1), step if ws == 1 else 2 * step
-                    marks = tables.get(stride)
-                    if marks is None:
-                        held[stride] = points = held.get(stride, 0) + m
-                        if points < order:
-                            _add_run(coeffs, e, step, m, w * sign, ws)
-                            continue
-                        marks = tables[stride] = [0] * order
-                    _mark_run(marks, e, step, m, w * sign, ws)
-                else:
-                    _add_run(target, e, step, min(n, (top - e) // step + 1) if step else n, w * sign, ws)
-            if n < _SHORT:
-                break
-            p += b
-            step += db
-            w *= s1
+    for family in families:
+        c = order if family[8] is None else family[8]  # None: the run along v is its first point
+        if c < cut:
+            _tabled_family(tables, family, order)
+        else:
+            _straight_family(coeffs, tables, held, family, c)
     for stride, marks in tables.items():
         for r in range(stride):
             marks[r::stride] = accumulate(marks[r::stride])

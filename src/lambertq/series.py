@@ -325,13 +325,16 @@ def geometric_mul_inplace(coeffs: list[int], step: int, sign: int) -> None:
     For sign = -1 it uses 1/(1 + q^k) = (1 - q^k)/(1 - q^(2k)): one slice
     pass multiplies by 1 - q^k, and the division by 1 - q^(2k) follows.
     Dividing by 1 - q^k makes each residue class mod k a running sum,
-    which `accumulate` runs in C.
+    which `accumulate` runs in C. A step of at least len(coeffs) divides by
+    1 mod q^len(coeffs), so the list is left as it is.
     """
     if step < 1:
         raise ValueError("geometric step must be at least 1")
     if sign not in (1, -1):
         raise ValueError("geometric sign must be +1 or -1")
     n = len(coeffs)
+    if step >= n:
+        return
     if sign == -1:
         coeffs[step:] = map(sub, coeffs[step:], coeffs[: n - step])
         step *= 2

@@ -47,6 +47,16 @@ class TestExpand:
         assert all(isinstance(c, str) for c in doc["coeffs"])
         assert [int(c) for c in doc["coeffs"]] == list(named_series(SeriesId.PHI, 12))
 
+    @pytest.mark.parametrize("order", [1, 2, 37])
+    def test_json_bytes_are_the_indented_dump(self, capsys, order):
+        # written directly, the output is byte for byte json.dumps(..., indent=2)
+        for sid in SeriesId:
+            code, out, _ = run_cli(capsys, "expand", sid.value, "--order", str(order), "--format", "json")
+            assert code == 0
+            coeffs = [str(c) for c in named_series(sid, order)]
+            payload = {"series": sid.value, "order": order, "coeffs": coeffs}
+            assert out == json.dumps(payload, indent=2) + "\n", sid
+
     def test_default_order(self, capsys):
         code, out, _ = run_cli(capsys, "expand", "L1", "--format", "json")
         assert code == 0

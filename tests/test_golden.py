@@ -1,11 +1,13 @@
 """The CLI's outputs against the digests committed in golden.py, and the
 serialisation digest.py hashes."""
 
+import hashlib
+
 import pytest
 
 import digest
 import golden
-from lambertq import SeriesId
+from lambertq import SeriesId, oracle_expand
 
 
 @pytest.mark.parametrize("order", [200, 2000])
@@ -21,3 +23,13 @@ def test_expand_matches_its_digest(sid):
 def test_digest_serialises_a_series_at_an_order():
     assert digest.serialise(SeriesId.L1, 4) == b"L1@4:0,-1,0,-2;"
     assert digest.orders(["3", "5-7"]) == [3, 5, 6, 7]
+
+
+def test_oracle_digest_hashes_every_oracle_row(capsys):
+    assert digest.serialise(SeriesId.L1, 4, oracle_expand) == b"L1@4:0,-1,0,-2;"
+    assert digest.main(["--oracle", "1-3"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    rows = [sid for sid in SeriesId if sid is not SeriesId.PHI]
+    assert [name for _, name in lines] == [*(sid.value for sid in rows), "all"]
+    whole = b"".join(digest.serialise(sid, n, oracle_expand) for sid in rows for n in (1, 2, 3))
+    assert lines[-1][0] == hashlib.sha256(whole).hexdigest()

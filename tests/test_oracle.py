@@ -29,7 +29,7 @@ from lambertq import (
 )
 from lambertq.constructors import SignedMonomial
 from lambertq import oracle
-from lambertq.oracle import _DISPLAYS, _SHORT, _enumerate, _mark_run, _table_cut
+from lambertq.oracle import _DISPLAYS, _SHORT, _enumerate, _mark_copies, _mark_run, _table_cut
 
 # every named series but PHI has a display the oracle enumerates
 ORACLE_SERIES = tuple(sid for sid in SeriesId if sid is not SeriesId.PHI)
@@ -345,10 +345,10 @@ def test_enumerate_matches_reference_on_random_families(order):
 
 # Straight rows as difference marks. At order 200 the table cut is
 # _table_cut(200) = 21: a second factor's run along c >= 21 makes every row
-# straight, added once per point of the run along c. A straight row has at
+# straight, added together with its copies at +v*c. A straight row has at
 # least _SHORT terms, so its step is at most 199 // 23 = 8, and the straight
-# rows of one table stride are sliced until they hold `order` points, then
-# marked. ORDER is the order of every test below.
+# rows of one table stride, copies included, are sliced until they hold
+# `order` points, then marked. ORDER is the order of every test below.
 ORDER = 200
 CUT = _table_cut(ORDER)
 
@@ -379,14 +379,16 @@ def test_mark_run_spreads_to_the_run(ws, n, end):
 
 
 def _counting_marks(monkeypatch):
-    """Count the runs `_enumerate` adds as marks rather than slices."""
+    """Count the straight rows `_enumerate` adds as marks rather than
+    slices, as (p, step, n, ws, c): each row once, with its copies along c
+    (c = ORDER for a row without a second factor)."""
     runs = []
 
-    def mark(table, p, step, n, w, ws):
-        runs.append((p, step, n, ws))
-        _mark_run(table, p, step, n, w, ws)
+    def mark(table, p, step, n, w, ws, c, s2):
+        runs.append((p, step, n, ws, c))
+        _mark_copies(table, p, step, n, w, ws, c, s2)
 
-    monkeypatch.setattr(oracle, "_mark_run", mark)
+    monkeypatch.setattr(oracle, "_mark_copies", mark)
     return runs
 
 
@@ -411,7 +413,20 @@ def test_straight_rows_are_marked_once_they_hold_order_points(monkeypatch, ws, c
     runs = _counting_marks(monkeypatch)
     families = [_row(2 * i - 3, ws, i, 3, count) for i, count in enumerate(counts)]
     _check(families)
-    assert runs == [(i, 3, counts[i], ws) for i in marked]
+    assert runs == [(i, 3, counts[i], ws, ORDER) for i in marked]
+
+
+@pytest.mark.parametrize("ws", [1, -1])
+@pytest.mark.parametrize("filler,marked", [(84, False), (85, True)])
+def test_a_rows_copies_count_toward_the_threshold(monkeypatch, ws, filler, marked):
+    # 30 terms of step 2 from 0 with copies at 50, 100 and 150 hold
+    # 30 + 30 + 30 + 25 = 115 points: after a row of 84 points the stride
+    # holds 199 and the row is sliced, after one of 85 it holds 200 and the
+    # row is marked with all its copies, though its first copy alone stays
+    # below the threshold
+    runs = _counting_marks(monkeypatch)
+    _check([_row(1, ws, 1, 2, filler), _row(-3, ws, 0, 2, 30, c=50, s2=-1)])
+    assert runs == ([(0, 2, 30, ws, 50)] if marked else [])
 
 
 @pytest.mark.parametrize("ws", [1, -1])
@@ -442,13 +457,14 @@ def test_row_steps_at_the_straight_limit(monkeypatch, ws, a, step):
 @pytest.mark.parametrize("ws", [1, -1])
 @pytest.mark.parametrize("c", [ORDER - 1, 181, 180, 182])
 def test_a_marked_copy_of_one_odd_or_even_count(monkeypatch, ws, c):
-    # a row of 24 terms from 0 at step 1 and its copy at c holds 1 (c = 199),
-    # 19, 20 or 18 points there; two rows of 200 and 199 points first push
-    # stride 1 (ws = +1) or 2 (ws = -1) past the threshold
+    # a row of 24 terms from 0 at step 1 whose copy at c holds 1 (c = 199),
+    # 19, 20 or 18 points; two rows of 200 and 199 points first push stride
+    # 1 (ws = +1) or 2 (ws = -1) past the threshold, and the row is marked
+    # once with its copy, whose end marks fall past the order
     runs = _counting_marks(monkeypatch)
     filler = [_row(1, ws, r, 1, ORDER - r) for r in range(2)]
     _check([*filler, _row(-7, ws, 0, 1, 24, c=c, s2=-1)])
-    assert (c, 1, ORDER - c, ws) in runs
+    assert (0, 1, 24, ws, c) in runs
 
 
 @pytest.mark.parametrize("ws", [1, -1])
@@ -461,6 +477,63 @@ def test_count_limited_rows_end_on_and_past_the_order(monkeypatch, ws, count):
     filler = [_row(1, ws, r, 5, 40) for r in range(5)]
     _check([*filler, *(_row(1 - 2 * r, ws, 49 + r, 5, count) for r in range(3))])
     assert {49, 50, 51} <= {p for p, *_ in runs}
+
+
+def _filled(step, ws):
+    """Rows of `step` on every residue mod step, ORDER points together, so
+    that the stride step (ws = +1) or 2*step (ws = -1) marks every later row."""
+    return [_row(1, ws, r, step, (ORDER - 1 - r) // step + 1) for r in range(step)]
+
+
+@pytest.mark.parametrize("ws", [1, -1])
+@pytest.mark.parametrize("s2", [1, -1])
+@pytest.mark.parametrize(
+    "a,step,count,c",
+    [(0, 2, 30, 50), (1, 3, 33, 66), (0, 4, 25, 50), (0, 4, 24, 50), (0, 4, 24, 33), (5, 1, 60, CUT)],
+)
+def test_marked_copies_that_cross_the_order_part_way(monkeypatch, ws, s2, a, step, count, c):
+    # a marked row's copy at a + v*c ends at a + count*step + v*c: the early
+    # copies end on the list and keep their end marks, the later ones lose
+    # them; the third copy ends on 200 itself (step 4, 25 terms), or ends on
+    # 196 with the second end mark of ws = -1 on 200 (step 4, 24 terms), and
+    # the fourth at c = 33 ends on 195 with that mark on 199, the last kept
+    runs = _counting_marks(monkeypatch)
+    _check([*_filled(step, ws), _row(5, ws, a, step, count, c=c, s2=s2)])
+    assert (a, step, count, ws, c) in runs
+
+
+@pytest.mark.parametrize("ws", [1, -1])
+@pytest.mark.parametrize("s2", [1, -1])
+def test_step_0_families_above_the_cut(ws, s2):
+    # da = db = 0: every row is `count` terms on one point p > 0 with its
+    # copies at p + v*c, which stop at the order, (ORDER - 1 - p) // c + 1
+    # of them, not (ORDER - 1) // c + 1
+    for p in (1, 37, 150, ORDER - 1):
+        for c in (CUT, 61, ORDER - 1, None):
+            for count in (_SHORT - 1, _SHORT, _SHORT + 7):
+                for s1, b in ((1, 3), (-1, 41)):
+                    _check([(3, ws, p, 0, s1, b, 0, s2, c, count)])
+
+
+@pytest.mark.parametrize("ws", [1, -1])
+@pytest.mark.parametrize("s1", [1, -1])
+@pytest.mark.parametrize("s2", [1, -1])
+def test_tail_terms_whose_runs_along_u_are_long(monkeypatch, ws, s1, s2):
+    # 10 terms, fewer than _SHORT from the first row: term 0 runs along u
+    # from 2 at stride 1, 198 points in one slice, and later terms and
+    # copies hold shorter runs, walked; the second family's rows thin out
+    # below _SHORT terms at u = 7, where its terms' runs along u are long
+    runs = []
+
+    def add_run(target, p, step, n, w, ws):
+        runs.append((p, step, n))
+        _add_run(target, p, step, n, w, ws)
+
+    _add_run = oracle._add_run
+    monkeypatch.setattr(oracle, "_add_run", add_run)
+    _check([(3, ws, 2, 5, s1, 1, 1, s2, CUT + 4, 10)])
+    assert (2, 1, ORDER - 2) in runs
+    _check([(-1, ws, 0, 1, s1, 3, 1, s2, 40, 120)])
 
 
 @pytest.mark.parametrize("ws", [1, -1])

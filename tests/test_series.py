@@ -607,6 +607,19 @@ class TestGeometricMul:
         geometric_mul_inplace(cs, step, sign)
         assert TruncatedSeries(cs) == f * TruncatedSeries(geo)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("past", [0, 1000])
+    def test_a_step_at_or_past_the_length_leaves_the_list(self, sign, past):
+        # dividing by 1 - sign*q^step is the identity mod q^n once step >= n,
+        # so nothing is written to the list
+        class Unwritten(list):
+            def __setitem__(self, key, value):
+                raise AssertionError(f"wrote {key}")
+
+        cs = Unwritten(range(-2500, 2500))
+        geometric_mul_inplace(cs, len(cs) + past, sign)
+        assert cs == list(range(-2500, 2500))
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             geometric_mul_inplace([1, 1], 0, 1)
