@@ -131,12 +131,9 @@ def _mark_copies(table: list[int], p: int, step: int, n: int, w: int, ws: int, c
     of `_mark_run` so copied (ws = -1), dropping any at or past the order.
     Each mark and its copies are one walk along c; for ws = -1 the marks at
     p and p + step, and those at p + n*step and p + (n+1)*step, walk
-    together, as opposite weights one step apart. A run with no copy below
-    the order is marked by `_mark_run` itself."""
+    together, as opposite weights one step apart; a run with no copy below
+    the order gets just the marks of `_mark_run`."""
     order = len(table)
-    if p + c >= order:
-        _mark_run(table, p, step, n, w, ws)
-        return
     end = p + n * step
     if ws == 1:
         for x, y in ((p, w), (end, -w)):
@@ -213,6 +210,8 @@ def _straight_family(
                     _add_run(coeffs, e, b, k, y, s1)
                     e += c
                     y *= s2
+                # the short runs are walked here: one _add_run call per run made
+                # perfbench's oracle wall_ref 8 % worse (BENCH_27.json)
                 while e < order:
                     f, z = e, y
                     while f < order:

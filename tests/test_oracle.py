@@ -375,6 +375,11 @@ def test_mark_run_spreads_to_the_run(ws, n, end):
             expected[p + j * step] += w * ws**j
     table = [0] * ORDER
     _mark_run(table, p, step, n, w, ws)
+    for c, s2 in ((ORDER - p, 1), (ORDER - p, -1), (ORDER, -1)):
+        # the first copy falls on or past the order: the marks of _mark_run
+        copies = [0] * ORDER
+        _mark_copies(copies, p, step, n, w, ws, c, s2)
+        assert copies == table
     assert _spread(table, step if ws == 1 else 2 * step) == expected
 
 
