@@ -6,32 +6,32 @@ of `_DISPLAYS`: families of terms w*ws^t * q^(a+t*da) / ((1 - s1*q^(b+t*db))
 other run as t, the second factor optional. One enumerator, `_enumerate`,
 adds the lattice points Sum_{u,v>=0} w * ws^t * s1^u * s2^v *
 q^(a+t*da+u*(b+t*db)+v*c) of every family to a coefficient list. For each
-outer step u the family's points lie on one progression, a row. A run along
-a fixed step c below about 1.5*sqrt(order) is not walked: each row leaves
-marks in a table for stride c by one strided slice, and one running sum per
-residue class spreads them over the run. A longer c, or none, makes the row
-straight, added together with its copies, one per point of the run along v.
-A straight row is two difference marks (four for alternating signs) in the
-table for its own step, and each mark's copies are one run along c, once
-the straight rows of that table, copies counted, hold `order` points; before
-that each copy is one strided slice. The running sum that spreads the
-c-runs turns these marks back into the rows' points. Once a row holds only
-a few terms, the rest of the family is those terms' own lattices: each run
-along u into the c table, or, with no table, each term's runs along u and
-c, a long one as one slice and the rest point by point. The oracle stays a
-count of lattice points: a finite run is two marks where an infinite one is
-one. Nothing is shared with the constructors but the `SeriesId`
-names: no `LambertSpec` constant, slot bound, geometric kernel or product of
-series. `oracle_phi` alone counts the lattice points of another series,
-equal to PHI by a classical theorem, so it is a cross-check of PHI rather
-than of its display.
+outer step u the family's points lie on one progression, a row. Runs live
+in stride tables, one per (stride, sign), whose spread turns an entry y at
+x into the run y*sign^j at x + j*stride, j >= 0. A run along a fixed step c
+below about 1.5*sqrt(order) is not walked: each row goes into the table of
+(c, s2) by one strided slice. A longer c, or none, makes the row straight,
+added together with its copies, one per point of the run along v. Every
+finite run is two marks: n points w*ws^j at p + j*step are +w at p and
+-w*ws^n at p + n*step in the table of (step, ws). A straight row's marks
+and their copies are one walk along c each, once the straight rows of that
+table, copies counted, hold `order` points; before that each copy is one
+strided slice. Once a row holds only a few terms, the rest of the family is
+those terms' own lattices: each run along u into the c table, or, with no
+table, each term's runs along u and c, a long one as one slice and the rest
+point by point. The oracle stays a count of lattice points: a finite run is
+two marks where an infinite one is one. Nothing is shared with the
+constructors but the `SeriesId` names: no `LambertSpec` constant, slot
+bound, geometric kernel or product of series. `oracle_phi` alone counts the
+lattice points of another series, equal to PHI by a classical theorem, so
+it is a cross-check of PHI rather than of its display.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 from math import isqrt
-from operator import add
+from operator import add, sub
 from typing import Callable, Iterable, Iterator
 
 from .constructors import SeriesId
@@ -104,93 +104,46 @@ def _add_run(target: list[int], p: int, step: int, n: int, w: int, ws: int) -> N
         target[p:stop:step2] = [x - w for x in target[p:stop:step2]]
 
 
-def _mark_run(table: list[int], p: int, step: int, n: int, w: int, ws: int) -> None:
-    """Add w * ws^j at p + j*step for j < n as difference marks in a stride
-    table, dropping any at or past the order: +w at p and -w at p + n*step
-    in the table for stride step (ws = +1), or +w at p, -w at p + step,
-    -(-1)^n w at p + n*step and +(-1)^n w at p + (n+1)*step in the table
-    for stride 2*step (ws = -1). The table's running sum makes them points."""
-    order = len(table)
-    table[p] += w
-    end = p + n * step
-    if ws == -1:
-        if p + step < order:
-            table[p + step] -= w
-        if n & 1:
-            w = -w
-        if end + step < order:
-            table[end + step] += w
-    if end < order:
-        table[end] -= w
-
-
 def _mark_copies(table: list[int], p: int, step: int, n: int, w: int, ws: int, c: int, s2: int) -> None:
-    """Add the marks of `_mark_run` for a run of n points at p and for each
-    of its copies at +v*c, v >= 1, weighted s2^v, into a stride table: +w*s2^v
-    at p + v*c and -w*s2^v at p + n*step + v*c (ws = +1), or the four marks
-    of `_mark_run` so copied (ws = -1), dropping any at or past the order.
-    Each mark and its copies are one walk along c; for ws = -1 the marks at
-    p and p + step, and those at p + n*step and p + (n+1)*step, walk
-    together, as opposite weights one step apart; a run with no copy below
-    the order gets just the marks of `_mark_run`."""
+    """Add the two marks of a run of n points w*ws^j at p + j*step, +w at p
+    and -w*ws^n at p + n*step, and those of each of its copies at +v*c,
+    v >= 1, weighted s2^v, to the table of (step, ws), dropping any at or
+    past the order: each mark and its copies are one walk along c."""
     order = len(table)
-    end = p + n * step
-    if ws == 1:
-        for x, y in ((p, w), (end, -w)):
-            while x < order:
-                table[x] += y
-                x += c
-                y *= s2
-    else:
-        for x, y in ((p, w), (end, w if n & 1 else -w)):  # +y at x, -y at x + step
-            while x + step < order:
-                table[x] += y
-                table[x + step] -= y
-                x += c
-                y *= s2
-            while x < order:
-                table[x] += y
-                x += c
-                y *= s2
+    for x, y in ((p, w), (p + n * step, -w * ws**n)):
+        while x < order:
+            table[x] += y
+            x += c
+            y *= s2
 
 
-def _tabled_family(tables: dict[int, list[int]], family: _Family, order: int) -> None:
-    """Add the rows of a family whose c is below the table cut to the table
-    for stride c as marks +w (s2 = +1), or to the one for stride 2c with
-    second marks -w at +c (s2 = -1)."""
+def _tabled_family(tables: dict[tuple[int, int], list[int]], family: _Family, order: int) -> None:
+    """Add the points of each row of a family whose c is below the table cut
+    to the table of (c, s2), whose spread runs each point along c."""
     w, ws, a, da, s1, b, db, s2, c, count = family
     top = order - 1
-    stride, copies = (c, ((0, 1),)) if s2 == 1 else (2 * c, ((0, 1), (c, -1)))  # (shift, sign)
-    target = tables.get(stride)
+    target = tables.get((c, s2))
     if target is None:
-        target = tables[stride] = [0] * order
+        target = tables[c, s2] = [0] * order
     p, step = a, da
     while p < order:
         n = min(count, (top - p) // step + 1) if step else count  # the row's terms
-        for shift, sign in copies:
-            e = p + shift
-            if e >= order:
-                break
-            if n < _SHORT:  # the rest of the family: each term's run along u
-                f, bt, y = e, b, w * sign
-                for _ in range(n):
-                    if f >= order:
-                        break
-                    _add_run(target, f, bt, (top - f) // bt + 1, y, s1)
-                    f += step
-                    bt += db
-                    y *= ws
-            else:
-                _add_run(target, e, step, min(n, (top - e) // step + 1) if step else n, w * sign, ws)
-        if n < _SHORT:
-            break
+        if n < _SHORT:  # the rest of the family: each term's run along u
+            for _ in range(n):
+                _add_run(target, p, b, (top - p) // b + 1, w, s1)
+                p += step
+                b += db
+                w *= ws
+            return
+        _add_run(target, p, step, n, w, ws)
         p += b
         step += db
         w *= s1
 
 
 def _straight_family(
-    coeffs: list[int], tables: dict[int, list[int]], held: dict[int, int], family: _Family, c: int
+    coeffs: list[int], tables: dict[tuple[int, int], list[int]], held: dict[tuple[int, int], int],
+    family: _Family, c: int,
 ) -> None:
     """Add the rows of a family whose c is at or above the table cut, each
     with its copies at +v*c, v >= 1, weighted s2^v, as `_enumerate` says. A
@@ -203,8 +156,6 @@ def _straight_family(
         n = min(count, (top - p) // step + 1) if step else count  # the row's terms
         if n < _SHORT:  # the rest of the family: each term's lattice
             for _ in range(n):
-                if p >= order:
-                    break
                 e, y = p, w  # the run along u from e, shortening as e moves along c
                 while e < order and (k := (top - e) // b + 1) >= _SHORT:
                     _add_run(coeffs, e, b, k, y, s1)
@@ -227,11 +178,10 @@ def _straight_family(
         if not step:
             _add_run(coeffs, p, c, (top - p) // c + 1, w * (n if ws == 1 else n & 1), s2)
         else:
-            stride = step if ws == 1 else 2 * step
-            marks = tables.get(stride)
+            marks = tables.get((step, ws))
             if marks is None:
                 counts = [min(n, (top - e) // step + 1) for e in range(p, order, c)]  # each copy's points
-                held[stride] = points = held.get(stride, 0) + sum(counts)
+                held[step, ws] = points = held.get((step, ws), 0) + sum(counts)
                 if points < order:
                     e, y = p, w
                     for k in counts:
@@ -239,7 +189,7 @@ def _straight_family(
                         e += c
                         y *= s2
                 else:
-                    marks = tables[stride] = [0] * order
+                    marks = tables[step, ws] = [0] * order
             if marks is not None:
                 _mark_copies(marks, p, step, n, w, ws, c, s2)
         p += b
@@ -255,40 +205,48 @@ def _enumerate(coeffs: list[int], families: Iterable[_Family]) -> list[int]:
     least 1 and da, db at least 0. The outer step u walks the step that
     varies with t, and v the fixed step c. For each u the points with v = 0
     of all the terms lie on one progression, start a + u*b and stride
-    sigma = da + u*db: a row. A c below `_table_cut(order)` is not walked:
-    one strided slice (`_add_run`) puts the row into a table for stride c as
-    marks +w (s2 = +1), or into one for stride 2c with second marks -w at +c
-    (s2 = -1) (`_tabled_family`). A longer c, or none (c is None: the run
-    along v is one point), makes the row straight (`_straight_family`): it
-    is added together with its copies at +v*c, weighted s2^v. A straight row
-    of n points is w*q^e*(1 - (ws*q^sigma)^n)/(1 - ws*q^sigma), so it goes
-    into the table for stride sigma (ws = +1) or 2*sigma (ws = -1) as two or
-    four difference marks, and its copies' marks make one run along c each
-    (`_mark_copies`). A table costs about one pass over the list, so a
-    stride's straight rows, copies included, are sliced into `coeffs` until
-    together they reach `order` points, and marked from there on; a stride
-    that a c-run already tabled marks them all. Only a row of at least
-    _SHORT terms is straight, so sigma is at most order // 23. Once every
-    family is read, a running sum of each table along its stride, residue by
-    residue, puts each mark on every point of its run, whichever kind of row
-    left it, and the table is added into `coeffs`. The points of a row only
-    thin out as u grows, so once a row holds fewer than _SHORT terms, no
-    later row holds another: the rest of the family is those terms' runs
-    along u, stride b + t*db and sign s1, into the c table, or each term's
-    lattice along u and c, added once straight into `coeffs`: its runs along
-    u of at least _SHORT points one slice each, the rest point by point.
+    sigma = da + u*db: a row. Runs are kept in stride tables, one per
+    (stride, sign); an entry y at x stands for the run y*sign^j at
+    x + j*stride, j >= 0, so a run of n points w*ws^j at p + j*sigma is two
+    marks in the table of (sigma, ws): +w at p and -w*ws^n at p + n*sigma,
+    either dropped at or past the order. A c below `_table_cut(order)` is
+    not walked: one strided slice (`_add_run`) puts the row's points into
+    the table of (c, s2) (`_tabled_family`). A longer c, or none (c is None:
+    the run along v is one point), makes the row straight
+    (`_straight_family`): its two marks and those of its copies at +v*c,
+    weighted s2^v, go into the table of (sigma, ws), each mark and its
+    copies one walk along c (`_mark_copies`). A table costs about one pass
+    over the list, so the straight rows of one key, copies included, are
+    sliced into `coeffs` until together they reach `order` points, and
+    marked from there on; a key that a c-run already tabled marks them all.
+    Only a row of at least _SHORT terms is straight, so sigma is at most
+    order // 23. Once every family is read, each table is spread, added into
+    `coeffs` and released, so that no two spread tables are held at once.
+    The spread is a running sum along the stride, residue by residue; for
+    sign -1 the table shifted by one stride is subtracted first and the sum
+    runs along twice the stride, as 1/(1 + q^s) = (1 - q^s)/(1 - q^2s). The
+    points of a row only thin out as u grows, so once a row holds fewer than
+    _SHORT terms, no later row holds another: the rest of the family is
+    those terms' runs along u, stride b + t*db and sign s1, into the c
+    table, or each term's lattice along u and c, added once straight into
+    `coeffs`: its runs along u of at least _SHORT points one slice each, the
+    rest point by point.
     """
     order = len(coeffs)
     cut = _table_cut(order)
-    tables: dict[int, list[int]] = {}  # stride -> marks
-    held: dict[int, int] = {}  # stride -> points of the straight rows sliced so far
+    tables: dict[tuple[int, int], list[int]] = {}  # (stride, sign) -> marks
+    held: dict[tuple[int, int], int] = {}  # (stride, sign) -> points of the straight rows sliced so far
     for family in families:
         c = order if family[8] is None else family[8]  # None: the run along v is its first point
         if c < cut:
             _tabled_family(tables, family, order)
         else:
             _straight_family(coeffs, tables, held, family, c)
-    for stride, marks in tables.items():
+    while tables:
+        (stride, sign), marks = tables.popitem()
+        if sign == -1:
+            marks[stride:] = map(sub, marks[stride:], marks)
+            stride *= 2
         for r in range(stride):
             marks[r::stride] = accumulate(marks[r::stride])
         coeffs[:] = map(add, coeffs, marks)

@@ -29,7 +29,7 @@ from lambertq import (
 )
 from lambertq.constructors import SignedMonomial
 from lambertq import oracle
-from lambertq.oracle import _DISPLAYS, _SHORT, _enumerate, _mark_copies, _mark_run, _table_cut
+from lambertq.oracle import _DISPLAYS, _SHORT, _enumerate, _mark_copies, _table_cut
 
 # every named series but PHI has a display the oracle enumerates
 ORACLE_SERIES = tuple(sid for sid in SeriesId if sid is not SeriesId.PHI)
@@ -347,16 +347,17 @@ def test_enumerate_matches_reference_on_random_families(order):
 # _table_cut(200) = 21: a second factor's run along c >= 21 makes every row
 # straight, added together with its copies at +v*c. A straight row has at
 # least _SHORT terms, so its step is at most 199 // 23 = 8, and the straight
-# rows of one table stride, copies included, are sliced until they hold
-# `order` points, then marked. ORDER is the order of every test below.
+# rows of one table key (step, ws), copies included, are sliced until they
+# hold `order` points, then marked. ORDER is the order of every test below.
 ORDER = 200
 CUT = _table_cut(ORDER)
 
 
-def _spread(table, stride):
-    """The points that the marks of a stride table stand for."""
-    for r in range(stride):
-        table[r::stride] = accumulate(table[r::stride])
+def _spread(table, stride, sign):
+    """The points that the marks of the table of (stride, sign) stand for:
+    each entry runs on as sign^j at +j*stride, a walk from the start."""
+    for x in range(stride, len(table)):
+        table[x] += sign * table[x - stride]
     return table
 
 
@@ -364,23 +365,19 @@ def _spread(table, stride):
 @pytest.mark.parametrize("n", [1, 2, 3, _SHORT, _SHORT + 1])
 @pytest.mark.parametrize("end", [ORDER - 8, ORDER - 1, ORDER, ORDER + 1, ORDER + 6])
 def test_mark_run_spreads_to_the_run(ws, n, end):
-    # a run of n points at step 7 whose end mark p + n*7 lands at `end`: with
-    # ws = -1 the marks at p + 7 and p + (n+1)*7 fall before, on or past the
-    # order as well, and a mark at or past the order is dropped
+    # a run of n points at step 7 whose end mark p + n*7 lands before, on
+    # or past the order, where it is dropped; its first copy falls on or
+    # past the order, so the table holds the run's two marks alone
     step, w = 7, -(10**40) + 3
     p = end - n * step
     expected = [0] * ORDER
     for j in range(n):
         if p + j * step < ORDER:
             expected[p + j * step] += w * ws**j
-    table = [0] * ORDER
-    _mark_run(table, p, step, n, w, ws)
     for c, s2 in ((ORDER - p, 1), (ORDER - p, -1), (ORDER, -1)):
-        # the first copy falls on or past the order: the marks of _mark_run
-        copies = [0] * ORDER
-        _mark_copies(copies, p, step, n, w, ws, c, s2)
-        assert copies == table
-    assert _spread(table, step if ws == 1 else 2 * step) == expected
+        table = [0] * ORDER
+        _mark_copies(table, p, step, n, w, ws, c, s2)
+        assert _spread(table, step, ws) == expected
 
 
 def _counting_marks(monkeypatch):
@@ -425,8 +422,8 @@ def test_straight_rows_are_marked_once_they_hold_order_points(monkeypatch, ws, c
 @pytest.mark.parametrize("filler,marked", [(84, False), (85, True)])
 def test_a_rows_copies_count_toward_the_threshold(monkeypatch, ws, filler, marked):
     # 30 terms of step 2 from 0 with copies at 50, 100 and 150 hold
-    # 30 + 30 + 30 + 25 = 115 points: after a row of 84 points the stride
-    # holds 199 and the row is sliced, after one of 85 it holds 200 and the
+    # 30 + 30 + 30 + 25 = 115 points: after a row of 84 points the table of
+    # (2, ws) holds 199 and the row is sliced, after one of 85 it holds 200 and the
     # row is marked with all its copies, though its first copy alone stays
     # below the threshold
     runs = _counting_marks(monkeypatch)
@@ -451,7 +448,7 @@ def test_c_on_the_table_cut(monkeypatch, ws, s2, c):
 def test_row_steps_at_the_straight_limit(monkeypatch, ws, a, step):
     # 24 terms of step 8 from 15 end at 199, the longest straight step at
     # order 200, and are marked once eight rows of 25 points have filled
-    # their stride; from 16 only 23 fit, and steps 24-26 hold 9 or fewer, so
+    # the table of (8, ws); from 16 only 23 fit, and steps 24-26 hold 9 or fewer, so
     # those terms are walked along u instead
     runs = _counting_marks(monkeypatch)
     filler = [_row(1, ws, r, 8, 25) for r in range(8)]
@@ -463,8 +460,8 @@ def test_row_steps_at_the_straight_limit(monkeypatch, ws, a, step):
 @pytest.mark.parametrize("c", [ORDER - 1, 181, 180, 182])
 def test_a_marked_copy_of_one_odd_or_even_count(monkeypatch, ws, c):
     # a row of 24 terms from 0 at step 1 whose copy at c holds 1 (c = 199),
-    # 19, 20 or 18 points; two rows of 200 and 199 points first push stride
-    # 1 (ws = +1) or 2 (ws = -1) past the threshold, and the row is marked
+    # 19, 20 or 18 points; two rows of 200 and 199 points first push the
+    # table of (1, ws) past the threshold, and the row is marked
     # once with its copy, whose end marks fall past the order
     runs = _counting_marks(monkeypatch)
     filler = [_row(1, ws, r, 1, ORDER - r) for r in range(2)]
@@ -486,7 +483,7 @@ def test_count_limited_rows_end_on_and_past_the_order(monkeypatch, ws, count):
 
 def _filled(step, ws):
     """Rows of `step` on every residue mod step, ORDER points together, so
-    that the stride step (ws = +1) or 2*step (ws = -1) marks every later row."""
+    that the table of (step, ws) marks every later row."""
     return [_row(1, ws, r, step, (ORDER - 1 - r) // step + 1) for r in range(step)]
 
 
@@ -544,14 +541,43 @@ def test_tail_terms_whose_runs_along_u_are_long(monkeypatch, ws, s1, s2):
 @pytest.mark.parametrize("ws", [1, -1])
 @pytest.mark.parametrize("c_first", [True, False])
 def test_a_row_step_equal_to_a_c_table_stride(monkeypatch, ws, c_first):
-    # rows of step 4 and 90 points share the table of stride 4 (ws = +1) or
-    # 8 (ws = -1) with a run along c = 4 of sign s2 = ws: made by the c-run
-    # first, the table takes every row as marks; made after, it takes none
+    # rows of step 4 and 90 points share the table of (4, ws) with a run
+    # along c = 4 of sign s2 = ws: made by the c-run first, the table takes
+    # every row as marks; made after, it takes none
     runs = _counting_marks(monkeypatch)
     c_family = (1, -1, 2, 1, 1, 30, 1, ws, 4, 60)
     rows = [_row(3, ws, r, 4, 30) for r in range(3)]
     _check([c_family, *rows] if c_first else [*rows, c_family])
     assert bool(runs) == c_first
+
+
+# A run along c = 4 of sign -1 and one along c = 8 of sign +1, and three
+# straight rows each of step 4 and ws = -1 and of step 8 and ws = +1. Kept
+# at twice its stride, a run of sign -1 would share the table of stride 8
+# with all four; keyed by (stride, sign), the rows of step 4 share only the
+# c = 4 table and those of step 8 only the c = 8 one
+C4 = (1, -1, 2, 1, 1, 30, 1, -1, 4, 60)
+C8 = (-2, 1, 3, 1, -1, 30, 1, 1, 8, 60)
+ROWS4 = [_row(3, -1, r, 4, 30) for r in range(3)]
+ROWS8 = [_row(-5, 1, r, 8, 24) for r in range(3)]
+
+
+@pytest.mark.parametrize(
+    "families,marked",
+    [
+        (
+            [C4, C8, *ROWS4, *ROWS8],
+            [(r, 4, 30, -1, ORDER) for r in range(3)] + [(r, 8, 24, 1, ORDER) for r in range(3)],
+        ),
+        ([*ROWS4, *ROWS8, C4, C8], []),  # made after, the rows' 90 and 72 points are sliced
+        ([C4, *ROWS8], []),
+        ([C8, *ROWS4], []),
+    ],
+)
+def test_tables_of_one_stride_and_two_signs_stay_apart(monkeypatch, families, marked):
+    runs = _counting_marks(monkeypatch)
+    _check(families)
+    assert runs == marked
 
 
 @pytest.mark.parametrize("w", [10**40, -(10**40)])
@@ -565,7 +591,7 @@ def test_marks_carry_large_weights(monkeypatch, w):
 @pytest.mark.parametrize("seed", range(6))
 def test_enumerate_matches_reference_on_families_that_share_their_steps(monkeypatch, seed):
     # 50-300 families with one (da, db), most of them straight, so that the
-    # straight rows of several strides cross the threshold
+    # straight rows of several table keys cross the threshold
     rng = random.Random(f"straight {seed}")
     da, db = rng.choice([(1, 0), (1, 1), (2, 1), (3, 0), (1, 2), (5, 1)])
     families = []
