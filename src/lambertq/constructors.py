@@ -1,13 +1,15 @@
 """Builders for every named series in the study, plus the generic pieces.
 
-The sums here are built from two expansion moves, both on coefficient
-lists: a geometric expansion of q^a/(1 - s*q^b) as Sum_j s^j q^(a+jb),
-and a division by (1 - s*q^e), a slice operation that runs in CPython's C
-loops. `_add_family` is the one place geometric runs are added to a list:
-a one-index family of them per call, as strided slices along either
-index. `Y_DEF` adds each (m, n) term as a run along the smaller of its two
-steps into the group of that step, one family per group, and divides each
-group once by the other factor its terms share, so about 1.5*sqrt(order)
+The sums here are built from two expansion moves: a geometric expansion
+of q^a/(1 - s*q^b) as Sum_j s^j q^(a+jb), on coefficient lists, and a
+division by (1 - s*q^e). `_add_family` is the one place geometric runs are
+added to a list: a one-index family of them per call, as strided slices
+along either index. The double sums and `Y_DEF` pack those lists into
+Kronecker-packed integers (`series._Packing`), where a division is a few
+shift-adds in CPython's bigint code, and sum them in one packed integer.
+`Y_DEF` adds each (m, n) term as a run along the smaller of its two steps
+into the group of that step, one family per group, and divides each group
+once by the other factor its terms share, so about 1.5*sqrt(order)
 divisions are made. The double sums `Y_EQ1`, `Y_EQ2`, `Z`, `A`, `B` and
 `B1` are each one row of `_DOUBLE_SUMS`, the families of a display whose
 outer index bounds a prefix of the inner sum, all summed by one engine,
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import gcd, isqrt
-from operator import add, sub
+from operator import add
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -48,7 +50,7 @@ from .errors import (
     UnsupportedSeries,
     ZeroFactor,
 )
-from .series import TruncatedSeries, _check_ints, geometric_mul_inplace, mul
+from .series import TruncatedSeries, _check_ints, _Packing, mul
 
 __all__ = [
     "SignedMonomial",
@@ -435,6 +437,27 @@ def phi(order: int) -> TruncatedSeries:
 # -- the named series ---------------------------------------------------------
 
 
+# `Y_DEF` and the six double sums are summed in one packed integer, a
+# `series._Packing` whose slot must hold every output coefficient; order^2
+# bounds them. An index pair +-q^a/((1 -+ q^b)(1 -+ q^c)) of a display is
+# Sum_{u,v>=0} +-q^(a+ub+vc), and for each u at most one v lands on q^e, so
+# it puts at most floor((e-a)/M) + 1 lattice points on q^e, M = max(b, c).
+# That grows with e, so take e = order-1. Without the floor the pairs of one
+# display add up to less than 3/4*order^2: in A the j pairs with
+# M = 2j+1 have a = j+1 and add j(e+j)/(2j+1) < (e+j)/2, and
+# Sum_{j<e} (e+j)/2 < 3/4*e^2; grouped by M, the others stay below it.
+# With the floor A's sum, the largest, stays below 0.62*order^2
+# (tests/test_constructors.py counts every display's pairs, Y_DEF's
+# included). So a slot is 3 bytes through order 2896, 4 through 46340 and
+# 5 at cli.MAX_ORDER. The lists packed, a group of Y_DEF or an inner sum's
+# terms, hold fewer than order runs, so their coefficients fit too.
+
+
+def _sum_packing(order: int) -> _Packing:
+    """The packing every double sum and `Y_DEF` is summed in."""
+    return _Packing(order, order * order)
+
+
 def _build_y_def(order: int) -> TruncatedSeries:
     # Sum_{m,n>=1} (-1)^m q^(2mn+m) / ((1+q^n)(1-q^(2m-1))).
     # Each (m, n) term is a geometric run along one of its two steps,
@@ -444,17 +467,18 @@ def _build_y_def(order: int) -> TruncatedSeries:
     # The group of m holds the runs along n >= 2m-1 (sign -1) and is
     # divided by 1 - q^(2m-1); the group of n holds the runs along
     # 2m-1 > n (sign +1) and is divided by 1 + q^n. Each group is one family
-    # on a list from its least exponent; about 1.5*sqrt(order) groups exist.
+    # on a list from its least exponent, packed and divided once; about
+    # 1.5*sqrt(order) groups exist.
     # Every term keeps its own factor 1/(1+q^n): re-indexing it into a tail
     # of q^t/(1-q^t) would turn this display into Y_EQ1's.
-    out = [0] * order
+    p = _sum_packing(order)
+    acc = 0
     m = 1
     while m * (4 * m - 1) < order:  # the tie n = 2m-1 leads the group of m
         lo = m * (4 * m - 1)
         h = [0] * (order - lo)  # the runs along n = 2m-1, 2m, ..., leading at m(2n+1) - lo
         _add_family(h, 0, 2 * m - 1, -1, -1 if m % 2 else 1, order, 2 * m, 1)
-        geometric_mul_inplace(h, 2 * m - 1, 1)
-        out[lo:] = map(add, out[lo:], h)
+        acc += p.divide(p.pack(h), 2 * m - 1, 1, order - lo) << (p.width * lo)
         m += 1
     n = 1
     while (n + 3) // 2 * (2 * n + 1) < order:  # the least m with 2m-1 > n leads the group of n
@@ -462,10 +486,9 @@ def _build_y_def(order: int) -> TruncatedSeries:
         lo = m * (2 * n + 1)
         h = [0] * (order - lo)  # the runs along 2m-1, 2m+1, ..., leading at m(2n+1) - lo
         _add_family(h, 0, 2 * m - 1, 1, -1 if m % 2 else 1, order, 2 * n + 1, 2, -1)
-        geometric_mul_inplace(h, n, -1)
-        out[lo:] = map(add, out[lo:], h)
+        acc += p.divide(p.pack(h), n, -1, order - lo) << (p.width * lo)
         n += 1
-    return TruncatedSeries._trusted(out)
+    return p.unpack(acc)
 
 
 # A family of a double sum's display: (w, e, a0, a1, s, b0, b1, start)
@@ -482,47 +505,64 @@ def _split(order: int) -> int:
 def _double_sum(outer: Sequence[_Family], inner: Sequence[_Family], order: int) -> TruncatedSeries:
     """Sum_o Out(o)*T(o) through q^(order-1), Out(o) the outer families'
     terms of index o and T(o) the sum of the inner families' terms of every
-    index o' <= o. Outer weights w are +-1, and outer families start at 0
-    or 1.
+    index o' <= o. Weights w and bases e are +-1, and outer families start
+    at 0 or 1.
 
-    Below the split M, T is a list that gains the inner terms of each index
-    in turn, and each outer term is one division of a shifted copy of it.
-    From M on, an outer term w*e^o*q^(a0+a1*o)/(1 - s*q^(b0+b1*o)) is
-    expanded in u, and for each u its terms c(o) = w*s^u*e^o*q^(a0+u*b0 +
-    o*d), d = a1+u*b1, are geometric in o. So the sum over o >= M is
-    T(M-1)*c(M)/(1 - e*q^d), plus Sum_{o'>=M} F(o')*c(o')/(1 - e*q^d) for
-    each inner family F, since its term of index o' meets every c(o) with
-    o >= o': one copy of T(M-1), one `_add_family` per inner family and one
-    division for each u. Only the order of the finite sums changes.
+    Everything is packed (`_sum_packing`): T, kept in [0, 2^(width*order)),
+    and one accumulator, unpacked once. Below the split M, T gains the
+    inner terms of each index in turn, each a packed geometric run, and
+    each outer term is one `divide` of T, shifted to its lead. From M on, an
+    outer term w*e^o*q^(a0+a1*o)/(1 - s*q^(b0+b1*o)) is expanded in u, and
+    for each u its terms c(o) = w*s^u*e^o*q^(a0+u*b0 + o*d), d = a1+u*b1,
+    are geometric in o. So the sum over o >= M is T(M-1)*c(M)/(1 - e*q^d),
+    plus Sum_{o'>=M} F(o')*c(o')/(1 - e*q^d) for each inner family F, since
+    its term of index o' meets every c(o) with o >= o': one `_add_family`
+    per inner family on a list, packed and added to T, and one division
+    for each u. Over c(M) that quotient depends on the outer family only
+    through (e, a1, b1), which gives d, and its window, so the families
+    that share them share it: it is made once, through the longest window,
+    and added at each family's lead. Only the order of the finite sums
+    changes.
     """
-    out = [0] * order
+    p = _sum_packing(order)
+    width, top = p.width, p.mask + 1
     split = _split(order)
-    prefix = [0] * order  # T(o) for the o reached
+    prefix = acc = 0  # T(o) for the o reached, and the sum
     for o in range(split):
         for w, e, a0, a1, s, b0, b1, start in inner:
-            if o >= start and a0 + a1 * o < order:
-                _add_family(prefix, a0 + a1 * o, b0 + b1 * o, s, w * e**o)
+            a = a0 + a1 * o
+            if o >= start and a < order:
+                run = p.divide(1, b0 + b1 * o, s, order - a) << (width * a)
+                prefix = (prefix + run if w * e**o > 0 else prefix + top - run) & p.mask
         for w, e, a0, a1, s, b0, b1, start in outer:
             lead = a0 + a1 * o
             if o >= start and lead < order:
-                h = prefix[: order - lead]
-                geometric_mul_inplace(h, b0 + b1 * o, s)
-                out[lead:] = map(add if w * e**o > 0 else sub, out[lead:], h)
-    for w, e, a0, a1, s, b0, b1, _ in outer:
-        u, lead = 0, a0 + a1 * split  # lead: c(M)'s, for this u
-        while lead < order:
-            d, n = a1 + u * b1, order - lead
-            h = prefix[:n]  # over c(M): F(o')*c(o') is F(o')*e^(o'-M)*q^((o'-M)*d) here
+                x = p.divide(prefix, b0 + b1 * o, s, order - lead) << (width * lead)
+                acc = acc + x if w * e**o > 0 else acc - x
+    shared: dict[tuple[int, int, int], list[tuple[int, int, int, int]]] = {}
+    for w, e, a0, a1, s, b0, b1, _ in outer:  # c(M)'s sign and lead at u = 0, and the lead's step in u
+        shared.setdefault((e, a1, b1), []).append((w * e**split, s, a0 + a1 * split, b0 + b1 * split))
+    for (e, a1, b1), terms in shared.items():
+        u = 0
+        while True:
+            leads = [lead + u * step for _, _, lead, step in terms]
+            d, n = a1 + u * b1, order - min(leads)  # n: the longest window
+            if n <= 0:
+                break
+            h = [0] * n  # over c(M): F(o')*c(o') is F(o')*e^(o'-M)*q^((o'-M)*d) here
             for wf, ef, af0, af1, sf, bf0, bf1, start in inner:
                 o = max(split, start)
                 a, da = af0 + af1 * o + (o - split) * d, af1 + d
                 if a < n:
                     w_o = wf * ef**o * e ** (o - split)
                     _add_family(h, a, bf0 + bf1 * o, sf, w_o, -((a - n) // da), da, bf1, e * ef)
-            geometric_mul_inplace(h, d, e)
-            out[lead:] = map(add if w * s**u * e**split > 0 else sub, out[lead:], h)
-            u, lead = u + 1, lead + b0 + b1 * split
-    return TruncatedSeries._trusted(out)
+            x = p.divide(p.pack(h) + prefix, d, e, n)
+            for (sign, s, _, _), lead in zip(terms, leads):
+                if lead < order:  # slots shifted past the order drop out of acc's residue
+                    y = x << (width * lead)
+                    acc = acc + y if sign * s**u > 0 else acc - y
+            u += 1
+    return p.unpack(acc)
 
 
 # Each double sum as (outer, inner) families of its own display, summed

@@ -11,9 +11,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import add, sub
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import NotAUnit, OrderTooSmall
 
@@ -250,24 +250,35 @@ def format_polynomial(f: TruncatedSeries, max_terms: Optional[int] = None) -> st
 # -- module-level operations --------------------------------------------------
 
 
+# `pack`'s byte maps: a slot's top byte with its top bit flipped, and the
+# byte, 0x00 or 0xff, that repeats its sign bit in a wider lane
+_FLIP_TOP = bytes(b ^ 0x80 for b in range(256))
+_SIGN_FILL = bytes(0xFF if b & 0x80 else 0 for b in range(256))
+
+
 class _Packing:
     """Kronecker substitution: a series mod q^order as one integer.
 
     A series is stored as its value at q = 2^w, reduced mod 2^(w*order);
     slot i of the integer holds the coefficient of q^i. Evaluation at 2^w
-    is a ring homomorphism Z[q]/q^order -> Z/2^(w*order), so any integer
-    congruent to the value of a sum or product may stand for it and
-    intermediate values need no bound. Reading the residue back as
-    balanced base-2^w digits is exact when every coefficient read satisfies
-    |c| < 2^(w-1). The width w is the least multiple of 8 with
+    is a ring homomorphism Z[q]/q^order -> Z/2^(w*order). Sums, products,
+    multiplication by q^k and division by the unit 1 - s*q^b are ring
+    operations, so any integer congruent to the value may stand for it and
+    intermediate values need no bound. The same holds for every window
+    n <= order: a value needed only mod q^n is worked on mod 2^(w*n), so
+    `pack` and `divide` take the window they serve. Reading the residue
+    back as balanced base-2^w digits is exact when every coefficient read
+    satisfies |c| < 2^(w-1). The width w is the least multiple of 8 with
     2^(w-1) > bound, so `bound` must bound every coefficient packed or
-    unpacked.
+    unpacked. `mul` packs its operands and unpacks their product; the
+    double sums and `Y_DEF` in `constructors` pack coefficient lists,
+    divide and shift them, and unpack one sum.
 
-    `unpack` has two readers. A slot of at most 8 bytes is spread into an
-    8-byte lane per slot, and one `struct.unpack` reads every lane;
-    `struct` reads no integer wider than 8 bytes, so a wider slot, which
-    only `mul` on large coefficients needs, is read by `int.from_bytes`
-    slot by slot.
+    `pack` and `unpack` each have two paths. A slot of at most 8 bytes
+    goes through an 8-byte lane per slot, which one `struct` call writes or
+    reads in C; `struct` handles no integer wider than 8 bytes, so a wider
+    slot, which only `mul` on large coefficients needs, goes through
+    `int.to_bytes` or `int.from_bytes` slot by slot.
     """
 
     __slots__ = ("order", "width", "mask", "_bytes", "_half", "_biases")
@@ -282,11 +293,37 @@ class _Packing:
         self._half = 1 << (self.width - 1)
         self._biases = int.from_bytes(self._half.to_bytes(self._bytes, "little") * order, "little")
 
-    def pack(self, coeffs: Iterable[int]) -> int:
-        """The value at q = 2^w of exactly `order` coefficients."""
-        nb, half = self._bytes, self._half
-        raw = b"".join([(c + half).to_bytes(nb, "little") for c in coeffs])
-        return int.from_bytes(raw, "little") - self._biases
+    def pack(self, coeffs: Sequence[int]) -> int:
+        """The value at q = 2^w of a window of at most `order` coefficients.
+
+        A coefficient outside the slot raises OverflowError. Each slot
+        holds c + 2^(w-1), which is nonnegative, so no slot borrows from
+        the next. For a slot of at most 8 bytes, `struct` writes each c as
+        an 8-byte two's-complement lane; the lane's low bytes are the slot,
+        and flipping its top bit adds 2^(w-1) mod 2^w. The c fits exactly
+        when the lane bytes dropped all repeat the slot's sign bit.
+        """
+        n, nb = len(coeffs), self._bytes
+        if n > self.order:
+            raise ValueError(f"a packing holds at most {self.order} coefficients, got {n}")
+        biases = self._biases if n == self.order else self._biases & self._ones(n)
+        if nb > 8:
+            half = self._half
+            raw = b"".join([(c + half).to_bytes(nb, "little") for c in coeffs])
+            return int.from_bytes(raw, "little") - biases
+        try:
+            lanes = struct.pack(f"<{n}q", *coeffs)
+        except struct.error:  # the count matches, so a coefficient is past 64 bits
+            raise OverflowError(f"a coefficient does not fit in a {self.width}-bit slot") from None
+        top = lanes[nb - 1 :: 8]
+        fill = top.translate(_SIGN_FILL)
+        if any(lanes[t::8] != fill for t in range(nb, 8)):
+            raise OverflowError(f"a coefficient does not fit in a {self.width}-bit slot")
+        raw = bytearray(nb * n)
+        for t in range(nb - 1):  # byte t of every lane goes to byte t of its slot
+            raw[t::nb] = lanes[t::8]
+        raw[nb - 1 :: nb] = top.translate(_FLIP_TOP)
+        return int.from_bytes(raw, "little") - biases
 
     def unpack(self, x: int) -> TruncatedSeries:
         """The series whose value is congruent to x; adding 2^(w-1) to every
@@ -304,6 +341,32 @@ class _Packing:
             raw = lanes
         return TruncatedSeries._trusted(map(sub, struct.unpack(f"<{n}Q", raw), repeat(half)))
 
+    def _ones(self, n: int) -> int:
+        """2^(w*n) - 1, the mask of the window of n slots, 0 <= n <= order."""
+        return self.mask >> (self.width * (self.order - n))
+
+    def divide(self, x: int, b: int, s: int, n: int) -> int:
+        """x divided by 1 - s*q^b mod q^n, as an int in [0, 2^(w*n)), for
+        b >= 1, s = +-1 and a window 0 <= n <= order.
+
+        1/(1 - q^b) = Prod_t (1 + q^(b*2^t)) mod q^n, one shift-add per
+        factor with b*2^t < n; 1/(1 + q^b) = (1 - q^b)/(1 - q^(2b)). Every
+        value masked is nonnegative, where `&` is cheapest: x - x*q^b is
+        taken with a bit set above both terms.
+        """
+        if b < 1:
+            raise ValueError("geometric step must be at least 1")
+        w = self.width
+        mask = self._ones(n)
+        x &= mask
+        if s == -1 and b < n:
+            x = ((x | (1 << (w * (n + b)))) - (x << (w * b))) & mask
+            b *= 2
+        while b < n:
+            x = (x + (x << (w * b))) & mask
+            b *= 2
+        return x
+
 
 def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Product truncated to min(f.order, g.order), by Kronecker substitution.
@@ -316,30 +379,6 @@ def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     fc, gc = f.coefficients[:n], g.coefficients[:n]
     p = _Packing(n, max(max(map(abs, fc)), 1) * max(max(map(abs, gc)), 1) * n)
     return p.unpack(p.pack(fc) * p.pack(gc))
-
-
-def geometric_mul_inplace(coeffs: list[int], step: int, sign: int) -> None:
-    """Multiply a coefficient list in place by sum_{j>=0} sign^j q^(j*step).
-
-    Equivalently, divide by (1 - sign*q^step): out[n] = f[n] + sign*out[n-step].
-    For sign = -1 it uses 1/(1 + q^k) = (1 - q^k)/(1 - q^(2k)): one slice
-    pass multiplies by 1 - q^k, and the division by 1 - q^(2k) follows.
-    Dividing by 1 - q^k makes each residue class mod k a running sum,
-    which `accumulate` runs in C. A step of at least len(coeffs) divides by
-    1 mod q^len(coeffs), so the list is left as it is.
-    """
-    if step < 1:
-        raise ValueError("geometric step must be at least 1")
-    if sign not in (1, -1):
-        raise ValueError("geometric sign must be +1 or -1")
-    n = len(coeffs)
-    if step >= n:
-        return
-    if sign == -1:
-        coeffs[step:] = map(sub, coeffs[step:], coeffs[: n - step])
-        step *= 2
-    for r in range(min(step, n)):
-        coeffs[r::step] = accumulate(coeffs[r::step])
 
 
 # -- comparison and parity -----------------------------------------------------

@@ -42,10 +42,10 @@ from lambertq import (
     run_suite,
     s_window,
 )
-from lambertq import constructors
+from lambertq import constructors, series
 from lambertq.harness import MAX_HALVING_WINDOW
 from lambertq.oracle import oracle_expand, oracle_partition_count, oracle_partitions
-from lambertq.series import geometric_mul_inplace
+from test_series import geometric_mul_inplace
 
 Q = SignedMonomial(1, 1)
 Q2 = SignedMonomial(1, 2)
@@ -755,7 +755,7 @@ class TestQuotientsByDivision:
             return solve(a, known)
 
         monkeypatch.setattr(constructors, "_solve", recording)
-        monkeypatch.setattr(constructors, "geometric_mul_inplace", None)  # no geometric division
+        monkeypatch.setattr(series._Packing, "divide", None)  # no geometric division
         build()
         assert seen == solved
 
@@ -1158,6 +1158,74 @@ class TestPackedBuilders:
             named_series(sid, 0)
 
 
+def display_pairs(sid, e):
+    """(a, b, c) of every index pair +-q^a/((1 -+ q^b)(1 -+ q^c)) with a <= e
+    of the double sum that `sid` names, read off its printed display rather
+    than its builder."""
+    if sid is SeriesId.Y_DEF:  # q^(2mn+m) / ((1+q^n)(1-q^(2m-1))), m, n >= 1
+        return [(2 * m * n + m, n, 2 * m - 1) for m in range(1, e) for n in range(1, (e - m) // (2 * m) + 1)]
+    if sid is SeriesId.Y_EQ1:  # q^(3m+k) / ((1-q^(2m-1))(1-q^(2m+k))), m >= 1, k >= 0
+        return [(3 * m + k, 2 * m - 1, 2 * m + k) for m in range(1, e) for k in range(e - 3 * m + 1)]
+    if sid is SeriesId.Y_EQ2:  # q^k/(1+q^(2k-1)) * q^n/(1+q^n), 1 <= n < k
+        return [(k + n, 2 * k - 1, n) for k in range(2, e) for n in range(1, min(k, e - k + 1))]
+    if sid is SeriesId.Z:  # q^m/(1-q^(2m-1)) * q^k/(1-q^k), 1 <= k <= 2m-1
+        return [(m + k, 2 * m - 1, k) for m in range(1, e) for k in range(1, min(2 * m, e - m + 1))]
+    if sid is SeriesId.A:  # q^(j+1) / ((1+q^(2i+1))(1+q^(2j+1))), 0 <= i < j
+        return [(j + 1, 2 * i + 1, 2 * j + 1) for j in range(1, e) for i in range(j)]
+    if sid is SeriesId.B:  # q^(i+2j+2) / ((1+q^(2i+1))(1+q^(2j+1))), 0 <= i < j
+        return [
+            (i + 2 * j + 2, 2 * i + 1, 2 * j + 1)
+            for j in range(1, e)
+            for i in range(min(j, e - 2 * j - 1))
+        ]
+    assert sid is SeriesId.B1  # the same term with 0 <= j <= i
+    return [
+        (i + 2 * j + 2, 2 * i + 1, 2 * j + 1)
+        for i in range(e)
+        for j in range(min(i + 1, (e - i) // 2))
+    ]
+
+
+def lattice_bound(sid, order):
+    """Sum over the display's pairs of floor((e-a)/max(b, c)) + 1, at
+    e = order - 1: the lattice points (u, v) with a + u*b + v*c = e that a
+    pair can put on q^e, at most one v for each u."""
+    e = order - 1
+    return sum((e - a) // max(b, c) + 1 for a, b, c in display_pairs(sid, e))
+
+
+PACKED_SUMS = [SeriesId.Y_DEF, *LIST_REFERENCES]
+
+
+class TestPackedSlotBound:
+    """`Y_DEF` and the six double sums are summed in slots sized from
+    order^2, which A's lattice count, the largest, stays below 0.62 times."""
+
+    @pytest.mark.parametrize("sid", PACKED_SUMS, ids=lambda sid: sid.value)
+    def test_pairs_are_the_displays(self, sid):
+        # every pair listed once, with a <= e, and no pair left out below e
+        for e in (9, 30):
+            pairs = display_pairs(sid, e)
+            assert len(pairs) == len(set(pairs))
+            assert all(a <= e for a, _, _ in pairs)
+            assert {p for p in display_pairs(sid, e + 5) if p[0] <= e} == set(pairs)
+
+    @pytest.mark.parametrize("sid", PACKED_SUMS, ids=lambda sid: sid.value)
+    def test_lattice_count_stays_below_the_slot_bound(self, sid):
+        for order in [*range(1, 151), 1000]:
+            count = lattice_bound(sid, order)
+            assert count <= lattice_bound(SeriesId.A, order) < 0.62 * order * order, order
+
+    @pytest.mark.parametrize("sid", PACKED_SUMS, ids=lambda sid: sid.value)
+    def test_lattice_count_bounds_the_coefficients(self, sid):
+        for order in [*range(1, 61), 150]:
+            assert max(map(abs, named_series(sid, order))) <= lattice_bound(sid, order), order
+
+    @pytest.mark.parametrize("order,nb", [(1, 1), (11, 1), (12, 2), (181, 2), (182, 3), (2896, 3), (2897, 4), (46340, 4), (46341, 5), (100000, 5)])
+    def test_slot_width_follows_the_order(self, order, nb):
+        assert constructors._sum_packing(order)._bytes == nb
+
+
 class TestPartitionOracle:
     """`oracle_partitions` counts by knapsack what the factor route solves
     from the log-derivative: 1/(q^2;q^2)^2 and 1/(q;q).
@@ -1204,9 +1272,9 @@ class TestNamedSeries:
         assert list(named_series(SeriesId.Y_DEF, 4000)) == y_def_by_slices(4000)
 
     def test_y_def_takes_every_pair_once_in_the_group_of_its_smaller_step(self, monkeypatch):
-        family, divide = constructors._add_family, geometric_mul_inplace
+        family, pack, divide = constructors._add_family, series._Packing.pack, series._Packing.divide
         for order in range(1, 201):
-            pending, taken, divisors = {}, Counter(), []
+            pending, packed, taken, divisors = {}, [], Counter(), []
 
             def recording_family(coeffs, a, b, s, w=1, count=1, da=1, db=0, ws=1):
                 # each call is expanded into its terms' runs; a group's list
@@ -1218,17 +1286,24 @@ class TestNamedSeries:
                     runs.append((a + k * da + order - len(coeffs), b + k * db, s, w * ws**k))
                 family(coeffs, a, b, s, w, count, da, db, ws)
 
-            def recording_division(coeffs, step, sign):
-                _, runs = pending.pop(id(coeffs), (coeffs, []))
-                assert runs and min(a for a, *_ in runs) == order - len(coeffs), (order, step, sign)
+            def recording_pack(self, coeffs):
+                # a group's list is packed once, and its division comes next
+                packed.append(pending.pop(id(coeffs), (coeffs, []))[1])
+                return pack(self, coeffs)
+
+            def recording_division(self, x, step, sign, n):
+                runs = packed.pop()
+                assert not packed, (order, step, sign)
+                assert runs and min(a for a, *_ in runs) == order - n, (order, step, sign)
                 divisors.append((step, sign))
                 taken.update((step, sign, *r) for r in runs)
-                divide(coeffs, step, sign)
+                return divide(self, x, step, sign, n)
 
             monkeypatch.setattr(constructors, "_add_family", recording_family)
-            monkeypatch.setattr(constructors, "geometric_mul_inplace", recording_division)
+            monkeypatch.setattr(series._Packing, "pack", recording_pack)
+            monkeypatch.setattr(series._Packing, "divide", recording_division)
             named_series(SeriesId.Y_DEF, order)
-            assert not pending, order  # every run is divided
+            assert not pending and not packed, order  # every run is packed and divided
             assert len(divisors) == len(set(divisors)), order  # each group once
             expected = Counter()
             for m in range(1, order):

@@ -7,7 +7,7 @@ import pytest
 
 import digest
 import golden
-from lambertq import SeriesId, oracle_expand
+from lambertq import ENTRY29_TRIPLES, SeriesId, entry29_rhs, oracle_expand
 
 
 @pytest.mark.parametrize("order", [200, 2000])
@@ -33,3 +33,20 @@ def test_oracle_digest_hashes_every_oracle_row(capsys):
     assert [name for _, name in lines] == [*(sid.value for sid in rows), "all"]
     whole = b"".join(digest.serialise(sid, n, oracle_expand) for sid in rows for n in (1, 2, 3))
     assert lines[-1][0] == hashlib.sha256(whole).hexdigest()
+
+
+def test_product_digest_hashes_each_group_order_by_order(capsys):
+    assert digest.main(["--products", "1-3"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [name for _, name in lines] == ["PHI", "ENTRY29", "POCHHAMMER", "all"]
+    x, y, base = ENTRY29_TRIPLES[0]
+    assert digest.named(f"entry29_rhs({x}, {y}, {base})", entry29_rhs(x, y, base, 2)) == b"entry29_rhs(-q, +q, 2)@2:2,0;"
+    groups = digest.product_groups()
+    texts = {
+        group: b"".join(digest.named(name, build(n)) for n in (1, 2, 3) for name, build in members)
+        for group, members in groups.items()
+    }
+    assert [h for h, _ in lines] == [
+        *(hashlib.sha256(texts[group]).hexdigest() for group in groups),
+        hashlib.sha256(b"".join(texts.values())).hexdigest(),
+    ]

@@ -1,6 +1,9 @@
 """Core ring tests: arithmetic, inversion, composition, comparison, parity."""
 
 import random
+import struct
+from itertools import accumulate
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +26,7 @@ from lambertq import (
     phi,
     pochhammer,
 )
-from lambertq.series import _Packing, geometric_mul_inplace
+from lambertq.series import _Packing
 
 # Bounded random series for property tests. Coefficients stay small so
 # failures print readably; exactness does not depend on magnitude.
@@ -52,6 +55,15 @@ def slot_by_slot(p, x):
     nb, half = p._bytes, p._half
     raw = ((x + p._biases) & p.mask).to_bytes(nb * p.order, "little")
     return tuple(int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, len(raw), nb))
+
+
+def pack_by_slots(p, cs):
+    """Reference writing of `_Packing.pack`: one int.to_bytes per slot,
+    biased by 2^(w-1), which raises OverflowError for a coefficient outside
+    [-2^(w-1), 2^(w-1))."""
+    nb, half = p._bytes, p._half
+    raw = b"".join([(c + half).to_bytes(nb, "little") for c in cs])
+    return int.from_bytes(raw, "little") - (p._biases & ((1 << (p.width * len(cs))) - 1))
 
 
 def schoolbook(f, g):
@@ -354,6 +366,85 @@ class TestPacking:
             assert p.unpack(y).coefficients == slot_by_slot(p, y)
         assert p.unpack(-p._biases).coefficients == (-p._half,) * order  # every digit at -2^(w-1)
 
+    @pytest.mark.parametrize("order", [1, 2, 7, 50])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_divide_matches_geometric_mul_inplace(self, order, sign):
+        # every window n <= order and every step from 1 to n + 2, on outputs
+        # at +-(2^(w-1) - 1) and on inputs that are negative or carry
+        # garbage above the window
+        rng = random.Random(order)
+        cases = []
+        for p in (_Packing(order, 1), _Packing(order, 2**40)):
+            top = p._half - 1
+            cases += [
+                (p, [top] + [0] * (order - 1)),  # every output coefficient at +-top
+                (p, [-top] + [0] * (order - 1)),
+                (p, ([top, -sign * top] + [0] * order)[:order]),  # output top, then zeros
+            ]
+        cases.append((_Packing(order, 9 * order), [rng.randint(-9, 9) for _ in range(order)]))
+        for n in range(order + 1):
+            for step in range(1, n + 3):
+                for p, cs in cases:
+                    expected = cs[:n]
+                    geometric_mul_inplace(expected, step, sign)
+                    x = p.pack(cs)
+                    garbage = rng.randint(1, 2**70) << (p.width * n)
+                    for y, sense in ((x, 1), (x - garbage, 1), (garbage - x, -1)):
+                        z = p.divide(y, step, sign, n)
+                        assert 0 <= z < 1 << (p.width * n)
+                        assert p.unpack(z).coefficients[:n] == tuple(sense * c for c in expected)
+
+    def test_divide_rejects_step_zero(self):
+        with pytest.raises(ValueError):
+            _Packing(4, 9).divide(1, 0, 1, 4)
+
+    @pytest.mark.parametrize("order", [1, 2, 33, 1000])
+    @pytest.mark.parametrize("nb", range(1, 11))
+    def test_pack_matches_the_slot_by_slot_writing(self, nb, order):
+        # slots of 1-8 bytes are written through 8-byte lanes by `struct`,
+        # wider ones slot by slot; both edges of the slot included
+        p = _Packing(order, (1 << (8 * nb - 8)) - 1)
+        assert p._bytes == nb
+        rng = random.Random(100 * nb + order)
+        half = p._half
+        edge = [half - 1, -half, -half + 1, 0, 1, -1]
+        vectors = [[c] * order for c in edge]
+        vectors.append([rng.choice(edge) if rng.random() < 0.5 else rng.randint(-half, half - 1) for _ in range(order)])
+        for cs in vectors:
+            x = p.pack(cs)
+            assert x == pack_by_slots(p, cs)
+            assert p.unpack(x).coefficients == tuple(cs)
+            for window in (0, 1, order // 2):  # fewer coefficients: the zeros above are not written
+                assert p.pack(cs[:window]) == pack_by_slots(p, cs[:window])
+                assert p.unpack(p.pack(cs[:window])).coefficients == (*cs[:window], *[0] * (order - window))
+
+    @pytest.mark.parametrize("nb", range(1, 11))
+    def test_pack_overflows_past_the_slot_as_to_bytes_does(self, nb):
+        # one coefficient just past either edge of the slot, or past 64
+        # bits, at each position among coefficients at the slot's edges
+        p = _Packing(5, (1 << (8 * nb - 8)) - 1)
+        half = p._half
+        for bad in (half, -half - 1, 2**63, -(2**63) - 1, 2**80, -(2**80)):
+            if -half <= bad < half:  # 2^63 fits a slot of 9 bytes or more
+                continue
+            for i in range(5):
+                cs = [half - 1, -half, 0, 1, -1]
+                cs[i] = bad
+                with pytest.raises(OverflowError):
+                    pack_by_slots(p, cs)
+                with pytest.raises(OverflowError):
+                    p.pack(cs)
+
+    def test_a_wrong_count_is_no_overflow(self):
+        # more coefficients than slots is a ValueError, not an OverflowError
+        # nor a `struct.error`; fewer fill a window
+        p = _Packing(3, 9)
+        with pytest.raises(ValueError) as err:
+            p.pack([1, 2, 3, 4])
+        assert not isinstance(err.value, (OverflowError, struct.error))
+        assert p.pack([1, 2]) == p.pack([1, 2, 0])
+        assert p.pack([]) == 0
+
     def test_order_zero_rejected(self):
         with pytest.raises(OrderTooSmall):
             _Packing(0, 9)
@@ -563,9 +654,33 @@ class TestParity:
         assert v.first_violation == 2
 
 
+def geometric_mul_inplace(coeffs, step, sign):
+    """Reference division by 1 - sign*q^step on a coefficient list, in
+    place: out[n] = f[n] + sign*out[n-step], which `_Packing.divide` is
+    held to.
+
+    Dividing by 1 - q^k makes each residue class mod k a running sum, one
+    `accumulate`; for sign = -1, 1/(1 + q^k) = (1 - q^k)/(1 - q^(2k)) is one
+    slice pass first. A step of at least len(coeffs) divides by 1 mod
+    q^len(coeffs), so the list is left as it is.
+    """
+    if step < 1:
+        raise ValueError("geometric step must be at least 1")
+    if sign not in (1, -1):
+        raise ValueError("geometric sign must be +1 or -1")
+    n = len(coeffs)
+    if step >= n:
+        return
+    if sign == -1:
+        coeffs[step:] = map(sub, coeffs[step:], coeffs[: n - step])
+        step *= 2
+    for r in range(min(step, n)):
+        coeffs[r::step] = accumulate(coeffs[r::step])
+
+
 def geometric_mul_by_loop(coeffs, step, sign):
-    """Reference division by 1 - sign*q^step: the per-element loop that the
-    slice-based `geometric_mul_inplace` replaced."""
+    """Reference division by 1 - sign*q^step: the per-element loop that
+    `geometric_mul_inplace` is checked against."""
     for i in range(step, len(coeffs)):
         coeffs[i] += sign * coeffs[i - step]
 

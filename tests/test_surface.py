@@ -85,7 +85,7 @@ def test_star_import_binds_exactly_all():
 
 def test_no_export_is_lost_and_the_new_ones_are_named():
     # `linear_combine` and `geometric_mul` were deleted: nothing in the
-    # package called them, and `geometric_mul_inplace` does the division
+    # package called them, and `series._Packing.divide` does the division
     assert len(EXPORTED_BEFORE) == 51
     assert set(EXPORTED_BEFORE) - set(lambertq.__all__) == {"linear_combine", "geometric_mul"}
     assert set(lambertq.__all__) - set(EXPORTED_BEFORE) == {"MAX_HALVING_WINDOW", "oracle_phi"}
