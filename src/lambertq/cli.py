@@ -38,7 +38,7 @@ from .series import format_polynomial
 __all__ = ["OutputFormat", "main"]
 
 DEFAULT_ORDER = 200
-MAX_ORDER = 100_000  # the suite takes 0.74-0.82 s at 10000, 2.1-2.5 s at 20000 and 34 s here (CPython 3.11, 2-vCPU Xeon); its cost grows about as order^1.5-1.6
+MAX_ORDER = 100_000  # the suite takes 0.69-0.81 s at 10000, 2.06-2.15 s at 20000 and 27-30 s here (CPython 3.11, 2-vCPU Xeon); its cost grows about as order^1.5-1.6
 
 
 class OutputFormat(Enum):

@@ -13,8 +13,8 @@ once by the other factor its terms share, so about 1.5*sqrt(order)
 divisions are made. The double sums `Y_EQ1`, `Y_EQ2`, `Z`, `A`, `B` and
 `B1` are each one row of `_DOUBLE_SUMS`, the families of a display whose
 outer index bounds a prefix of the inner sum, all summed by one engine,
-`_double_sum`: one division per outer term below a split near
-0.6*sqrt(order), and above it the summations exchanged, so that each power
+`_double_sum`: one division per outer term below a split of about
+4*order^(1/3), and above it the summations exchanged, so that each power
 of an outer denominator is one division of one family per inner family.
 No rational-function arithmetic exists anywhere; each display is expanded
 exactly through the truncation order.
@@ -38,7 +38,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from math import gcd, isqrt
+from itertools import accumulate
+from math import gcd
 from operator import add
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -282,18 +283,33 @@ def _solve(a: list[int], known: Sequence[int] = ()) -> list[int]:
     prefix of p, which the solve resumes from.
 
     Divide and conquer (relaxed multiplication; van der Hoeven, "Relax, but
-    don't be too lazy", 2002): once p is known on [lo, mid), one `mul` of
-    that block by a adds its share of the sums on [mid, hi), and a block of
-    at most `_SOLVE_LEAF` terms adds its own share directly, each sum one
-    C-level dot product of a reversed slice of a with a slice of p. A known
-    prefix is one such block before the rest. A sum that n does not divide
-    means a is no log-derivative of an integer series; it raises
+    don't be too lazy", 2002): once p is known on [lo, mid), one packed
+    product of that block by a[:hi-lo] adds its share of the sums on
+    [mid, hi), and a block of at most `_SOLVE_LEAF` terms adds its own share
+    directly, each sum one C-level dot product of a reversed slice of a with
+    a slice of p. A known prefix is one such block before the rest. Each
+    prefix a[:L] is packed once per slot width, the block as it is, and
+    only the product's slots from mid - lo on are read. A sum that n does
+    not divide means a is no log-derivative of an integer series; it raises
     ArithmeticError.
     """
     n = len(a)
     m = min(len(known), n)
     p = [*known[:m]] + [0] * (n - m) if m else [1] + [0] * (n - 1)
     sums = [0] * n  # sums[i]: Sum a[i-j]*p[j] over the j of the blocks solved before i's
+    amax = list(accumulate(map(abs, a), max))  # amax[i]: max |a[:i+1]|
+    packed: dict[tuple[int, int], tuple[_Packing, int]] = {}  # (L, slot bytes): a[:L] packed
+
+    def add_share(lo: int, mid: int, hi: int) -> None:
+        length, left = hi - lo, p[lo:mid]
+        # as in `mul`: length*max|left|*max|a[:length]| bounds every coefficient
+        bound = max(max(map(abs, left)), 1) * max(amax[length - 1], 1) * length
+        key = (length, _Packing.slot_bytes(bound))
+        if key not in packed:
+            slots = _Packing(length, bound)
+            packed[key] = slots, slots.pack(a[:length])
+        slots, prefix = packed[key]
+        sums[mid:hi] = map(add, sums[mid:hi], slots.digits(slots.pack(left) * prefix, mid - lo))
 
     def block(lo: int, hi: int) -> None:
         if hi - lo <= _SOLVE_LEAF:
@@ -305,14 +321,11 @@ def _solve(a: list[int], known: Sequence[int] = ()) -> list[int]:
             return
         mid = (lo + hi) // 2
         block(lo, mid)
-        left = TruncatedSeries._trusted(p[lo:mid] + [0] * (hi - mid))
-        share = mul(left, TruncatedSeries._trusted(a[: hi - lo])).coefficients
-        sums[mid:hi] = map(add, sums[mid:hi], share[mid - lo :])
+        add_share(lo, mid, hi)
         block(mid, hi)
 
     if 0 < m < n:
-        left = TruncatedSeries._trusted(p[:m] + [0] * (n - m))
-        sums[m:] = mul(left, TruncatedSeries._trusted(a)).coefficients[m:]
+        add_share(0, m, n)
     block(m, n)
     return p
 
@@ -357,9 +370,9 @@ def _signature(num: _Symbols, den: _Symbols, order: int) -> tuple[int, dict[int,
     return const, {d: e for d, e in enumerate(m) if e}
 
 
-# The expansions of the run open in this context, by primitive signature;
-# None outside a run.
-_RUN: ContextVar[Optional[dict]] = ContextVar("lambertq_products", default=None)
+# The run open in this context, as the expansions kept by primitive
+# signature and one divisor-sum sieve; None outside a run.
+_RUN: ContextVar[Optional[tuple[dict, list[int]]]] = ContextVar("lambertq_products", default=None)
 
 
 @contextmanager
@@ -367,15 +380,26 @@ def _product_run() -> Iterator[None]:
     """Share every eta-quotient expansion among the products built inside,
     unless an enclosing run shares them already. Each is solved through
     what the product that first needs it needs, and resumed when a later
-    one needs more."""
+    one needs more; the divisor sums are sieved once, and extended when a
+    longer solve needs more."""
     if _RUN.get() is not None:
         yield
         return
-    token = _RUN.set({})
+    token = _RUN.set(({}, []))
     try:
         yield
     finally:
         _RUN.reset(token)
+
+
+def _extend_sigma(sigma: list[int], n: int) -> None:
+    """Extend sigma, the divisor sums sigma(j) of every j < len(sigma) (and
+    sigma[0] = 0), in place through j < n."""
+    start = len(sigma)
+    sigma += range(start, n)  # each j is its own divisor; the sieve adds the proper ones
+    for d in range(1, (n - 1) // 2 + 1):
+        first = max(2 * d, -(-start // d) * d)  # d's first proper multiple not yet sieved
+        sigma[first::d] = [t + d for t in sigma[first::d]]
 
 
 def _eta_expand(sig: tuple[tuple[int, int], ...], n: int) -> list[int]:
@@ -383,24 +407,23 @@ def _eta_expand(sig: tuple[tuple[int, int], ...], n: int) -> list[int]:
     ascending in d, solved from its log-derivative by `_solve`.
 
     q d/dq log E(q^d) = -d*Sum_{j>=1} sigma(j) q^(dj) (Euler), so the
-    log-derivative is -Sum_d c(d)*d*Sum_j sigma(j) q^(dj), with sigma from one
+    log-derivative is -Sum_d c(d)*d*Sum_j sigma(j) q^(dj), with sigma from a
     divisor-sum sieve. In a run, every expansion is kept: one at least n
-    long serves by its prefix, and a shorter one is resumed.
+    long serves by its prefix, and a shorter one is resumed; the run's
+    sieve is extended when it is shorter than n. Outside a run, the solve
+    sieves its own.
     """
-    kept = _RUN.get()
-    known = kept.get(sig, ()) if kept is not None else ()
+    kept, sigma = _RUN.get() or ({}, [])
+    known = kept.get(sig, ())
     if len(known) >= n:
         return known
-    sigma = list(range(n))  # each j is its own divisor; the sieve adds the proper ones
-    for d in range(1, (n - 1) // 2 + 1):
-        sigma[2 * d :: d] = [t + d for t in sigma[2 * d :: d]]
+    if len(sigma) < n:
+        _extend_sigma(sigma, n)
     a = [0] * n
     for d, c in sig:
         w = c * d
         a[d::d] = [t - w * u for t, u in zip(a[d::d], sigma[1 : (n - 1) // d + 1])]
-    coeffs = _solve(a, known)
-    if kept is not None:
-        kept[sig] = coeffs
+    kept[sig] = coeffs = _solve(a, known)
     return coeffs
 
 
@@ -498,8 +521,11 @@ _Family = tuple[int, int, int, int, int, int, int, int]
 
 def _split(order: int) -> int:
     """The outer index M from which `_double_sum` exchanges its
-    summations: about 0.6*sqrt(order), and at least 1."""
-    return max(1, 3 * isqrt(order) // 5)
+    summations: 4*order^(1/3), rounded. Swept on the packed engine
+    (CPython 3.11, `BENCH_30.json`), the fastest M/sqrt(order) fell from
+    about 1 at 800-10000 to 0.6-0.8 at 50000-100000; 4*order^(1/3) is
+    1.3*sqrt(order) at 800 and 0.59*sqrt(order) at 100000."""
+    return round(4 * order ** (1 / 3))
 
 
 def _double_sum(outer: Sequence[_Family], inner: Sequence[_Family], order: int) -> TruncatedSeries:

@@ -272,9 +272,10 @@ class _Packing:
     2^(w-1) > bound, so `bound` must bound every coefficient packed or
     unpacked. `mul` packs its operands and unpacks their product; the
     double sums and `Y_DEF` in `constructors` pack coefficient lists,
-    divide and shift them, and unpack one sum.
+    divide and shift them, and unpack one sum; `_solve` there multiplies
+    packed blocks and reads back only the slots it needs (`digits`).
 
-    `pack` and `unpack` each have two paths. A slot of at most 8 bytes
+    `pack` and `digits`, which `unpack` reads through, each have two paths. A slot of at most 8 bytes
     goes through an 8-byte lane per slot, which one `struct` call writes or
     reads in C; `struct` handles no integer wider than 8 bytes, so a wider
     slot, which only `mul` on large coefficients needs, goes through
@@ -287,11 +288,16 @@ class _Packing:
         if order < 1:
             raise OrderTooSmall("a series needs at least the q^0 coefficient")
         self.order = order
-        self._bytes = (bound.bit_length() + 8) // 8
+        self._bytes = self.slot_bytes(bound)
         self.width = 8 * self._bytes
         self.mask = (1 << (self.width * order)) - 1
         self._half = 1 << (self.width - 1)
         self._biases = int.from_bytes(self._half.to_bytes(self._bytes, "little") * order, "little")
+
+    @staticmethod
+    def slot_bytes(bound: int) -> int:
+        """The bytes of a slot that holds every |c| <= bound."""
+        return (bound.bit_length() + 8) // 8
 
     def pack(self, coeffs: Sequence[int]) -> int:
         """The value at q = 2^w of a window of at most `order` coefficients.
@@ -326,20 +332,24 @@ class _Packing:
         return int.from_bytes(raw, "little") - biases
 
     def unpack(self, x: int) -> TruncatedSeries:
-        """The series whose value is congruent to x; adding 2^(w-1) to every
-        slot makes each digit nonnegative, so none borrows from the next."""
-        nb, half, n = self._bytes, self._half, self.order
-        raw = ((x + self._biases) & self.mask).to_bytes(nb * n, "little")
+        """The series whose value is congruent to x."""
+        return TruncatedSeries._trusted(self.digits(x))
+
+    def digits(self, x: int, h: int = 0) -> Iterable[int]:
+        """The coefficients h..order-1 of the series whose value is
+        congruent to x, for 0 <= h <= order; adding 2^(w-1) to every slot
+        makes each digit nonnegative, so none borrows from the next, and
+        only the slots from h on are read."""
+        nb, half, n = self._bytes, self._half, self.order - h
+        raw = (((x + self._biases) & self.mask) >> (self.width * h)).to_bytes(nb * n, "little")
         if nb > 8:
-            return TruncatedSeries._trusted(
-                [int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, len(raw), nb)]
-            )
+            return [int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, len(raw), nb)]
         if nb < 8:  # byte t of every slot goes to byte t of its lane
             lanes = bytearray(8 * n)
             for t in range(nb):
                 lanes[t::8] = raw[t::nb]
             raw = lanes
-        return TruncatedSeries._trusted(map(sub, struct.unpack(f"<{n}Q", raw), repeat(half)))
+        return map(sub, struct.unpack(f"<{n}Q", raw), repeat(half))
 
     def _ones(self, n: int) -> int:
         """2^(w*n) - 1, the mask of the window of n slots, 0 <= n <= order."""
@@ -350,21 +360,23 @@ class _Packing:
         b >= 1, s = +-1 and a window 0 <= n <= order.
 
         1/(1 - q^b) = Prod_t (1 + q^(b*2^t)) mod q^n, one shift-add per
-        factor with b*2^t < n; 1/(1 + q^b) = (1 - q^b)/(1 - q^(2b)). Every
-        value masked is nonnegative, where `&` is cheapest: x - x*q^b is
-        taken with a bit set above both terms.
+        factor with b*2^t < n; 1/(1 + q^b) = (1 - q^b)/(1 - q^(2b)), with
+        the factor 1 - q^b taken last, so that a short x, such as 1, grows
+        by doubling and reaches the full window only at the last steps.
+        Every value masked is nonnegative, where `&` is cheapest: x - x*q^b
+        is taken with a bit set above both terms.
         """
         if b < 1:
             raise ValueError("geometric step must be at least 1")
         w = self.width
         mask = self._ones(n)
         x &= mask
+        step = 2 * b if s == -1 else b
+        while step < n:
+            x = (x + (x << (w * step))) & mask
+            step *= 2
         if s == -1 and b < n:
             x = ((x | (1 << (w * (n + b)))) - (x << (w * b))) & mask
-            b *= 2
-        while b < n:
-            x = (x + (x << (w * b))) & mask
-            b *= 2
         return x
 
 

@@ -9,11 +9,16 @@ LO-HI of them, both ends included) and prints one SHA-256 per series and
 one over all of them. With `--oracle` it expands the oracle's rows instead,
 every series of `oracle._DISPLAYS` by `oracle_expand`, and prints one
 SHA-256 per row and one over all of them. With `--products` it builds the
-products instead, in three groups, and prints one SHA-256 per group and one
+products instead, in four groups, and prints one SHA-256 per group and one
 over all of them: `PHI` (`phi`), `ENTRY29` (`entry29_rhs` on each of the
-suite's `ENTRY29_TRIPLES`) and `POCHHAMMER` (`pochhammer` on each of
-`POCHHAMMER_CASES`). Every product is built by a standalone call, which
-solves its own expansion. The serialisation of one series at one order is
+suite's `ENTRY29_TRIPLES`), `POCHHAMMER` (`pochhammer` on each of
+`POCHHAMMER_CASES`) and `RUN`. In the first three every product is built by
+a standalone call, which solves its own expansion. `RUN` builds the suite's
+products, `PHI` and then the seven `entry29_rhs` sides, inside one
+`_product_run` per order, so they share their expansions, resume them and
+share one divisor-sum sieve; at each order its strings are those of `PHI`
+and then those of `ENTRY29`. The serialisation of one series at one order
+is
 
     SID@N:c0,c1,...,c(N-1);
 
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from contextlib import nullcontext
 from functools import partial
 from typing import Callable
 
@@ -44,6 +50,7 @@ from lambertq import (
     phi,
     pochhammer,
 )
+from lambertq.constructors import _product_run
 from lambertq.oracle import _DISPLAYS
 
 # (arg, step) of each `pochhammer` product digested: E = (q; q), the
@@ -59,16 +66,18 @@ POCHHAMMER_CASES = [
 
 def product_groups() -> dict[str, list[tuple[str, Callable[[int], TruncatedSeries]]]]:
     """Each product group's (name, builder of a given order) pairs."""
+    suite = [("PHI", phi)] + [
+        (f"entry29_rhs({x}, {y}, {base})", lambda n, t=(x, y, base): entry29_rhs(*t, n))
+        for x, y, base in ENTRY29_TRIPLES
+    ]
     return {
-        "PHI": [("PHI", phi)],
-        "ENTRY29": [
-            (f"entry29_rhs({x}, {y}, {base})", lambda n, t=(x, y, base): entry29_rhs(*t, n))
-            for x, y, base in ENTRY29_TRIPLES
-        ],
+        "PHI": suite[:1],
+        "ENTRY29": suite[1:],
         "POCHHAMMER": [
             (f"pochhammer({arg}, {step})", lambda n, arg=arg, step=step: pochhammer(arg, step, n))
             for arg, step in POCHHAMMER_CASES
         ],
+        "RUN": suite,
     }
 
 
@@ -109,10 +118,11 @@ def main(args: list[str]) -> int:
     for group, members in groups.items():
         one = hashlib.sha256()
         for n in ns:
-            for name, build in members:
-                text = named(name, build(n))
-                one.update(text)
-                whole.update(text)
+            with _product_run() if group == "RUN" else nullcontext():
+                for name, build in members:
+                    text = named(name, build(n))
+                    one.update(text)
+                    whole.update(text)
         print(f"{one.hexdigest()}  {group}")
     print(f"{whole.hexdigest()}  all")
     return 0

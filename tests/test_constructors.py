@@ -390,9 +390,9 @@ def a_by_lists(order):
     tail = [0] * order
     for i in range(order - 3, -1, -1):
         add_geometric(tail, i + 2, 2 * i + 3, -1)
-        h = tail.copy()
+        h = tail[i + 2 :]  # the tail is zero below q^(i+2), and so is its quotient
         geometric_mul_inplace(h, 2 * i + 1, -1)
-        add_slice(out, h, i + 2, 1)
+        out[i + 2 :] = map(add, out[i + 2 :], h)
     return out
 
 
@@ -418,9 +418,9 @@ def b1_by_lists(order):
     for i in range(order - 2):
         if 2 * i + 2 < order:
             add_geometric(inner, 2 * i + 2, 2 * i + 1, -1)
-        h = inner.copy()
+        h = inner[: order - i]  # the quotient's prefix is the prefix's quotient
         geometric_mul_inplace(h, 2 * i + 1, -1)
-        add_slice(out, [0] * i + h[: order - i], i, 1)
+        out[i:] = map(add, out[i:], h)
     return out
 
 
@@ -976,6 +976,48 @@ class TestEtaRoute:
         entry29_rhs(*ENTRY29_TRIPLES[2], 120)
         assert solves == [(0, 60), (0, 120)]
 
+    @pytest.fixture
+    def sieves(self, monkeypatch):
+        """(length, n): each divisor-sum sieve extended, from its length to n."""
+        grown = []
+        extend = constructors._extend_sigma
+
+        def counting(sigma, n):
+            grown.append((len(sigma), n))
+            extend(sigma, n)
+
+        monkeypatch.setattr(constructors, "_extend_sigma", counting)
+        return grown
+
+    def test_a_run_sieves_once_per_growth_in_length(self, sieves):
+        # the suite's three solves reach 60, 120 and 120 terms: the run's
+        # sieve is built through 60 and extended once, to 120
+        run_suite(120)
+        assert sieves == [(0, 60), (60, 120)]
+        run_suite(120)
+        assert sieves == [(0, 60), (60, 120)] * 2
+        with constructors._product_run():
+            entry29_rhs(*ENTRY29_TRIPLES[2], 100)
+            phi(100)  # E(q^2)^4/E(q)^2 through 50 terms: the sieve is long enough
+            entry29_rhs(*ENTRY29_TRIPLES[2], 140)  # resumed from 100 to 140
+        assert sieves[4:] == [(0, 100), (100, 140)]
+
+    def test_a_standalone_solve_sieves_its_own(self, sieves):
+        phi(120)
+        entry29_rhs(*ENTRY29_TRIPLES[2], 120)
+        constructors._eta_expand(((1, 1),), 40)
+        constructors._eta_expand(((1, 1),), 40)
+        assert sieves == [(0, 60), (0, 120), (0, 40), (0, 40)]
+
+
+def solve_by_recurrence(a):
+    """Reference solve: n*p[n] = Sum_{j=1..n} a[j]*p[n-j], one n at a time."""
+    p = [1] + [0] * (len(a) - 1)
+    for n in range(1, len(a)):
+        p[n], rest = divmod(sum(map(int.__mul__, a[1 : n + 1], reversed(p[:n]))), n)
+        assert not rest, n
+    return p
+
 
 class TestSolve:
     """`_solve` against references that share no code with it: the
@@ -1008,6 +1050,33 @@ class TestSolve:
         for m in {0, 1, 31, 32, 33, n - 1, n}:
             if 0 <= m <= n:
                 assert constructors._solve(a, fresh[:m]) == fresh, m
+
+    def test_fresh_and_resumed_solves_match_the_recurrence(self, monkeypatch):
+        # p = 1/E^5, a = 5*sigma: its coefficients grow along p, so blocks of
+        # one length need two slot widths, and each product's readback
+        # starts at its block's middle
+        n = 2000
+        sigma = [0] * n
+        for d in range(1, n):
+            for j in range(d, n, d):
+                sigma[j] += d
+        a = [5 * t for t in sigma]
+        expected = solve_by_recurrence(a)
+        slots = set()
+
+        class Recording(series._Packing):
+            def __init__(self, order, bound):
+                super().__init__(order, bound)
+                slots.add((order, self._bytes))
+
+        monkeypatch.setattr(constructors, "_Packing", Recording)
+        assert constructors._solve(a) == expected
+        lengths = Counter(length for length, _ in slots)
+        assert max(lengths.values()) >= 2, lengths
+        for length in [*range(1, 301), n]:
+            assert constructors._solve(a[:length]) == expected[:length], length
+            for m in {length // 2, length - 1} - {0}:
+                assert constructors._solve(a[:length], expected[:m]) == expected[:length], (length, m)
 
     @pytest.mark.parametrize("m", [1, 31, 32, 33, 69])
     def test_a_resumed_solve_checks_the_part_it_solves(self, m):
@@ -1137,8 +1206,9 @@ class TestPackedBuilders:
 
     @pytest.mark.parametrize("sid", list(LIST_REFERENCES), ids=lambda sid: sid.value)
     def test_matches_list_reference(self, sid):
-        # 1-160 meets the split at 1 to 7 and every order at which an outer
-        # or inner term first leads below it
+        # 1-160 meets the split at 4 to 22 (at or past the order through
+        # order 8) and every order at which an outer or inner term first
+        # leads below it
         for order in [*range(1, 161), 181, 182, 256, 1000, 2000]:
             assert list(named_series(sid, order)) == LIST_REFERENCES[sid](order), order
 

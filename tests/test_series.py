@@ -394,6 +394,44 @@ class TestPacking:
                         assert 0 <= z < 1 << (p.width * n)
                         assert p.unpack(z).coefficients[:n] == tuple(sense * c for c in expected)
 
+    @pytest.mark.parametrize("nb", range(1, 6))
+    def test_divide_by_one_plus_q_to_the_b_from_one_and_from_full_width(self, nb):
+        # 1/(1 + q^b) is taken as 1/(1 - q^(2b)) by doubling, then times
+        # 1 - q^b: from x = 1 the run grows step by step, from an x whose
+        # every slot is at the slot's edge each step is full width
+        order = 40
+        p = _Packing(order, (1 << (8 * nb - 8)) - 1)
+        assert p._bytes == nb
+        rng = random.Random(nb)
+        top = p._half - 1
+        quotient = [rng.choice([top, -top]) for _ in range(order)]  # every output slot at the edge
+        y = p.pack(quotient)
+        for n in range(order + 1):
+            for b in range(1, n + 3):
+                expected = [1] + [0] * (n - 1) if n else []
+                geometric_mul_inplace(expected, b, -1)
+                assert tuple(p.digits(p.divide(1, b, -1, n)))[:n] == tuple(expected), (n, b)
+                # x = quotient*(1 + q^b), which no slot need hold
+                x = y + (y << (p.width * b))
+                expected = [c + (quotient[i - b] if i >= b else 0) for i, c in enumerate(quotient[:n])]
+                geometric_mul_inplace(expected, b, -1)
+                assert expected == quotient[:n]
+                assert tuple(p.digits(p.divide(x, b, -1, n)))[:n] == tuple(expected), (n, b)
+
+    @pytest.mark.parametrize("nb", range(1, 11))
+    def test_digits_from_a_slot_are_the_unpacked_tail(self, nb):
+        # the readback from slot h on carries the borrows of the slots below
+        order = 24
+        p = _Packing(order, (1 << (8 * nb - 8)) - 1)
+        rng = random.Random(nb)
+        half = p._half
+        window = p.width * order
+        values = [p.pack([rng.choice([half - 1, -half, 0, 1, -1]) for _ in range(order)]) for _ in range(3)]
+        values += [rng.getrandbits(window + 64) - (1 << (window + 63)) for _ in range(3)]
+        for x in values:
+            for h in range(order + 1):
+                assert tuple(p.digits(x, h)) == p.unpack(x).coefficients[h:] == slot_by_slot(p, x)[h:], h
+
     def test_divide_rejects_step_zero(self):
         with pytest.raises(ValueError):
             _Packing(4, 9).divide(1, 0, 1, 4)
