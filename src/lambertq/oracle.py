@@ -40,9 +40,6 @@ from .series import TruncatedSeries
 
 __all__ = [
     "oracle_expand",
-    "oracle_partitions",
-    "oracle_partition_count",
-    "oracle_divisor_lambert",
     "oracle_phi",
 ]
 
@@ -73,14 +70,10 @@ def _table_cut(order: int) -> int:
 _SHORT = 24
 
 
-def _check_int(name: str, value: object) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {value!r}")
-
-
 def _zeros(order: int) -> list[int]:
     """The zero coefficient list of every oracle series, once `order` is checked."""
-    _check_int("order", order)
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise TypeError(f"order must be an int, got {order!r}")
     if order < 1:
         raise OrderTooSmall(f"a series needs order >= 1, got {order}")
     return [0] * order
@@ -342,71 +335,6 @@ def oracle_expand(sid: SeriesId, order: int) -> TruncatedSeries:
         name = sid.value if isinstance(sid, SeriesId) else repr(sid)
         raise UnsupportedSeries(f"oracle supports {sorted(s.value for s in _DISPLAYS)}, not {name}")
     return TruncatedSeries(_enumerate(_zeros(order), _DISPLAYS[sid](order - 1)))
-
-
-def oracle_partitions(colors: int, part_modulus: int, order: int) -> TruncatedSeries:
-    """Generating series of partitions into parts divisible by part_modulus,
-    each part coming in `colors` interchangeable colors.
-
-    Classic bounded-knapsack dynamic programming: one pass per (part, color).
-    """
-    _check_int("colors", colors)
-    _check_int("part_modulus", part_modulus)
-    if colors < 1:
-        raise ValueError(f"colors must be >= 1, got {colors}")
-    if part_modulus < 1:
-        raise ValueError(f"part_modulus must be >= 1, got {part_modulus}")
-    c = _zeros(order)
-    c[0] = 1
-    for part in range(part_modulus, order, part_modulus):
-        for _ in range(colors):
-            for total in range(part, order):
-                c[total] += c[total - part]
-    return TruncatedSeries(c)
-
-
-def oracle_divisor_lambert(sigma: int, t: int, order: int) -> TruncatedSeries:
-    """Coefficients of Sum_{k>=1} sigma^k q^(tk) / (1 - sigma*q^(tk)) by
-    direct divisor enumeration: the q^(tn) coefficient is Sum_{d|n} sigma^d.
-    """
-    _check_int("sigma", sigma)
-    _check_int("t", t)
-    if sigma not in (1, -1):
-        raise ValueError(f"sigma must be +1 or -1, got {sigma}")
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    c = _zeros(order)
-    n = 1
-    while t * n < order:
-        acc = 0
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                acc += sigma**d
-                other = n // d
-                if other != d:
-                    acc += sigma**other
-            d += 1
-        c[t * n] = acc
-        n += 1
-    return TruncatedSeries(c)
-
-
-def oracle_partition_count(n: int) -> int:
-    """p(n) by explicit descending-part recursion; independent of the DP."""
-    _check_int("n", n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-
-    def count(remaining: int, largest: int) -> int:
-        if remaining == 0:
-            return 1
-        total = 0
-        for part in range(min(remaining, largest), 0, -1):
-            total += count(remaining - part, part)
-        return total
-
-    return count(n, n)
 
 
 def oracle_phi(order: int) -> TruncatedSeries:

@@ -469,24 +469,10 @@ class ParityVerdict:
 
 
 def parity_of(f: TruncatedSeries) -> ParityVerdict:
-    first_even: Optional[int] = None
-    first_odd: Optional[int] = None
-    for i, c in enumerate(f.coefficients):
-        if c == 0:
-            continue
-        if i % 2 == 0:
-            if first_even is None:
-                first_even = i
-        elif first_odd is None:
-            first_odd = i
-        if first_even is not None and first_odd is not None:
-            break
-    if first_even is None and first_odd is None:
-        kind = Parity.ODD_AND_EVEN
-    elif first_even is None:
-        kind = Parity.ODD
-    elif first_odd is None:
-        kind = Parity.EVEN
+    cs = f.coefficients
+    even, odd = (next((i for i in range(r, len(cs), 2) if cs[i]), None) for r in (0, 1))
+    if even is None:
+        kind = Parity.ODD_AND_EVEN if odd is None else Parity.ODD
     else:
-        kind = Parity.NEITHER
-    return ParityVerdict(kind, first_even, first_odd)
+        kind = Parity.EVEN if odd is None else Parity.NEITHER
+    return ParityVerdict(kind, even, odd)

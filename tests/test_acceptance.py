@@ -27,9 +27,7 @@ from lambertq import (
     lambert_sum,
     mul,
     named_series,
-    oracle_divisor_lambert,
     oracle_expand,
-    oracle_partitions,
     parity_of,
     phi,
     pochhammer,
@@ -37,6 +35,7 @@ from lambertq import (
     sign_resolve,
 )
 from lambertq.constructors import SignedMonomial
+from references import oracle_divisor_lambert, oracle_partitions
 
 
 @pytest.fixture

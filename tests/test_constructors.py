@@ -44,8 +44,19 @@ from lambertq import (
 )
 from lambertq import constructors, series
 from lambertq.harness import MAX_HALVING_WINDOW
-from lambertq.oracle import oracle_expand, oracle_partition_count, oracle_partitions
-from test_series import geometric_mul_inplace
+from lambertq.oracle import oracle_expand
+from references import (
+    PHI_SYMBOLS,
+    bilateral_by_pairs,
+    euler_by_pentagonal,
+    factor_route,
+    factors,
+    geometric_mul_inplace,
+    log_derivative,
+    oracle_partition_count,
+    oracle_partitions,
+    symbol_route,
+)
 
 Q = SignedMonomial(1, 1)
 Q2 = SignedMonomial(1, 2)
@@ -74,19 +85,6 @@ def pochhammer_by_loop(arg, step, order):
                 coeffs[i] -= arg.sign * coeffs[i - e]
         e += step
     return TruncatedSeries(coeffs)
-
-
-def euler_by_pentagonal(n):
-    """Reference E = (q;q)_inf through n terms by Euler's pentagonal theorem:
-    Sum_k (-1)^k q^(k(3k-1)/2) over all integers k. No builder uses it."""
-    coeffs = [0] * n
-    k = 0
-    while k * (3 * k - 1) // 2 < n:
-        for j in {k, -k}:
-            if j * (3 * j - 1) // 2 < n:
-                coeffs[j * (3 * j - 1) // 2] += (-1) ** k
-        k += 1
-    return coeffs
 
 
 def phi_by_inversion(order):
@@ -131,16 +129,6 @@ def entry29_rhs_uncancelled(x, y, base, order):
         for k in range(e, order, base):
             geometric_mul_inplace(coeffs, k, sign)
     return TruncatedSeries(coeffs)
-
-
-def factors(symbols, order):
-    """Counter of the binomial factors (s, k), k < order, of the Pochhammer
-    symbols (s*q^a; q^step)_inf given as (s, a, step), with multiplicity."""
-    return Counter((s, k) for s, a, step in symbols for k in range(a, order, step))
-
-
-# (q^4;q^4)^4 above and (q^2;q^2)^2 below the bar
-PHI_SYMBOLS = ([(1, 4, 4)] * 4, [(1, 2, 2)] * 2)
 
 
 # Admissible triples beyond ENTRY29_TRIPLES, each with what its product side
@@ -307,31 +295,6 @@ def family_paths(n, a, b, s, w, count, da, db, ws):
     if any(r > len(sliced) for r in short):
         paths.add(("walk", s))
     return paths
-
-
-def bilateral_by_pairs(x, y, base, order):
-    """Sum over integers n of x^n/(1 - y*Q^n), Q = q^base, by its lattice
-    points (n, j), j >= 0. For n >= 0 the term is Sum_j x^n y^j Q^(nj). For
-    n = -m < 0 it is first rewritten as `bilateral_sum` rewrites it,
-    -x^(-m) y^(-1)Q^m/(1 - y^(-1)Q^m) = -Sum_{j>=1} x^(-m) y^(-j) Q^(mj),
-    which clears every negative exponent under the bounds."""
-    (sx, ex), (sy, ey) = (x.sign, x.exponent), (y.sign, y.exponent)
-    coeffs = [0] * order
-    n = 0
-    while n * ex < order:
-        j = 0
-        while n * ex + j * (ey + n * base) < order:
-            coeffs[n * ex + j * (ey + n * base)] += sx**n * sy**j
-            j += 1
-        n += 1
-    m = 1
-    while m * (base - ex) - ey < order:
-        j = 1
-        while m * (j * base - ex) - j * ey < order:
-            coeffs[m * (j * base - ex) - j * ey] -= sx**m * sy**j
-            j += 1
-        m += 1
-    return TruncatedSeries(coeffs)
 
 
 def add_slice(out, h, lo, sign):
@@ -796,27 +759,6 @@ class TestQuotientsByDivision:
             build(order)
 
 
-def log_derivative(num, den, order):
-    """(const, a) with Prod_num (1 - s*q^k) / Prod_den (1 - s*q^k) equal to
-    const * P mod q^order, P = 1 + O(q), and a = q d/dq log P through
-    q^(order-1), factor by factor.
-
-    The Counters hold binomial factors (s, k), s = +-1 and 0 <= k < order,
-    with multiplicity; only `num` may hold a k = 0 factor, (-1, 0), and
-    (1 + q^0) = 2 goes into `const`. q d/dq is a derivation, so each other
-    factor adds q d/dq log(1 - s*q^k) = -k*Sum_{j>=1} s^j q^(jk), negated
-    below the bar, and a factor on both sides cancels exactly.
-    """
-    const, a = 1, [0] * order
-    for side, sign in ((num, -1), (den, 1)):
-        for (s, k), mult in side.items():
-            if k == 0:  # (1 + q^0), above the bar only
-                const *= 2**mult
-            else:
-                constructors._add_family(a, k, k, s, sign * mult * k * s)
-    return const, a
-
-
 def signature_by_factors(num, den, order):
     """(const, c) as `constructors._signature` gives it, folded from the
     Counters of binomial factors (as in `log_derivative`) one factor at a
@@ -838,18 +780,6 @@ def signature_by_factors(num, den, order):
             cd = m[d]
             m[2 * d :: d] = [e - cd for e in m[2 * d :: d]]
     return const, {d: e for d, e in enumerate(m) if e}
-
-
-def factor_route(num, den, order):
-    """The product of binomial factors solved from the log-derivative of
-    the raw factors, whatever its signature."""
-    const, a = log_derivative(num, den, order)
-    return constructors._spread(const, constructors._solve(a), 1, order)
-
-
-def symbol_route(num, den, order):
-    """`factor_route` on the binomial factors of Pochhammer symbols (s, a, step)."""
-    return factor_route(factors(num, order), factors(den, order), order)
 
 
 # (s*q^a; q^step) for both signs, a = 0..3 (but the zero factor) and steps 1..6

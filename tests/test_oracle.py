@@ -19,10 +19,7 @@ from lambertq import (
     SeriesId,
     UnsupportedSeries,
     named_series,
-    oracle_divisor_lambert,
     oracle_expand,
-    oracle_partition_count,
-    oracle_partitions,
     oracle_phi,
     phi,
     pochhammer,
@@ -30,6 +27,7 @@ from lambertq import (
 from lambertq.constructors import SignedMonomial
 from lambertq import oracle
 from lambertq.oracle import _DISPLAYS, _SHORT, _enumerate, _mark_copies, _table_cut
+from references import oracle_divisor_lambert, oracle_partition_count, oracle_partitions
 
 # every named series but PHI has a display the oracle enumerates
 ORACLE_SERIES = tuple(sid for sid in SeriesId if sid is not SeriesId.PHI)
@@ -658,7 +656,8 @@ def test_oracle_agrees_with_constructor(sid):
     ids=["expand", "phi", "partitions", "divisor_lambert"],
 )
 class TestOrderChecks:
-    """Every oracle checks its order once, in the helper that makes the zero list."""
+    """Every oracle checks its order once, in the helper that makes the zero
+    list, `oracle._zeros`; the reference oracles in `references` call it too."""
 
     @pytest.mark.parametrize("order", [5.0, True, False, "5", None])
     def test_non_int_order_is_a_type_error(self, call, order):

@@ -2,8 +2,6 @@
 
 import random
 import struct
-from itertools import accumulate
-from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +25,7 @@ from lambertq import (
     pochhammer,
 )
 from lambertq.series import _Packing
+from references import geometric_mul_inplace, schoolbook
 
 # Bounded random series for property tests. Coefficients stay small so
 # failures print readably; exactness does not depend on magnitude.
@@ -64,16 +63,6 @@ def pack_by_slots(p, cs):
     nb, half = p._bytes, p._half
     raw = b"".join([(c + half).to_bytes(nb, "little") for c in cs])
     return int.from_bytes(raw, "little") - (p._biases & ((1 << (p.width * len(cs))) - 1))
-
-
-def schoolbook(f, g):
-    """Reference product: the plain double loop, truncated to the smaller order."""
-    n = min(f.order, g.order)
-    out = [0] * n
-    for i, a in enumerate(f.coefficients[:n]):
-        for j, b in enumerate(g.coefficients[: n - i]):
-            out[i + j] += a * b
-    return TruncatedSeries(out)
 
 
 class TestConstruction:
@@ -690,30 +679,6 @@ class TestParity:
         assert v.first_nonzero_even == 2
         assert v.first_nonzero_odd == 3
         assert v.first_violation == 2
-
-
-def geometric_mul_inplace(coeffs, step, sign):
-    """Reference division by 1 - sign*q^step on a coefficient list, in
-    place: out[n] = f[n] + sign*out[n-step], which `_Packing.divide` is
-    held to.
-
-    Dividing by 1 - q^k makes each residue class mod k a running sum, one
-    `accumulate`; for sign = -1, 1/(1 + q^k) = (1 - q^k)/(1 - q^(2k)) is one
-    slice pass first. A step of at least len(coeffs) divides by 1 mod
-    q^len(coeffs), so the list is left as it is.
-    """
-    if step < 1:
-        raise ValueError("geometric step must be at least 1")
-    if sign not in (1, -1):
-        raise ValueError("geometric sign must be +1 or -1")
-    n = len(coeffs)
-    if step >= n:
-        return
-    if sign == -1:
-        coeffs[step:] = map(sub, coeffs[step:], coeffs[: n - step])
-        step *= 2
-    for r in range(min(step, n)):
-        coeffs[r::step] = accumulate(coeffs[r::step])
 
 
 def geometric_mul_by_loop(coeffs, step, sign):

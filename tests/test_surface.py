@@ -1,4 +1,10 @@
-"""The package's public surface is exactly its modules' `__all__` lists."""
+"""The package's public surface is exactly its modules' `__all__` lists,
+and the tests share their references through `references` alone."""
+
+import ast
+import re
+import textwrap
+from pathlib import Path
 
 import lambertq
 from lambertq import constructors, errors, harness, oracle, series
@@ -85,7 +91,41 @@ def test_star_import_binds_exactly_all():
 
 def test_no_export_is_lost_and_the_new_ones_are_named():
     # `linear_combine` and `geometric_mul` were deleted: nothing in the
-    # package called them, and `series._Packing.divide` does the division
+    # package called them, and `series._Packing.divide` does the division.
+    # The three reference oracles moved to `tests/references.py`: only the
+    # tests called them.
     assert len(EXPORTED_BEFORE) == 51
-    assert set(EXPORTED_BEFORE) - set(lambertq.__all__) == {"linear_combine", "geometric_mul"}
+    assert set(EXPORTED_BEFORE) - set(lambertq.__all__) == {
+        "linear_combine",
+        "geometric_mul",
+        "oracle_partitions",
+        "oracle_partition_count",
+        "oracle_divisor_lambert",
+    }
     assert set(lambertq.__all__) - set(EXPORTED_BEFORE) == {"MAX_HALVING_WINDOW", "oracle_phi"}
+
+
+def _imported_modules(source):
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_nothing_imports_from_a_test_module():
+    # a reference that more than one module uses lives in tests/references.py,
+    # so no test module, script or CI step reaches into a test_* module
+    tests = Path(__file__).parent
+    workflow = (tests.parent / ".github" / "workflows" / "tier1.yml").read_text()
+    heredocs = re.findall(r"python - <<'EOF'\n(.*?)\n *EOF\n", workflow, re.S)
+    assert heredocs
+    sources = {path.name: path.read_text() for path in sorted(tests.glob("*.py"))}
+    sources.update((f"tier1.yml heredoc {i}", textwrap.dedent(h)) for i, h in enumerate(heredocs))
+    bad = [
+        (where, module)
+        for where, source in sources.items()
+        for module in _imported_modules(source)
+        if any(part.startswith("test_") for part in module.split("."))
+    ]
+    assert not bad
