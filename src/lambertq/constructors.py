@@ -35,7 +35,6 @@ from __future__ import annotations
 import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import accumulate
@@ -51,7 +50,7 @@ from .errors import (
     UnsupportedSeries,
     ZeroFactor,
 )
-from .series import TruncatedSeries, _check_ints, _Packing, mul
+from .series import TruncatedSeries, _check_ints, _Packing, _Record, mul
 
 __all__ = [
     "SignedMonomial",
@@ -85,20 +84,19 @@ def _check_args(order: int, **params: int) -> None:
         raise OrderTooSmall(f"a series needs order >= 1, got {order}")
 
 
-@dataclass(frozen=True)
-class SignedMonomial:
+class SignedMonomial(_Record):
     """The monomial sign * q^exponent with sign in {+1, -1} and exponent >= 0."""
 
-    sign: int
-    exponent: int
+    __slots__ = ("sign", "exponent")
 
-    def __post_init__(self) -> None:
+    def __init__(self, sign: int, exponent: int) -> None:
         # coefficients are built from these without a per-coefficient type check
-        _check_ints(**vars(self))
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if self.exponent < 0:
-            raise InvalidExponent(f"monomial exponent must be >= 0, got {self.exponent}")
+        _check_ints(sign=sign, exponent=exponent)
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        if exponent < 0:
+            raise InvalidExponent(f"monomial exponent must be >= 0, got {exponent}")
+        self._set(sign, exponent)
 
     def __str__(self) -> str:
         head = "+" if self.sign > 0 else "-"
@@ -117,8 +115,7 @@ def _check_monomials(**params: object) -> None:
             raise TypeError(f"{name} must be a SignedMonomial, got {value!r}")
 
 
-@dataclass(frozen=True)
-class LambertSpec:
+class LambertSpec(_Record):
     """Parameters of the one-index sum
 
         scalar * Sum_{k>=1} num_sign^k * q^(a0+a1*k) / (1 - den_sign*q^(b0+b1*k)).
@@ -129,29 +126,24 @@ class LambertSpec:
     A negative b0 is fine as long as b0+b1 clears 1.
     """
 
-    scalar: int
-    num_sign: int
-    a0: int
-    a1: int
-    den_sign: int
-    b0: int
-    b1: int
+    __slots__ = ("scalar", "num_sign", "a0", "a1", "den_sign", "b0", "b1")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, scalar: int, num_sign: int, a0: int, a1: int, den_sign: int, b0: int, b1: int
+    ) -> None:
         # coefficients are built from these without a per-coefficient type check
-        _check_ints(**vars(self))
-        if self.num_sign not in (1, -1) or self.den_sign not in (1, -1):
+        _check_ints(scalar=scalar, num_sign=num_sign, a0=a0, a1=a1, den_sign=den_sign, b0=b0, b1=b1)
+        if num_sign not in (1, -1) or den_sign not in (1, -1):
             raise ValueError("num_sign and den_sign must be +1 or -1")
-        if self.a1 < 1 or self.a0 + self.a1 < 1:
+        if a1 < 1 or a0 + a1 < 1:
             raise DivergentSpec(
-                f"numerator exponents must satisfy a1 >= 1 and a0+a1 >= 1 "
-                f"(got a0={self.a0}, a1={self.a1})"
+                f"numerator exponents must satisfy a1 >= 1 and a0+a1 >= 1 (got a0={a0}, a1={a1})"
             )
-        if self.b1 < 0 or self.b0 + self.b1 < 1:
+        if b1 < 0 or b0 + b1 < 1:
             raise DivergentSpec(
-                f"denominator exponents must satisfy b1 >= 0 and b0+b1 >= 1 "
-                f"(got b0={self.b0}, b1={self.b1})"
+                f"denominator exponents must satisfy b1 >= 0 and b0+b1 >= 1 (got b0={b0}, b1={b1})"
             )
+        self._set(scalar, num_sign, a0, a1, den_sign, b0, b1)
 
 
 # The four single Lambert sums the product decompositions are built from.
@@ -255,8 +247,8 @@ def lambert_term(a: int, b: int, s: int, order: int) -> TruncatedSeries:
 
 def lambert_sum(spec: LambertSpec, order: int) -> TruncatedSeries:
     """Expand a LambertSpec sum exactly: terms stop once q^(a0+a1*k) >= order."""
-    # re-assert the invariants: `dataclasses.replace` re-runs __post_init__,
-    # but a spec mutated through object.__setattr__ skips it
+    # re-assert the invariants: construction validates, but a spec mutated
+    # through object.__setattr__ skips it
     LambertSpec(spec.scalar, spec.num_sign, spec.a0, spec.a1, spec.den_sign, spec.b0, spec.b1)
     _check_args(order)
     coeffs = [0] * order

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
@@ -31,6 +30,7 @@ from .errors import LambertQError, NoConsistentSign, OrderTooSmall
 from .series import (
     Mismatch,
     TruncatedSeries,
+    _Record,
     compare,
     mul,
     parity_of,
@@ -93,41 +93,40 @@ MAX_HALVING_WINDOW = 200
 UNPROVEN_NOTE = "unproven conjecture: finite-order evidence only"
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Record):
     """Outcome of one check. Under `run_suite`, `elapsed_seconds` counts a
     named series only in the first report whose check built it; later
     checks get it from the run's cache."""
 
-    identity: IdentityId
-    order_checked: int
-    status: IdentityStatus
-    first_mismatch: Optional[Mismatch]
-    elapsed_seconds: float
-    annotation: Optional[str] = None
+    __slots__ = ("identity", "order_checked", "status", "first_mismatch", "elapsed_seconds", "annotation")
 
-    def __post_init__(self) -> None:
-        if self.status is IdentityStatus.FAILED and self.first_mismatch is None:
+    def __init__(
+        self,
+        identity: IdentityId,
+        order_checked: int,
+        status: IdentityStatus,
+        first_mismatch: Optional[Mismatch],
+        elapsed_seconds: float,
+        annotation: Optional[str] = None,
+    ) -> None:
+        if status is IdentityStatus.FAILED and first_mismatch is None:
             raise ValueError("FAILED report needs a first_mismatch")
-        if self.status is not IdentityStatus.FAILED and self.first_mismatch is not None:
+        if status is not IdentityStatus.FAILED and first_mismatch is not None:
             raise ValueError("passing report must not carry a mismatch")
-        if (
-            self.status is IdentityStatus.VERIFIED_WITH_SIGN_FLIP
-            and self.identity not in SIGN_AMBIGUOUS
-        ):
-            raise ValueError(f"{self.identity.value} is not a sign-ambiguous identity")
+        if status is IdentityStatus.VERIFIED_WITH_SIGN_FLIP and identity not in SIGN_AMBIGUOUS:
+            raise ValueError(f"{identity.value} is not a sign-ambiguous identity")
+        self._set(identity, order_checked, status, first_mismatch, elapsed_seconds, annotation)
 
     @property
     def passed(self) -> bool:
         return self.status is not IdentityStatus.FAILED
 
 
-@dataclass(frozen=True)
-class SignResolution:
-    identity: IdentityId
-    sign: int
-    witness_index: int
-    order_checked: int
+class SignResolution(_Record):
+    __slots__ = ("identity", "sign", "witness_index", "order_checked")
+
+    def __init__(self, identity: IdentityId, sign: int, witness_index: int, order_checked: int) -> None:
+        self._set(identity, sign, witness_index, order_checked)
 
 
 class SuiteError(LambertQError):

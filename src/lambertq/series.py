@@ -9,7 +9,6 @@ past it are unknown for at least one side.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import add, sub
@@ -36,6 +35,50 @@ def _check_ints(**params: object) -> None:
     for name, value in params.items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A record lists its fields in `__slots__` and sets them in its own
+    `__init__` through `_set`. It equals a record of its own class with the
+    same field values and nothing else, hashes those values, refuses
+    assignment and deletion, matches positionally by its fields, and copies
+    and pickles by rebuilding through its class, so `__init__` re-validates.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
 
 class TruncatedSeries:
@@ -396,20 +439,20 @@ def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 # -- comparison and parity -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(_Record):
     """First index where two series disagree, with both coefficients."""
 
-    index: int
-    lhs: int
-    rhs: int
+    __slots__ = ("index", "lhs", "rhs")
+
+    def __init__(self, index: int, lhs: int, rhs: int) -> None:
+        self._set(index, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class Comparison:
-    equal: bool
-    order_checked: int
-    first_mismatch: Optional[Mismatch]
+class Comparison(_Record):
+    __slots__ = ("equal", "order_checked", "first_mismatch")
+
+    def __init__(self, equal: bool, order_checked: int, first_mismatch: Optional[Mismatch]) -> None:
+        self._set(equal, order_checked, first_mismatch)
 
 
 def compare(f: TruncatedSeries, g: TruncatedSeries, order: Optional[int] = None) -> Comparison:
@@ -443,8 +486,7 @@ class Parity(Enum):
     ODD_AND_EVEN = "odd_and_even"
 
 
-@dataclass(frozen=True)
-class ParityVerdict:
+class ParityVerdict(_Record):
     """Support pattern of a series: which residues mod 2 carry nonzero terms.
 
     ODD means every nonzero coefficient sits at an odd exponent, EVEN the
@@ -455,9 +497,12 @@ class ParityVerdict:
     NEITHER, where it is the smaller of the two.
     """
 
-    kind: Parity
-    first_nonzero_even: Optional[int]
-    first_nonzero_odd: Optional[int]
+    __slots__ = ("kind", "first_nonzero_even", "first_nonzero_odd")
+
+    def __init__(
+        self, kind: Parity, first_nonzero_even: Optional[int], first_nonzero_odd: Optional[int]
+    ) -> None:
+        self._set(kind, first_nonzero_even, first_nonzero_odd)
 
     @property
     def first_violation(self) -> Optional[int]:

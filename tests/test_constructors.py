@@ -1,6 +1,5 @@
 """Constructor tests against hand-expanded vectors and independent re-summation."""
 
-import dataclasses
 import random
 import re
 from collections import Counter
@@ -548,12 +547,14 @@ class TestLambertSpec:
         assert spec == S_SPEC
 
     def test_replace_revalidates(self):
+        # S_SPEC rebuilt from its own fields with a1 = 0 is validated afresh
+        s = S_SPEC
         with pytest.raises(DivergentSpec):
-            dataclasses.replace(S_SPEC, a1=0)
+            LambertSpec(s.scalar, s.num_sign, s.a0, 0, s.den_sign, s.b0, s.b1)
 
     def test_lambert_sum_rejects_a_spec_mutated_past_validation(self):
         spec = LambertSpec(scalar=1, num_sign=-1, a0=0, a1=1, den_sign=1, b0=-1, b1=2)
-        object.__setattr__(spec, "a0", -1)  # a frozen dataclass still allows this
+        object.__setattr__(spec, "a0", -1)  # writes the slot past the record's guard
         with pytest.raises(DivergentSpec):
             lambert_sum(spec, 10)
 
