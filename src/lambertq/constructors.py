@@ -766,6 +766,19 @@ def s_window(lo: int, hi: int, order: int) -> TruncatedSeries:
     return TruncatedSeries._trusted(coeffs)
 
 
+def _halving_lists(count: int, order: int) -> Iterator[tuple[list[int], list[int]]]:
+    """The two running coefficient lists of `halving_windows`, unchecked and
+    live: after window m they hold s_window(1 - m, m, order) and
+    2 * s_window(1, m, order), and the next step changes them in place."""
+    full = [0] * order
+    twice = [0] * order
+    for m in range(1, count + 1):
+        _add_s_terms(full, 1 - m, 1 - m)
+        _add_s_terms(full, m, m)
+        _add_s_terms(twice, m, m, 2)
+        yield full, twice
+
+
 def halving_windows(count: int, order: int) -> Iterator[tuple[TruncatedSeries, TruncatedSeries]]:
     """The pairs (s_window(1 - m, m, order), 2 * s_window(1, m, order)) for
     m = 1..count, the two sides of the halving identity.
@@ -777,14 +790,7 @@ def halving_windows(count: int, order: int) -> Iterator[tuple[TruncatedSeries, T
     _check_args(order, count=count)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-
-    def pairs() -> Iterator[tuple[TruncatedSeries, TruncatedSeries]]:
-        full = [0] * order
-        twice = [0] * order
-        for m in range(1, count + 1):
-            _add_s_terms(full, 1 - m, 1 - m)
-            _add_s_terms(full, m, m)
-            _add_s_terms(twice, m, m, 2)
-            yield TruncatedSeries._trusted(full), TruncatedSeries._trusted(twice)
-
-    return pairs()
+    return (
+        (TruncatedSeries._trusted(full), TruncatedSeries._trusted(twice))
+        for full, twice in _halving_lists(count, order)
+    )

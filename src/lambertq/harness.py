@@ -18,11 +18,11 @@ from typing import Callable, Iterable, Optional
 from .constructors import (
     SeriesId,
     SignedMonomial,
+    _halving_lists,
     _product_run,
     bilateral_sum,
     d2_split_product,
     entry29_rhs,
-    halving_windows,
     named_series,
     s_window,  # not called here, but perfbench/spans.py wraps harness.s_window
 )
@@ -30,6 +30,7 @@ from .errors import LambertQError, NoConsistentSign, OrderTooSmall
 from .series import (
     Mismatch,
     TruncatedSeries,
+    _check_ints,
     _Record,
     compare,
     mul,
@@ -145,6 +146,9 @@ class SuiteError(LambertQError):
 # identity asserts, so a check that stops at its first mismatch builds nothing
 # after it. The label names the failing pair; None marks a single pair. Sides
 # are module globals looked up at call time, so patching them reaches here.
+# I12's row compares its 200 running windows in place, one list `==` each,
+# and yields only the first pair that differs, as series; a passing I12
+# yields nothing.
 Pair = tuple[Optional[str], TruncatedSeries, TruncatedSeries]
 Rows = Callable[[int, Builder], Iterable[Pair]]
 
@@ -158,8 +162,10 @@ def _d2_rows(n: int, b: Builder) -> Iterable[Pair]:
 
 
 def _halving_rows(n: int, b: Builder) -> Iterable[Pair]:
-    for m_top, (full, twice) in enumerate(halving_windows(MAX_HALVING_WINDOW, n), 1):
-        yield f"window M={m_top}", full, twice
+    for m_top, (full, twice) in enumerate(_halving_lists(MAX_HALVING_WINDOW, n), 1):
+        if full != twice:
+            yield f"window M={m_top}", TruncatedSeries._trusted(full), TruncatedSeries._trusted(twice)
+            return
 
 
 def _entry29_rows(n: int, b: Builder) -> Iterable[Pair]:
@@ -212,6 +218,7 @@ def check_identity(ident: IdentityId, order: int, builder: Builder = named_serie
     builds share their eta-quotient expansions (see `_product_run`), and so
     do all the checks of one `run_suite`.
     """
+    _check_ints(order=order)
     if order < 8:
         raise OrderTooSmall(f"identity checks need order >= 8, got {order}")
     start = time.perf_counter()
@@ -251,9 +258,10 @@ def run_suite(order: int, builder: Builder = named_series) -> list[IdentityRepor
     collected and re-raised at the end as one SuiteError carrying the
     completed reports.
     """
+    _check_ints(order=order)
     if order < 8:
         raise OrderTooSmall(f"suite needs order >= 8, got {order}")
-    builder = functools.cache(builder)  # each named series is built once per run
+    builder = functools.cache(builder)  # the builder runs once per named series per run
     reports: list[IdentityReport] = []
     errors: list[tuple[IdentityId, Exception]] = []
     with _product_run():
@@ -274,6 +282,7 @@ def sign_resolve(
     negated (-1), with the first nonzero coefficient as witness."""
     if ident not in SIGN_AMBIGUOUS:
         raise ValueError(f"sign resolution applies to I7/I8 only, not {ident.value}")
+    _check_ints(order=order)
     if order < 8:
         raise OrderTooSmall(f"sign resolution needs order >= 8, got {order}")
     [(_, lhs, rhs)] = _ROWS[ident](order, builder)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate
-from operator import sub
+from operator import add, sub
 
 from lambertq import TruncatedSeries, constructors
 from lambertq.oracle import _zeros
@@ -36,7 +36,9 @@ def geometric_mul_inplace(coeffs, step, sign):
     Dividing by 1 - q^k makes each residue class mod k a running sum, one
     `accumulate`; for sign = -1, 1/(1 + q^k) = (1 - q^k)/(1 - q^(2k)) is one
     slice pass first. A step of at least len(coeffs) divides by 1 mod
-    q^len(coeffs), so the list is left as it is.
+    q^len(coeffs), so the list is left as it is. A long step, step^2 >
+    len(coeffs), has more classes than rows: the same sums run row by row
+    instead, each row of `step` coefficients adding the one before it.
     """
     if step < 1:
         raise ValueError("geometric step must be at least 1")
@@ -48,7 +50,11 @@ def geometric_mul_inplace(coeffs, step, sign):
     if sign == -1:
         coeffs[step:] = map(sub, coeffs[step:], coeffs[: n - step])
         step *= 2
-    for r in range(min(step, n)):
+    if step * step > n:
+        for k in range(step, n, step):
+            coeffs[k : k + step] = map(add, coeffs[k : k + step], coeffs[k - step : k])
+        return
+    for r in range(step):
         coeffs[r::step] = accumulate(coeffs[r::step])
 
 

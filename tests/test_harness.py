@@ -24,6 +24,8 @@ from lambertq import (
     TruncatedSeries,
     bilateral_sum,
     check_identity,
+    compare,
+    halving_windows,
     named_series,
     run_suite,
     s_window,
@@ -48,10 +50,14 @@ def _corrupting(sid, index, delta):
     return build
 
 
-def _bumped(f, index, delta):
-    cs = list(f.coefficients)
+def _bumped_list(cs, index, delta):
+    cs = list(cs)
     cs[index] += delta
-    return TruncatedSeries(cs)
+    return cs
+
+
+def _bumped(f, index, delta):
+    return TruncatedSeries(_bumped_list(f.coefficients, index, delta))
 
 
 def _corrupt_side(monkeypatch, name, hit, index, delta):
@@ -67,14 +73,19 @@ def _corrupt_side(monkeypatch, name, hit, index, delta):
     monkeypatch.setattr(lambertq.harness, name, corrupted)
 
 
-def _corrupt_windows(monkeypatch, name, hit, index, delta):
-    """Patch the harness's `name`, which yields the I12 window pairs, so the
-    full window whose bounds (1 - M, M) equal `hit` is perturbed."""
+def _corrupt_windows(monkeypatch, name, hit, index, delta, side=0):
+    """Patch the harness's `name`, which yields I12's two running lists, so
+    one side (0 the full window, 1 twice the half) of the window whose
+    bounds (1 - M, M) equal `hit` is perturbed in a copy; the running lists
+    themselves are left as they are."""
     original = getattr(lambertq.harness, name)
 
     def corrupted(*args):
-        for m_top, (full, half) in enumerate(original(*args), 1):
-            yield (_bumped(full, index, delta) if (1 - m_top, m_top) == hit else full), half
+        for m_top, pair in enumerate(original(*args), 1):
+            if (1 - m_top, m_top) == hit:
+                pair = list(pair)
+                pair[side] = _bumped_list(pair[side], index, delta)
+            yield tuple(pair)
 
     monkeypatch.setattr(lambertq.harness, name, corrupted)
 
@@ -162,6 +173,23 @@ class TestCheckIdentity:
         assert MAX_HALVING_WINDOW == 200
         r = check_identity(IdentityId.I12_BILATERAL_HALVING, 50)
         assert r.status is IdentityStatus.VERIFIED
+
+
+class TestOrderType:
+    @pytest.mark.parametrize("order", [8.0, "9", True, None])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda order: run_suite(order),
+            *(lambda order, i=i: check_identity(i, order) for i in IdentityId),
+            lambda order: sign_resolve(IdentityId.I7_S_EQ_QPHI, order),
+        ],
+        ids=["run_suite", *(f"check_identity-{i.name}" for i in IdentityId), "sign_resolve"],
+    )
+    def test_non_int_order_rejected_by_name(self, entry, order):
+        with pytest.raises(TypeError) as exc_info:
+            entry(order)
+        assert str(exc_info.value) == f"order must be an int, got {order!r}"
 
 
 class TestSignResolution:
@@ -269,7 +297,7 @@ class TestSidesOutsideTheBuilder:
         "name,hit,index,delta,ident,mismatch,annotation",
         [
             (
-                "halving_windows",
+                "_halving_lists",
                 (-36, 37),
                 9,
                 1,
@@ -310,7 +338,7 @@ class TestSidesOutsideTheBuilder:
     def test_corruption_is_pinned_to_its_identity(
         self, monkeypatch, name, hit, index, delta, ident, mismatch, annotation
     ):
-        corrupt = _corrupt_windows if name == "halving_windows" else _corrupt_side
+        corrupt = _corrupt_windows if name == "_halving_lists" else _corrupt_side
         corrupt(monkeypatch, name, hit, index, delta)
         failed = _failures(run_suite(50))
         assert list(failed) == [ident]
@@ -324,12 +352,13 @@ class TestBilateralRows:
     the pairs they compare are the ones the plain definitions give."""
 
     def test_halving_pairs_are_the_s_windows(self):
-        pairs = list(_ROWS[IdentityId.I12_BILATERAL_HALVING](60, named_series))
+        pairs = list(halving_windows(MAX_HALVING_WINDOW, 60))
         assert len(pairs) == MAX_HALVING_WINDOW
-        for m, (label, lhs, rhs) in enumerate(pairs, 1):
-            assert label == f"window M={m}"
-            assert lhs == s_window(1 - m, m, 60)
-            assert rhs == 2 * s_window(1, m, 60)
+        for m, (full, twice) in enumerate(pairs, 1):
+            assert full == s_window(1 - m, m, 60)
+            assert twice == 2 * s_window(1, m, 60)
+        # the row yields only a pair that differs, and these windows all agree
+        assert list(_ROWS[IdentityId.I12_BILATERAL_HALVING](60, named_series)) == []
 
     def test_halving_makes_no_s_window_call(self, monkeypatch):
         def refuse(*args):
@@ -371,6 +400,42 @@ class TestBilateralRows:
             assert label == f"triple x={x}, y={y}, base={base}"
             assert lhs == bilateral_sum(x, y, base, 120)
             assert rhs == original(x, y, base, 120)
+
+
+def _reference_halving(order, side, hit, index, delta):
+    """I12 by the plain loop: each public window pair compared with
+    `compare`, the pair of window `hit` with `side` (0 full, 1 twice)
+    perturbed; the (status, first_mismatch, annotation) a report must carry."""
+    for m, pair in enumerate(halving_windows(MAX_HALVING_WINDOW, order), 1):
+        if m == hit:
+            pair = list(pair)
+            pair[side] = _bumped(pair[side], index, delta)
+        c = compare(*pair, order)
+        if not c.equal:
+            return IdentityStatus.FAILED, c.first_mismatch, f"window M={m}"
+    return IdentityStatus.VERIFIED, None, None
+
+
+class TestHalvingRowInPlace:
+    """I12 compares its running lists in place; each report equals the one
+    the pairwise reference gives, with one window's side corrupted."""
+
+    @pytest.mark.parametrize("order", [8, 50, 199, 200, 401])
+    @pytest.mark.parametrize("hit", [1, 37, 200])
+    @pytest.mark.parametrize("side", [0, 1], ids=["full", "twice"])
+    @pytest.mark.parametrize("at_end", [False, True], ids=["index0", "last"])
+    def test_corrupted_window_matches_the_reference(self, monkeypatch, order, hit, side, at_end):
+        index = order - 1 if at_end else 0
+        _corrupt_windows(monkeypatch, "_halving_lists", (1 - hit, hit), index, 1, side)
+        r = check_identity(IdentityId.I12_BILATERAL_HALVING, order)
+        expected = _reference_halving(order, side, hit, index, 1)
+        assert expected[0] is IdentityStatus.FAILED
+        assert (r.status, r.first_mismatch, r.annotation) == expected
+
+    @pytest.mark.parametrize("order", [8, 50, 199, 200, 401])
+    def test_true_windows_match_the_reference(self, order):
+        r = check_identity(IdentityId.I12_BILATERAL_HALVING, order)
+        assert (r.status, r.first_mismatch, r.annotation) == _reference_halving(order, 0, 0, 0, 0)
 
 
 class TestConjectureFailures:
