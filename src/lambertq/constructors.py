@@ -45,12 +45,11 @@ from typing import Callable, Iterator, Optional, Sequence
 from .errors import (
     DivergentSpec,
     InvalidExponent,
-    OrderTooSmall,
     ParameterOutOfRange,
     UnsupportedSeries,
     ZeroFactor,
 )
-from .series import TruncatedSeries, _check_ints, _Packing, _Record, mul
+from .series import TruncatedSeries, _check_args, _check_ints, _Packing, _Record, mul
 
 __all__ = [
     "SignedMonomial",
@@ -74,14 +73,6 @@ __all__ = [
 
 
 # -- argument checks ------------------------------------------------------------
-
-
-def _check_args(order: int, **params: int) -> None:
-    """Reject an order, or a named int parameter (a step, a base), as
-    `_check_ints` does, and an order below 1."""
-    _check_ints(order=order, **params)
-    if order < 1:
-        raise OrderTooSmall(f"a series needs order >= 1, got {order}")
 
 
 class SignedMonomial(_Record):
@@ -363,8 +354,8 @@ def _signature(num: _Symbols, den: _Symbols, order: int) -> tuple[int, dict[int,
 
 
 # The run open in this context, as the expansions kept by primitive
-# signature and one divisor-sum sieve; None outside a run.
-_RUN: ContextVar[Optional[tuple[dict, list[int]]]] = ContextVar("lambertq_products", default=None)
+# signature; None outside a run.
+_RUN: ContextVar[Optional[dict]] = ContextVar("lambertq_products", default=None)
 
 
 @contextmanager
@@ -372,26 +363,28 @@ def _product_run() -> Iterator[None]:
     """Share every eta-quotient expansion among the products built inside,
     unless an enclosing run shares them already. Each is solved through
     what the product that first needs it needs, and resumed when a later
-    one needs more; the divisor sums are sieved once, and extended when a
-    longer solve needs more."""
+    one needs more."""
     if _RUN.get() is not None:
         yield
         return
-    token = _RUN.set(({}, []))
+    token = _RUN.set({})
     try:
         yield
     finally:
         _RUN.reset(token)
 
 
-def _extend_sigma(sigma: list[int], n: int) -> None:
-    """Extend sigma, the divisor sums sigma(j) of every j < len(sigma) (and
-    sigma[0] = 0), in place through j < n."""
-    start = len(sigma)
-    sigma += range(start, n)  # each j is its own divisor; the sieve adds the proper ones
-    for d in range(1, (n - 1) // 2 + 1):
-        first = max(2 * d, -(-start // d) * d)  # d's first proper multiple not yet sieved
-        sigma[first::d] = [t + d for t in sigma[first::d]]
+def _divisor_sums(n: int) -> list[int]:
+    """sigma(j), the sum of the divisors of j, for every j < n (and
+    sigma[0] = 0), by divisor pairs j = d*k, d <= k: d*d gains d, and one
+    strided slice adds d + k at each d*k with d < k < n/d."""
+    sigma = [0] * n
+    d = 1
+    while d * d < n:
+        sigma[d * d] += d
+        sigma[d * d + d :: d] = map(add, sigma[d * d + d :: d], range(2 * d + 1, d + (n - 1) // d + 1))
+        d += 1
+    return sigma
 
 
 def _eta_expand(sig: tuple[tuple[int, int], ...], n: int) -> list[int]:
@@ -399,18 +392,17 @@ def _eta_expand(sig: tuple[tuple[int, int], ...], n: int) -> list[int]:
     ascending in d, solved from its log-derivative by `_solve`.
 
     q d/dq log E(q^d) = -d*Sum_{j>=1} sigma(j) q^(dj) (Euler), so the
-    log-derivative is -Sum_d c(d)*d*Sum_j sigma(j) q^(dj), with sigma from a
-    divisor-sum sieve. In a run, every expansion is kept: one at least n
-    long serves by its prefix, and a shorter one is resumed; the run's
-    sieve is extended when it is shorter than n. Outside a run, the solve
-    sieves its own.
+    log-derivative is -Sum_d c(d)*d*Sum_j sigma(j) q^(dj), with sigma from
+    `_divisor_sums` through n. In a run, every expansion is kept: one at
+    least n long serves by its prefix, and a shorter one is resumed.
     """
-    kept, sigma = _RUN.get() or ({}, [])
+    kept = _RUN.get()
+    if kept is None:
+        kept = {}
     known = kept.get(sig, ())
     if len(known) >= n:
         return known
-    if len(sigma) < n:
-        _extend_sigma(sigma, n)
+    sigma = _divisor_sums(n)
     a = [0] * n
     for d, c in sig:
         w = c * d

@@ -209,6 +209,18 @@ _PASS_NOTES = {
 # -- checkers --------------------------------------------------------------------
 
 
+def _check_call(needs: str, order: int, *idents: object) -> None:
+    """Reject each ident that is not an IdentityId, and an order as
+    `_check_ints` does, by TypeError; and an order below 8 by OrderTooSmall,
+    whose message `needs` leads, such as "suite needs"."""
+    for ident in idents:
+        if not isinstance(ident, IdentityId):
+            raise TypeError(f"ident must be an IdentityId, got {ident!r}")
+    _check_ints(order=order)
+    if order < 8:
+        raise OrderTooSmall(f"{needs} order >= 8, got {order}")
+
+
 @_product_run()
 def check_identity(ident: IdentityId, order: int, builder: Builder = named_series) -> IdentityReport:
     """Check one identity coefficient-exactly through q^(order-1).
@@ -218,9 +230,7 @@ def check_identity(ident: IdentityId, order: int, builder: Builder = named_serie
     builds share their eta-quotient expansions (see `_product_run`), and so
     do all the checks of one `run_suite`.
     """
-    _check_ints(order=order)
-    if order < 8:
-        raise OrderTooSmall(f"identity checks need order >= 8, got {order}")
+    _check_call("identity checks need", order, ident)
     start = time.perf_counter()
 
     status = IdentityStatus.VERIFIED
@@ -258,9 +268,7 @@ def run_suite(order: int, builder: Builder = named_series) -> list[IdentityRepor
     collected and re-raised at the end as one SuiteError carrying the
     completed reports.
     """
-    _check_ints(order=order)
-    if order < 8:
-        raise OrderTooSmall(f"suite needs order >= 8, got {order}")
+    _check_call("suite needs", order)
     builder = functools.cache(builder)  # the builder runs once per named series per run
     reports: list[IdentityReport] = []
     errors: list[tuple[IdentityId, Exception]] = []
@@ -280,11 +288,9 @@ def sign_resolve(
 ) -> SignResolution:
     """Measure whether a sign-ambiguous display holds as printed (+1) or
     negated (-1), with the first nonzero coefficient as witness."""
+    _check_call("sign resolution needs", order, ident)
     if ident not in SIGN_AMBIGUOUS:
         raise ValueError(f"sign resolution applies to I7/I8 only, not {ident.value}")
-    _check_ints(order=order)
-    if order < 8:
-        raise OrderTooSmall(f"sign resolution needs order >= 8, got {order}")
     [(_, lhs, rhs)] = _ROWS[ident](order, builder)
     for sign in (1, -1):
         if compare(lhs, sign * rhs, order).equal:

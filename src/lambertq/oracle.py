@@ -35,8 +35,8 @@ from operator import add, sub
 from typing import Callable, Iterable, Iterator
 
 from .constructors import SeriesId
-from .errors import OrderTooSmall, UnsupportedSeries
-from .series import TruncatedSeries
+from .errors import UnsupportedSeries
+from .series import TruncatedSeries, _check_args
 
 __all__ = [
     "oracle_expand",
@@ -72,10 +72,7 @@ _SHORT = 24
 
 def _zeros(order: int) -> list[int]:
     """The zero coefficient list of every oracle series, once `order` is checked."""
-    if not isinstance(order, int) or isinstance(order, bool):
-        raise TypeError(f"order must be an int, got {order!r}")
-    if order < 1:
-        raise OrderTooSmall(f"a series needs order >= 1, got {order}")
+    _check_args(order)
     return [0] * order
 
 

@@ -37,6 +37,14 @@ def _check_ints(**params: object) -> None:
             raise TypeError(f"{name} must be an int, got {value!r}")
 
 
+def _check_args(order: int, **params: int) -> None:
+    """Reject an order, or a named int parameter (a step, a base), as
+    `_check_ints` does, and an order below 1."""
+    _check_ints(order=order, **params)
+    if order < 1:
+        raise OrderTooSmall(f"a series needs order >= 1, got {order}")
+
+
 class _Record:
     """Base of the package's immutable records.
 

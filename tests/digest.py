@@ -15,10 +15,9 @@ suite's `ENTRY29_TRIPLES`), `POCHHAMMER` (`pochhammer` on each of
 `POCHHAMMER_CASES`) and `RUN`. In the first three every product is built by
 a standalone call, which solves its own expansion. `RUN` builds the suite's
 products, `PHI` and then the seven `entry29_rhs` sides, inside one
-`_product_run` per order, so they share their expansions, resume them and
-share one divisor-sum sieve; at each order its strings are those of `PHI`
-and then those of `ENTRY29`. The serialisation of one series at one order
-is
+`_product_run` per order, so they share their expansions and resume them;
+at each order its strings are those of `PHI` and then those of `ENTRY29`.
+The serialisation of one series at one order is
 
     SID@N:c0,c1,...,c(N-1);
 

@@ -907,38 +907,38 @@ class TestEtaRoute:
         entry29_rhs(*ENTRY29_TRIPLES[2], 120)
         assert solves == [(0, 60), (0, 120)]
 
+    def test_divisor_sums_match_every_divisor_added(self):
+        # each divisor d adds itself to each of its multiples
+        top = 10007
+        sigma = [0] * top
+        for d in range(1, top):
+            for j in range(d, top, d):
+                sigma[j] += d
+        assert constructors._divisor_sums(top) == sigma
+        for n in range(301):
+            assert constructors._divisor_sums(n) == sigma[:n], n
+
     @pytest.fixture
-    def sieves(self, monkeypatch):
-        """(length, n): each divisor-sum sieve extended, from its length to n."""
-        grown = []
-        extend = constructors._extend_sigma
+    def summed(self, monkeypatch):
+        """The length of each divisor-sum list asked for, in order."""
+        lengths = []
+        divisor_sums = constructors._divisor_sums
 
-        def counting(sigma, n):
-            grown.append((len(sigma), n))
-            extend(sigma, n)
+        def counting(n):
+            lengths.append(n)
+            return divisor_sums(n)
 
-        monkeypatch.setattr(constructors, "_extend_sigma", counting)
-        return grown
+        monkeypatch.setattr(constructors, "_divisor_sums", counting)
+        return lengths
 
-    def test_a_run_sieves_once_per_growth_in_length(self, sieves):
-        # the suite's three solves reach 60, 120 and 120 terms: the run's
-        # sieve is built through 60 and extended once, to 120
+    def test_each_solve_sums_the_length_it_solves(self, summed):
+        # the suite's three solves reach 60, 120 and 120 terms, the last
+        # resumed from 60; standalone, PHI needs 60 and the 3-core side 120
         run_suite(120)
-        assert sieves == [(0, 60), (60, 120)]
-        run_suite(120)
-        assert sieves == [(0, 60), (60, 120)] * 2
-        with constructors._product_run():
-            entry29_rhs(*ENTRY29_TRIPLES[2], 100)
-            phi(100)  # E(q^2)^4/E(q)^2 through 50 terms: the sieve is long enough
-            entry29_rhs(*ENTRY29_TRIPLES[2], 140)  # resumed from 100 to 140
-        assert sieves[4:] == [(0, 100), (100, 140)]
-
-    def test_a_standalone_solve_sieves_its_own(self, sieves):
+        assert summed == [60, 120, 120]
         phi(120)
         entry29_rhs(*ENTRY29_TRIPLES[2], 120)
-        constructors._eta_expand(((1, 1),), 40)
-        constructors._eta_expand(((1, 1),), 40)
-        assert sieves == [(0, 60), (0, 120), (0, 40), (0, 40)]
+        assert summed == [60, 120, 120, 60, 120]
 
 
 def solve_by_recurrence(a):

@@ -57,7 +57,7 @@ def test_product_digest_hashes_each_group_order_by_order(capsys):
 
 
 def test_run_group_is_phi_then_entry29_built_in_one_run():
-    # shared and resumed expansions and one sieve give the standalone bytes
+    # shared and resumed expansions give the standalone bytes
     groups = digest.product_groups()
     standalone = groups["PHI"] + groups["ENTRY29"]
     assert [name for name, _ in groups["RUN"]] == [name for name, _ in standalone]

@@ -192,6 +192,17 @@ class TestOrderType:
         assert str(exc_info.value) == f"order must be an int, got {order!r}"
 
 
+class TestIdentType:
+    @pytest.mark.parametrize("ident", ["I1_Y_EQ2", "I7_S_EQ_QPHI", None, SeriesId.S])
+    @pytest.mark.parametrize("entry", [check_identity, sign_resolve])
+    def test_non_identity_rejected_by_name(self, entry, ident):
+        # checked before the order, so a bad order does not hide it
+        for order in (50, 7, "9"):
+            with pytest.raises(TypeError) as exc_info:
+                entry(ident, order)
+            assert str(exc_info.value) == f"ident must be an IdentityId, got {ident!r}"
+
+
 class TestSignResolution:
     def test_s_identity_holds_negated(self):
         res = sign_resolve(IdentityId.I7_S_EQ_QPHI, 100)
