@@ -292,14 +292,14 @@ def sign_resolve(
     if ident not in SIGN_AMBIGUOUS:
         raise ValueError(f"sign resolution applies to I7/I8 only, not {ident.value}")
     [(_, lhs, rhs)] = _ROWS[ident](order, builder)
-    for sign in (1, -1):
-        if compare(lhs, sign * rhs, order).equal:
-            # where lhs = +-rhs, the first nonzero of lhs is that of either side
-            witness = compare(lhs, TruncatedSeries.zero(order), order).first_mismatch
-            if witness is None:
-                raise NoConsistentSign("both sides vanish; no witness coefficient exists")
-            return SignResolution(ident, sign, witness.index, order)
-    raise NoConsistentSign(
-        f"{ident.value}: neither printed nor negated form holds; "
-        "this indicates a constructor bug"
-    )
+    printed, negated = compare(lhs, rhs, order), compare(lhs, -rhs, order)
+    if printed.equal and negated.equal:
+        raise NoConsistentSign("both sides vanish; no witness coefficient exists")
+    if not (printed.equal or negated.equal):
+        raise NoConsistentSign(
+            f"{ident.value}: neither printed nor negated form holds; "
+            "this indicates a constructor bug"
+        )
+    # where lhs = +-rhs, the other form first differs at the first nonzero of lhs
+    other = negated if printed.equal else printed
+    return SignResolution(ident, 1 if printed.equal else -1, other.first_mismatch.index, order)

@@ -3,28 +3,48 @@
 `oracle_expand` restates the display of each named series but PHI as a row
 of `_DISPLAYS`: families of terms w*ws^t * q^(a+t*da) / ((1 - s1*q^(b+t*db))
 (1 - s2*q^c)), t = 0..count-1, one index of the display held fixed and the
-other run as t, the second factor optional. One enumerator, `_enumerate`,
-adds the lattice points Sum_{u,v>=0} w * ws^t * s1^u * s2^v *
-q^(a+t*da+u*(b+t*db)+v*c) of every family to a coefficient list. For each
-outer step u the family's points lie on one progression, a row. Runs live
-in stride tables, one per (stride, sign), whose spread turns an entry y at
-x into the run y*sign^j at x + j*stride, j >= 0. A run along a fixed step c
-below about 1.5*sqrt(order) is not walked: each row goes into the table of
-(c, s2) by one strided slice. A longer c, or none, makes the row straight,
-added together with its copies, one per point of the run along v. Every
-finite run is two marks: n points w*ws^j at p + j*step are +w at p and
--w*ws^n at p + n*step in the table of (step, ws). A straight row's marks
-and their copies are one walk along c each, once the straight rows of that
-table, copies counted, hold `order` points; before that each copy is one
-strided slice. Once a row holds only a few terms, the rest of the family is
-those terms' own lattices: each run along u into the c table, or, with no
-table, each term's runs along u and c, a long one as one slice and the rest
-point by point. The oracle stays a count of lattice points: a finite run is
-two marks where an infinite one is one. Nothing is shared with the
-constructors but the `SeriesId` names: no `LambertSpec` constant, slot
-bound, geometric kernel or product of series. `oracle_phi` alone counts the
-lattice points of another series, equal to PHI by a classical theorem, so
-it is a cross-check of PHI rather than of its display.
+other run as t, the second factor optional (c is None: the run along v is
+one point). One enumerator, `_enumerate`, adds every lattice point of every
+family to a coefficient list: term t has the points
+a + t*da + u*(b + t*db) + v*c, u, v >= 0, weighted w * ws^t * s1^u * s2^v;
+the steps b and c are at least 1 and da, db at least 0. For each outer step
+u the points with v = 0 of all the terms lie on one progression, start
+a + u*b and stride sigma = da + u*db: a row. One walker, `_walk_family`,
+reads a family's rows and then its tail.
+
+Runs are kept in stride tables, one per (stride, sign); an entry y at x
+stands for the run y*sign^j at x + j*stride, j >= 0, so a run of n points
+w*ws^j at p + j*sigma is two marks in the table of (sigma, ws): +w at p and
+-w*ws^n at p + n*sigma, either dropped at or past the order. A c below
+`_table_cut(order)`, about 1.5*sqrt(order), is not walked: one strided
+slice (`_add_run`) puts each row's points into the table of (c, s2). A
+longer c, or none, makes the row straight: its two marks and those of its
+copies at +v*c, weighted s2^v, go into the table of (sigma, ws), each mark
+and its copies one walk along c (`_mark_copies`). A table costs about one
+pass over the list, so the straight rows of one key, copies included, are
+sliced into the list until together they reach `order` points, and marked
+from there on; a key that a c-run already tabled marks them all. Only a row
+of at least _SHORT terms is straight, so sigma is at most order // 23; a
+straight row of sigma 0 is the summed weight of its terms on one point,
+with its copies. The points of a row only thin out as u grows, so once a
+row holds fewer than _SHORT terms, no later row holds another: the rest of
+the family, its tail, is those terms' runs along u, stride b + t*db and
+sign s1, into the c table, or, with no table, each term's lattice along u
+and c, added once straight into the list: its runs along u of at least
+_SHORT points one slice each, the rest point by point.
+
+Once every family is walked, each table is spread, added into the list and
+released, so that no two spread tables are held at once. The spread is a
+running sum along the stride, residue by residue; for sign -1 the table
+shifted by one stride is subtracted first and the sum runs along twice the
+stride, as 1/(1 + q^s) = (1 - q^s)/(1 - q^2s).
+
+The oracle stays a count of lattice points: a finite run is two marks where
+an infinite one is one. Nothing is shared with the constructors but the
+`SeriesId` names: no `LambertSpec` constant, slot bound, geometric kernel or
+product of series. `oracle_phi` alone counts the lattice points of another
+series, equal to PHI by a classical theorem, so it is a cross-check of PHI
+rather than of its display.
 """
 
 from __future__ import annotations
@@ -107,65 +127,54 @@ def _mark_copies(table: list[int], p: int, step: int, n: int, w: int, ws: int, c
             y *= s2
 
 
-def _tabled_family(tables: dict[tuple[int, int], list[int]], family: _Family, order: int) -> None:
-    """Add the points of each row of a family whose c is below the table cut
-    to the table of (c, s2), whose spread runs each point along c."""
-    w, ws, a, da, s1, b, db, s2, c, count = family
-    top = order - 1
-    target = tables.get((c, s2))
-    if target is None:
-        target = tables[c, s2] = [0] * order
-    p, step = a, da
-    while p < order:
-        n = min(count, (top - p) // step + 1) if step else count  # the row's terms
-        if n < _SHORT:  # the rest of the family: each term's run along u
-            for _ in range(n):
-                _add_run(target, p, b, (top - p) // b + 1, w, s1)
-                p += step
-                b += db
-                w *= ws
-            return
-        _add_run(target, p, step, n, w, ws)
-        p += b
-        step += db
-        w *= s1
-
-
-def _straight_family(
+def _walk_family(
     coeffs: list[int], tables: dict[tuple[int, int], list[int]], held: dict[tuple[int, int], int],
-    family: _Family, c: int,
+    family: _Family, cut: int,
 ) -> None:
-    """Add the rows of a family whose c is at or above the table cut, each
-    with its copies at +v*c, v >= 1, weighted s2^v, as `_enumerate` says. A
-    row of step 0 is the summed weight of its n terms on one point."""
-    w, ws, a, da, s1, b, db, s2, _, count = family
+    """Add a family's rows and then its tail, the terms of its first row of
+    fewer than _SHORT: with c below the table cut, rows and tail runs along
+    u go into the table of (c, s2); else each row is straight, with its
+    copies along c, and each tail term's lattice goes into `coeffs`. The
+    module docstring is the full account."""
+    w, ws, a, da, s1, b, db, s2, c, count = family
     order = len(coeffs)
     top = order - 1
+    c = order if c is None else c  # None: the run along v is its first point
+    target = None
+    if c < cut:
+        target = tables.get((c, s2))
+        if target is None:
+            target = tables[c, s2] = [0] * order
     p, step = a, da
     while p < order:
         n = min(count, (top - p) // step + 1) if step else count  # the row's terms
-        if n < _SHORT:  # the rest of the family: each term's lattice
+        if n < _SHORT:  # the tail: each term's run along u, with no table also its copies along c
             for _ in range(n):
-                e, y = p, w  # the run along u from e, shortening as e moves along c
-                while e < order and (k := (top - e) // b + 1) >= _SHORT:
-                    _add_run(coeffs, e, b, k, y, s1)
-                    e += c
-                    y *= s2
-                # the short runs are walked here: one _add_run call per run made
-                # perfbench's oracle wall_ref 8 % worse (BENCH_27.json)
-                while e < order:
-                    f, z = e, y
-                    while f < order:
-                        coeffs[f] += z
-                        f += b
-                        z *= s1
-                    e += c
-                    y *= s2
+                if target is not None:
+                    _add_run(target, p, b, (top - p) // b + 1, w, s1)
+                else:
+                    e, y = p, w  # the run along u from e, shortening as e moves along c
+                    while e < order and (k := (top - e) // b + 1) >= _SHORT:
+                        _add_run(coeffs, e, b, k, y, s1)
+                        e += c
+                        y *= s2
+                    # the short runs are walked here: one _add_run call per run made
+                    # perfbench's oracle wall_ref 8 % worse (BENCH_27.json)
+                    while e < order:
+                        f, z = e, y
+                        while f < order:
+                            coeffs[f] += z
+                            f += b
+                            z *= s1
+                        e += c
+                        y *= s2
                 p += step
                 b += db
                 w *= ws
             return
-        if not step:
+        if target is not None:
+            _add_run(target, p, step, n, w, ws)
+        elif not step:
             _add_run(coeffs, p, c, (top - p) // c + 1, w * (n if ws == 1 else n & 1), s2)
         else:
             marks = tables.get((step, ws))
@@ -188,50 +197,15 @@ def _straight_family(
 
 
 def _enumerate(coeffs: list[int], families: Iterable[_Family]) -> list[int]:
-    """Add every lattice point of every family of terms to `coeffs`.
-
-    Term t of a family has the points a + t*da + u*(b + t*db) + v*c,
-    u, v >= 0, weighted w * ws^t * s1^u * s2^v; the steps b and c are at
-    least 1 and da, db at least 0. The outer step u walks the step that
-    varies with t, and v the fixed step c. For each u the points with v = 0
-    of all the terms lie on one progression, start a + u*b and stride
-    sigma = da + u*db: a row. Runs are kept in stride tables, one per
-    (stride, sign); an entry y at x stands for the run y*sign^j at
-    x + j*stride, j >= 0, so a run of n points w*ws^j at p + j*sigma is two
-    marks in the table of (sigma, ws): +w at p and -w*ws^n at p + n*sigma,
-    either dropped at or past the order. A c below `_table_cut(order)` is
-    not walked: one strided slice (`_add_run`) puts the row's points into
-    the table of (c, s2) (`_tabled_family`). A longer c, or none (c is None:
-    the run along v is one point), makes the row straight
-    (`_straight_family`): its two marks and those of its copies at +v*c,
-    weighted s2^v, go into the table of (sigma, ws), each mark and its
-    copies one walk along c (`_mark_copies`). A table costs about one pass
-    over the list, so the straight rows of one key, copies included, are
-    sliced into `coeffs` until together they reach `order` points, and
-    marked from there on; a key that a c-run already tabled marks them all.
-    Only a row of at least _SHORT terms is straight, so sigma is at most
-    order // 23. Once every family is read, each table is spread, added into
-    `coeffs` and released, so that no two spread tables are held at once.
-    The spread is a running sum along the stride, residue by residue; for
-    sign -1 the table shifted by one stride is subtracted first and the sum
-    runs along twice the stride, as 1/(1 + q^s) = (1 - q^s)/(1 - q^2s). The
-    points of a row only thin out as u grows, so once a row holds fewer than
-    _SHORT terms, no later row holds another: the rest of the family is
-    those terms' runs along u, stride b + t*db and sign s1, into the c
-    table, or each term's lattice along u and c, added once straight into
-    `coeffs`: its runs along u of at least _SHORT points one slice each, the
-    rest point by point.
-    """
+    """Add every lattice point of every family of terms to `coeffs`: one
+    `_walk_family` call per family, then each stride table spread into
+    `coeffs` and released, as the module docstring says."""
     order = len(coeffs)
     cut = _table_cut(order)
     tables: dict[tuple[int, int], list[int]] = {}  # (stride, sign) -> marks
     held: dict[tuple[int, int], int] = {}  # (stride, sign) -> points of the straight rows sliced so far
     for family in families:
-        c = order if family[8] is None else family[8]  # None: the run along v is its first point
-        if c < cut:
-            _tabled_family(tables, family, order)
-        else:
-            _straight_family(coeffs, tables, held, family, c)
+        _walk_family(coeffs, tables, held, family, cut)
     while tables:
         (stride, sign), marks = tables.popitem()
         if sign == -1:

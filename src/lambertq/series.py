@@ -272,14 +272,20 @@ def format_polynomial(f: TruncatedSeries, max_terms: Optional[int] = None) -> st
     """Render a series the way it would appear in print: c0 + c1*q + c2*q^2 + ...
 
     Zero terms are skipped; the tail marker ``+ O(q^N)`` records the order.
+    With `max_terms`, an int >= 0, the nonzero terms past the first
+    `max_terms` are shown as ``...``.
     """
+    if max_terms is not None:
+        _check_ints(max_terms=max_terms)
+        if max_terms < 0:
+            raise ValueError(f"max_terms must be >= 0, got {max_terms}")
     parts: list[str] = []
     shown = 0
     for n, c in enumerate(f.coefficients):
         if c == 0:
             continue
         if max_terms is not None and shown >= max_terms:
-            parts.append("+ ...")
+            parts.append("+ ..." if parts else "...")
             break
         mag = abs(c)
         if n == 0:

@@ -632,6 +632,16 @@ def test_enumerate_adds_terms_onto_the_list():
     assert _enumerate([7] * 10, [_single(terms[0])]) == [7 + x for x in HAND_EXPANDED_TERMS[terms[0]]]
 
 
+@pytest.mark.parametrize("sid", list(_DISPLAYS))
+def test_oracle_rows_agree_on_their_common_prefix(sid):
+    # _table_cut is 25, 39 and 57 at orders 300, 700 and 1500, so a family
+    # with 25 <= c < 57 is tabled at one order and straight at another: the
+    # walker's two branches checked against each other, no constructor involved
+    prefix = oracle_expand(sid, 300)
+    for order in (700, 1500):
+        assert oracle_expand(sid, order).truncate(300) == prefix, order
+
+
 def test_z_equals_a_plus_b_in_the_oracle():
     """The two halves of the split must re-sum to Z inside the oracle alone."""
     z = oracle_expand(SeriesId.Z, 300)

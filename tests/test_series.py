@@ -758,3 +758,22 @@ def test_format_polynomial_truncates_long_output():
     s = formatted = format_polynomial(f, max_terms=4)
     assert formatted.count("+") >= 4
     assert "..." in s
+
+
+def test_format_polynomial_with_no_terms_shown():
+    # the ellipsis leads: no "+" dangles before it
+    assert format_polynomial(TruncatedSeries([0, 1, 2]), max_terms=0) == "... + O(q^3)"
+    assert format_polynomial(TruncatedSeries([0, 1, 2]), max_terms=1) == "q + ... + O(q^3)"
+    assert format_polynomial(TruncatedSeries.zero(3), max_terms=0) == "0 + O(q^3)"
+
+
+@pytest.mark.parametrize("max_terms", [1.5, 2.0, True, False, "2"])
+def test_format_polynomial_rejects_a_non_int_max_terms(max_terms):
+    with pytest.raises(TypeError, match=f"max_terms must be an int, got {max_terms!r}"):
+        format_polynomial(TruncatedSeries([1, 2]), max_terms=max_terms)
+
+
+@pytest.mark.parametrize("max_terms", [-1, -12])
+def test_format_polynomial_rejects_a_negative_max_terms(max_terms):
+    with pytest.raises(ValueError, match=f"max_terms must be >= 0, got {max_terms}$"):
+        format_polynomial(TruncatedSeries([1, 2]), max_terms=max_terms)
