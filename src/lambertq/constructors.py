@@ -25,9 +25,10 @@ identities alone it equals const * Prod_d E(q^d)^c(d) mod q^order,
 E = (q;q)_inf, read off each symbol's residue class. It is expanded in
 q^g, g = gcd(supp c), by its primitive signature c/g. That expansion p is
 solved from a = q d/dq log p, which divisor sums give (Euler): n*p_n =
-Sum_j a_j p_(n-j), by divide and conquer over `mul` (`_solve`). Within one
-run (`_product_run`), each expansion is kept by its primitive signature, so
-products that differ only by q -> q^g share one.
+Sum_j a_j p_(n-j), by divide and conquer over `mul` (`_solve`). A run
+(`_run`) keeps each named series by (SeriesId, order), built once, and each
+expansion by its primitive signature, so products that differ only by
+q -> q^g share one; `D1` and `D2` read `S`, `L1` and `L2` from it.
 """
 
 from __future__ import annotations
@@ -353,17 +354,17 @@ def _signature(num: _Symbols, den: _Symbols, order: int) -> tuple[int, dict[int,
     return const, {d: e for d, e in enumerate(m) if e}
 
 
-# The run open in this context, as the expansions kept by primitive
-# signature; None outside a run.
-_RUN: ContextVar[Optional[dict]] = ContextVar("lambertq_products", default=None)
+# The run open in this context, one dict of the named series by (SeriesId,
+# order) and the eta expansions by primitive signature; None outside a run.
+_RUN: ContextVar[Optional[dict]] = ContextVar("lambertq_run", default=None)
 
 
 @contextmanager
-def _product_run() -> Iterator[None]:
-    """Share every eta-quotient expansion among the products built inside,
-    unless an enclosing run shares them already. Each is solved through
-    what the product that first needs it needs, and resumed when a later
-    one needs more."""
+def _run() -> Iterator[None]:
+    """Share every named series and eta-quotient expansion among the builds
+    inside, unless an enclosing run shares them already. A named series is
+    built once per order; an expansion is solved through what the product
+    that first needs it needs, and resumed when a later one needs more."""
     if _RUN.get() is not None:
         yield
         return
@@ -623,12 +624,8 @@ _DOUBLE_SUMS: dict[SeriesId, tuple[tuple[_Family, ...], tuple[_Family, ...]]] = 
 }
 
 
-def _build_d1(order: int) -> TruncatedSeries:
-    return mul(lambert_sum(S_SPEC, order), lambert_sum(L1_SPEC, order))
-
-
-def _build_d2(order: int) -> TruncatedSeries:
-    return mul(lambert_sum(S_SPEC, order), lambert_sum(L2_SPEC, order))
+def _build_product(f: SeriesId, g: SeriesId, order: int) -> TruncatedSeries:
+    return mul(named_series(f, order), named_series(g, order))
 
 
 def d2_split_product(order: int) -> TruncatedSeries:
@@ -646,8 +643,8 @@ def d2_split_product(order: int) -> TruncatedSeries:
 _BUILDERS: dict[SeriesId, Callable[[int], TruncatedSeries]] = {
     SeriesId.Y_DEF: _build_y_def,
     **{sid: partial(_double_sum, *row) for sid, row in _DOUBLE_SUMS.items()},
-    SeriesId.D1: _build_d1,
-    SeriesId.D2: _build_d2,
+    SeriesId.D1: partial(_build_product, SeriesId.S, SeriesId.L1),
+    SeriesId.D2: partial(_build_product, SeriesId.S, SeriesId.L2),
     SeriesId.S: partial(lambert_sum, S_SPEC),
     SeriesId.L1: partial(lambert_sum, L1_SPEC),
     SeriesId.L2: partial(lambert_sum, L2_SPEC),
@@ -657,11 +654,16 @@ _BUILDERS: dict[SeriesId, Callable[[int], TruncatedSeries]] = {
 
 
 def named_series(sid: SeriesId, order: int) -> TruncatedSeries:
-    """Build any named series exactly through q^(order-1)."""
+    """Build any named series exactly through q^(order-1), once per run (`_run`)."""
     if not isinstance(sid, SeriesId):
         raise UnsupportedSeries(f"named series are {[s.value for s in SeriesId]}, not {sid!r}")
     _check_args(order)
-    return _BUILDERS[sid](order)
+    kept = _RUN.get()
+    if kept is None:
+        return _BUILDERS[sid](order)
+    if (sid, order) not in kept:
+        kept[sid, order] = _BUILDERS[sid](order)
+    return kept[sid, order]
 
 
 # -- bilateral machinery --------------------------------------------------------

@@ -10,7 +10,6 @@ finite-order evidence.
 
 from __future__ import annotations
 
-import functools
 import time
 from enum import Enum
 from typing import Callable, Iterable, Optional
@@ -19,7 +18,7 @@ from .constructors import (
     SeriesId,
     SignedMonomial,
     _halving_lists,
-    _product_run,
+    _run,
     bilateral_sum,
     d2_split_product,
     entry29_rhs,
@@ -96,8 +95,8 @@ UNPROVEN_NOTE = "unproven conjecture: finite-order evidence only"
 
 class IdentityReport(_Record):
     """Outcome of one check. Under `run_suite`, `elapsed_seconds` counts a
-    named series only in the first report whose check built it; later
-    checks get it from the run's cache."""
+    named series only in the first report whose check built it, `D1`'s and
+    `D2`'s factors included; later checks read it from the run."""
 
     __slots__ = ("identity", "order_checked", "status", "first_mismatch", "elapsed_seconds", "annotation")
 
@@ -170,7 +169,7 @@ def _halving_rows(n: int, b: Builder) -> Iterable[Pair]:
 
 def _entry29_rows(n: int, b: Builder) -> Iterable[Pair]:
     # sides with one primitive eta signature, the swapped triple among them,
-    # share one expansion through the run's product cache
+    # share one expansion through the run
     for x, y, base in ENTRY29_TRIPLES:
         label = f"triple x={x}, y={y}, base={base}"
         lhs = bilateral_sum(x, y, base, n)
@@ -221,14 +220,15 @@ def _check_call(needs: str, order: int, *idents: object) -> None:
         raise OrderTooSmall(f"{needs} order >= 8, got {order}")
 
 
-@_product_run()
+@_run()
 def check_identity(ident: IdentityId, order: int, builder: Builder = named_series) -> IdentityReport:
     """Check one identity coefficient-exactly through q^(order-1).
 
-    `builder` supplies the named series: `run_suite` passes its per-run
-    cache, and tests pass builders that inject faults. The products a check
-    builds share their eta-quotient expansions (see `_product_run`), and so
-    do all the checks of one `run_suite`.
+    `builder` supplies each named series a row reads, at every read; tests
+    pass builders that inject faults. The check runs in a run (`_run`), the
+    one `run_suite` opens if any, which keeps each named series and eta
+    expansion once; `D1` and `D2` read the true `S`, `L1` and `L2` from it,
+    whatever the builder.
     """
     _check_call("identity checks need", order, ident)
     start = time.perf_counter()
@@ -269,10 +269,9 @@ def run_suite(order: int, builder: Builder = named_series) -> list[IdentityRepor
     completed reports.
     """
     _check_call("suite needs", order)
-    builder = functools.cache(builder)  # the builder runs once per named series per run
     reports: list[IdentityReport] = []
     errors: list[tuple[IdentityId, Exception]] = []
-    with _product_run():
+    with _run():
         for ident in IdentityId:
             try:
                 reports.append(check_identity(ident, order, builder))

@@ -233,8 +233,7 @@ class TruncatedSeries:
             raise ValueError("power substitution needs t >= 1")
         n = len(self._coeffs)
         out = [0] * n
-        for i in range(0, (n - 1) // t + 1):
-            out[i * t] = self._coeffs[i]
+        out[::t] = self._coeffs[: (n - 1) // t + 1]
         return TruncatedSeries._trusted(out)
 
     def invert(self) -> "TruncatedSeries":

@@ -14,8 +14,8 @@ over all of them: `PHI` (`phi`), `ENTRY29` (`entry29_rhs` on each of the
 suite's `ENTRY29_TRIPLES`), `POCHHAMMER` (`pochhammer` on each of
 `POCHHAMMER_CASES`) and `RUN`. In the first three every product is built by
 a standalone call, which solves its own expansion. `RUN` builds the suite's
-products, `PHI` and then the seven `entry29_rhs` sides, inside one
-`_product_run` per order, so they share their expansions and resume them;
+products, `PHI` and then the seven `entry29_rhs` sides, inside one `_run`
+per order, so they share their expansions and resume them;
 at each order its strings are those of `PHI` and then those of `ENTRY29`.
 The serialisation of one series at one order is
 
@@ -49,7 +49,7 @@ from lambertq import (
     phi,
     pochhammer,
 )
-from lambertq.constructors import _product_run
+from lambertq.constructors import _run
 from lambertq.oracle import _DISPLAYS
 
 # (arg, step) of each `pochhammer` product digested: E = (q; q), the
@@ -117,7 +117,7 @@ def main(args: list[str]) -> int:
     for group, members in groups.items():
         one = hashlib.sha256()
         for n in ns:
-            with _product_run() if group == "RUN" else nullcontext():
+            with _run() if group == "RUN" else nullcontext():
                 for name, build in members:
                     text = named(name, build(n))
                     one.update(text)

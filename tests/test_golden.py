@@ -9,7 +9,7 @@ import pytest
 import digest
 import golden
 from lambertq import ENTRY29_TRIPLES, SeriesId, entry29_rhs, oracle_expand
-from lambertq.constructors import _product_run
+from lambertq.constructors import _run
 
 
 @pytest.mark.parametrize("order", [200, 2000])
@@ -48,7 +48,7 @@ def test_product_digest_hashes_each_group_order_by_order(capsys):
     for group, members in groups.items():
         texts[group] = b""
         for n in (1, 2, 3):
-            with _product_run() if group == "RUN" else nullcontext():
+            with _run() if group == "RUN" else nullcontext():
                 texts[group] += b"".join(digest.named(name, build(n)) for name, build in members)
     assert [h for h, _ in lines] == [
         *(hashlib.sha256(texts[group]).hexdigest() for group in groups),
@@ -62,6 +62,6 @@ def test_run_group_is_phi_then_entry29_built_in_one_run():
     standalone = groups["PHI"] + groups["ENTRY29"]
     assert [name for name, _ in groups["RUN"]] == [name for name, _ in standalone]
     for n in (60, 121):
-        with _product_run():
+        with _run():
             shared = [build(n) for _, build in groups["RUN"]]
         assert shared == [build(n) for _, build in standalone]

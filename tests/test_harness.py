@@ -129,21 +129,79 @@ class TestRunSuite:
     def test_elapsed_nonnegative(self):
         assert all(r.elapsed_seconds >= 0 for r in run_suite(8))
 
-    def test_each_series_is_built_once_per_run(self):
-        calls = Counter()
+    def test_each_series_is_built_once_per_run(self, monkeypatch):
+        # a build is a call of a `_BUILDERS` entry, or a Lambert sum a
+        # builder makes for itself, as D1 and D2 could for S, L1 and L2
+        builds = Counter()
+        for sid, build in constructors._BUILDERS.items():
 
-        def counting(sid, order):
-            calls[sid, order] += 1
+            def counting(order, sid=sid, build=build):
+                builds[sid, order] += 1
+                return build(order)
+
+            monkeypatch.setitem(constructors._BUILDERS, sid, counting)
+        specs = {
+            constructors.S_SPEC: SeriesId.S,
+            constructors.L1_SPEC: SeriesId.L1,
+            constructors.L2_SPEC: SeriesId.L2,
+            constructors.L3_SPEC: SeriesId.L3,
+        }
+        lambert_sum = constructors.lambert_sum
+
+        def counting_sum(spec, order):
+            builds[specs[spec], order] += 1
+            return lambert_sum(spec, order)
+
+        monkeypatch.setattr(constructors, "lambert_sum", counting_sum)
+        run_suite(50)
+        assert builds == Counter({(sid, 50): 1 for sid in SeriesId})
+
+    def test_a_builder_passed_in_is_asked_for_every_series(self):
+        asked = set()
+
+        def recording(sid, order):
+            asked.add((sid, order))
             return named_series(sid, order)
 
-        run_suite(50, builder=counting)
-        assert calls == Counter({(sid, 50): 1 for sid in SeriesId})
+        run_suite(50, builder=recording)
+        assert asked == {(sid, 50) for sid in SeriesId}
 
     def test_no_built_series_outlives_its_run(self):
         assert all(r.passed for r in run_suite(50))
         failed = _failures(run_suite(50, builder=_corrupting(SeriesId.Y_EQ2, 5, 1)))
         assert list(failed) == [IdentityId.I1_Y_EQ2]
         assert all(r.passed for r in run_suite(50))
+
+
+class TestRunStore:
+    """The run `run_suite` and `check_identity` open is scoped to the call,
+    and `D1` and `D2` read their true factors from it."""
+
+    def test_no_run_outlives_its_call(self):
+        run_suite(50)
+        assert constructors._RUN.get() is None
+
+        def boom(sid, order):
+            raise RuntimeError("injected")
+
+        with pytest.raises(SuiteError):
+            run_suite(50, builder=boom)
+        assert constructors._RUN.get() is None
+        check_identity(IdentityId.I9_LEMMA2, 50)
+        assert constructors._RUN.get() is None
+
+    def test_products_in_a_run_equal_their_standalone_builds(self):
+        orders = [*range(1, 201), 2000]
+        with constructors._run():
+            shared = [named_series(sid, n) for n in orders for sid in (SeriesId.D1, SeriesId.D2)]
+        assert shared == [named_series(sid, n) for n in orders for sid in (SeriesId.D1, SeriesId.D2)]
+
+    @pytest.mark.parametrize(
+        "sid,ident", [(SeriesId.S, IdentityId.I7_S_EQ_QPHI), (SeriesId.L2, IdentityId.I8_SUM_DIFFERENCE)]
+    )
+    def test_a_corrupted_factor_fails_only_its_own_row(self, sid, ident):
+        # D1 and D2 take the true S and L2 from the run, not from the builder
+        assert list(_failures(run_suite(50, builder=_corrupting(sid, 3, 1)))) == [ident]
 
 
 class TestCheckIdentity:
@@ -395,10 +453,10 @@ class TestBilateralRows:
 
         monkeypatch.setattr(lambertq.harness, "entry29_rhs", counting)
         monkeypatch.setattr(constructors, "_solve", recording)
-        with constructors._product_run():
+        with constructors._run():
             pairs = list(_ROWS[IdentityId.I13_ENTRY29_INSTANCE](120, named_series))
         assert calls == list(ENTRY29_TRIPLES)
-        # the run's cache shares each expansion: E(q^2)^4/E(q)^2 in 60 terms
+        # the run shares each expansion: E(q^2)^4/E(q)^2 in 60 terms
         # serves triples 0 and 1 (which swap x and y) and 2*PHI;
         # E(q^3)^3/E(q) in 120 terms serves triples 2 and 3; triple 4 needs
         # the first through 120 terms, which serve triples 5 and 6 in q^2
